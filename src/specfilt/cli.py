@@ -151,10 +151,10 @@ def parse_args(argv) -> RunConfig:
         parser.error("--bins must be at least 1")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    if args.sigma < 0:
-        parser.error("--sigma must be nonnegative")
-    if args.ensemble == "torus" and not args.major > args.minor > 0:
-        parser.error("--major must exceed --minor and both must be positive")
+    if not 0 <= args.sigma < np.inf:
+        parser.error("--sigma must be finite and nonnegative")
+    if args.ensemble == "torus" and not np.inf > args.major > args.minor > 0:
+        parser.error("--major must exceed --minor, both finite and positive")
     if args.grid is not None:
         head, _, tail = args.grid.partition(":")
         if head == "uniform":
@@ -244,8 +244,7 @@ def _pooled_histogram(matrices, config: RunConfig, kind: str) -> Histogram:
                      total=int(counts.sum()))
 
 
-def _curve_for(matrices, config: RunConfig, kind: str) -> CurveSeries:
-    grid = _resolve_grid(config, matrices[0].n)
+def _curve_for(matrices, grid: DensityGrid, config: RunConfig, kind: str) -> CurveSeries:
     if config.experiment == "std-curve":
         series = [std_curve(m, grid, kind) for m in matrices]
     else:
@@ -290,11 +289,12 @@ def run(config: RunConfig) -> int:
         out_dir = Path(config.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         kinds = (RAW, NORMALIZED) if config.kind == "both" else (config.kind,)
+        grid = None if config.experiment == "density" else _resolve_grid(config, n)
         for kind in kinds:
             if config.experiment == "density":
                 result = _pooled_histogram(matrices, config, kind)
             else:
-                result = _curve_for(matrices, config, kind)
+                result = _curve_for(matrices, grid, config, kind)
             stem = f"{config.experiment}-{config.ensemble}-{kind}"
             write_csv(result, out_dir / f"{stem}.csv")
             write_svg(result, out_dir / f"{stem}.svg", _title(config, kind, n))

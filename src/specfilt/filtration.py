@@ -7,6 +7,10 @@ simple graph; sweeping m from 0 to C(n, 2) produces an increasing family
 of graphs that starts at the edgeless graph and ends at the complete
 graph.  Diagonal entries are never consulted.
 
+Vertex pairs are checked where they enter, in :class:`EdgeFiltration`
+and the public :class:`Graph` constructor; snapshots of a filtration are
+unchecked read-only views of a prefix of its order, sharing its memory.
+
 All arithmetic on edge counts is integer arithmetic; converting a target
 density p to an edge count rounds half up (see
 :func:`edge_count_at_density`).
@@ -41,21 +45,15 @@ UNASSIGNED, SIDE_A, SIDE_B = 0, 1, 2
 class EdgeFiltration:
     """Total order on all C(n, 2) vertex pairs of an n-vertex set.
 
-    ``order[k]`` is the pair (i, j), i < j, inserted at step k + 1;
-    ``entry_values[k]`` is the matrix entry that placed it there.
+    ``order[k]`` is the pair (i, j), i < j, inserted at step k + 1.  The
+    constructor checks that ``order`` lists every pair exactly once.
     """
 
-    def __init__(self, n: int, order, entry_values=None):
-        order = np.array(order, dtype=np.int64).reshape(-1, 2)
-        if order.shape[0] != n * (n - 1) // 2:
-            raise ValueError("order must list every unordered pair exactly once")
-        order.setflags(write=False)
+    def __init__(self, n: int, order):
         self.n = int(n)
-        self.order = order
-        if entry_values is not None:
-            entry_values = np.array(entry_values, dtype=float)
-            entry_values.setflags(write=False)
-        self.entry_values = entry_values
+        self.order = _checked_pairs(n, order)
+        if self.total_pairs != n * (n - 1) // 2:
+            raise ValueError("order must list every unordered pair exactly once")
 
     @property
     def total_pairs(self) -> int:
@@ -69,23 +67,16 @@ class Graph:
     """Immutable snapshot of a filtration prefix: n vertices, m edges.
 
     Stores the edge array and the degree vector; adjacency lists are
-    built on first use, a dense adjacency matrix on demand.
+    built on first use.  The constructor checks ``edges``; snapshots of a
+    filtration skip the check and share the memory of its ``order``.
     """
 
     def __init__(self, n: int, edges):
-        if n < 2:
-            raise ValueError("a graph snapshot needs at least 2 vertices")
-        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if not (edges[:, 0] < edges[:, 1]).all():
-                raise ValueError("edges must be stored as (i, j) with i < j")
-            keys = edges[:, 0] * n + edges[:, 1]
-            if np.unique(keys).size != keys.size:
-                raise ValueError("duplicate edge")
-        edges.setflags(write=False)
-        self.n = int(n)
+        self._attach(int(n), _checked_pairs(n, edges))
+
+    def _attach(self, n: int, edges: np.ndarray) -> None:
+        # edges: a read-only (m, 2) int64 array of distinct pairs i < j
+        self.n = n
         self.edge_array = edges
         degrees = np.bincount(edges.ravel(), minlength=n)
         degrees.setflags(write=False)
@@ -110,20 +101,36 @@ class Graph:
             self._adjacency = tuple(tuple(neigh) for neigh in adj)
         return self._adjacency
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (fresh array on every call)."""
-        mat = np.zeros((self.n, self.n))
-        if self.edge_count:
-            i, j = self.edge_array[:, 0], self.edge_array[:, 1]
-            mat[i, j] = 1.0
-            mat[j, i] = 1.0
-        return mat
-
     def edge_set(self) -> set[tuple[int, int]]:
         return {(int(i), int(j)) for i, j in self.edge_array}
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count}, density={self.density:.4g})"
+
+
+def _checked_pairs(n: int, pairs) -> np.ndarray:
+    """Read-only int64 (m, 2) copy of ``pairs`` if they are distinct pairs
+    (i, j), 0 <= i < j < n, n >= 2; raises ``ValueError`` otherwise."""
+    if n < 2:
+        raise ValueError("a graph needs at least 2 vertices")
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    if pairs.size and (i.min() < 0 or j.max() >= n or not (i < j).all()):
+        raise ValueError("pairs must be stored as (i, j) with 0 <= i < j < n")
+    # n * n bytes: an eighth of the dense Laplacian of an n-vertex graph
+    seen = np.zeros(n * n, dtype=bool)
+    seen[i * n + j] = True
+    if np.count_nonzero(seen) != pairs.shape[0]:
+        raise ValueError("duplicate pair")
+    pairs.setflags(write=False)
+    return pairs
+
+
+def _prefix(filtration: EdgeFiltration, m: int) -> Graph:
+    # the order was checked when the filtration was built
+    graph = Graph.__new__(Graph)
+    graph._attach(filtration.n, filtration.order[:m])
+    return graph
 
 
 def build_filtration(matrix) -> EdgeFiltration:
@@ -138,10 +145,9 @@ def build_filtration(matrix) -> EdgeFiltration:
     values = matrix.dense[i, j]
     if np.isnan(values).any():
         raise ValueError("matrix contains NaN entries")
-    # lexsort uses the last key as the primary one
-    rank = np.lexsort((j, i, values))
-    order = np.column_stack([i, j])[rank]
-    return EdgeFiltration(n, order, values[rank])
+    # triu_indices lists the pairs in (i, j) order, which a stable sort keeps
+    rank = np.argsort(values, kind="stable")
+    return EdgeFiltration(n, np.column_stack([i[rank], j[rank]]))
 
 
 def edge_count_at_density(n: int, density: float) -> int:
@@ -154,8 +160,7 @@ def edge_count_at_density(n: int, density: float) -> int:
 
 def graph_at_density(filtration: EdgeFiltration, density: float) -> Graph:
     """Snapshot on the first ``round(p * C(n, 2))`` filtration edges."""
-    m = edge_count_at_density(filtration.n, density)
-    return Graph(filtration.n, filtration.order[:m])
+    return _prefix(filtration, edge_count_at_density(filtration.n, density))
 
 
 def stream_prefixes(filtration: EdgeFiltration, checkpoints):
@@ -172,17 +177,11 @@ def stream_prefixes(filtration: EdgeFiltration, checkpoints):
             raise ValueError("checkpoints must be integers")
         counts.append(int(c))
     total = filtration.total_pairs
-    for prev, cur in zip(counts, counts[1:]):
-        if cur < prev:
-            raise ValueError("checkpoints must be sorted")
+    if counts != sorted(counts):
+        raise ValueError("checkpoints must be sorted")
     if counts and (counts[0] < 0 or counts[-1] > total):
         raise ValueError(f"checkpoints must lie in [0, {total}]")
-
-    def _generate():
-        for m in counts:
-            yield Graph(filtration.n, filtration.order[:m])
-
-    return _generate()
+    return (_prefix(filtration, m) for m in counts)
 
 
 class _DisjointSet:

@@ -50,6 +50,14 @@ class TestParseArgs:
             parse_args(["density", "--ensemble", "gaussian", "--n", "10", "--p", "1.5"])
         assert info.value.code == EXIT_USAGE
 
+    def test_non_finite_floats_rejected(self):
+        for flag, value in (("--sigma", "nan"), ("--sigma", "inf"),
+                            ("--major", "inf"), ("--minor", "nan")):
+            with pytest.raises(SystemExit) as info:
+                parse_args(["density", "--ensemble", "torus", "--n", "10",
+                            "--p", "0.5", flag, value])
+            assert info.value.code == EXIT_USAGE
+
     def test_density_requires_p(self):
         with pytest.raises(SystemExit) as info:
             parse_args(["density", "--ensemble", "gaussian", "--n", "10"])
@@ -183,6 +191,25 @@ class TestRun:
         assert code == EXIT_OK
         xs, _ = read_curve_csv(tmp_path / "gap-curve-gaussian-raw.csv")
         assert xs.tolist() == [0.0, 0.5, 1.0]
+
+    def test_grid_resolved_once_for_both_kinds(self, tmp_path, monkeypatch):
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_text("0\n0.5\n1\n")
+        calls = []
+        resolve = cli._resolve_grid
+
+        def counting(*args):
+            calls.append(args)
+            return resolve(*args)
+
+        monkeypatch.setattr(cli, "_resolve_grid", counting)
+        code = main(
+            ["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
+             "--kind", "both", "--grid", f"file:{grid_path}",
+             "--output", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_grid_file_unparsable_is_usage_error(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.txt"

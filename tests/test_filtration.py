@@ -14,6 +14,7 @@ from specfilt.filtration import (
     SIDE_A,
     SIDE_B,
     UNASSIGNED,
+    EdgeFiltration,
     Graph,
     build_filtration,
     check_bipartite,
@@ -52,11 +53,6 @@ class TestBuildFiltration:
         assert [tuple(e) for e in f.order.tolist()] == oracles.sorted_pairs_by_entry(
             mat.dense
         )
-
-    def test_values_non_decreasing_along_order(self):
-        mat = sample_gaussian_symmetric(12, 5)
-        f = build_filtration(mat)
-        assert (np.diff(f.entry_values) >= 0).all()
 
     def test_permutation_property(self):
         mat = sample_gaussian_symmetric(9, 77)
@@ -112,6 +108,13 @@ class TestGraphAtDensity:
             with pytest.raises(ValueError):
                 graph_at_density(f, p)
 
+    def test_snapshot_is_read_only_view_of_order(self):
+        f = build_filtration(sample_gaussian_symmetric(10, 2))
+        for g in (graph_at_density(f, 0.3), *stream_prefixes(f, [0, 13, 45])):
+            assert np.shares_memory(g.edge_array, f.order) or g.edge_count == 0
+            assert not g.edge_array.flags.writeable
+            assert not g.degrees.flags.writeable
+
     def test_realized_density_recorded(self):
         f = build_filtration(sample_gaussian_symmetric(10, 2))
         g = graph_at_density(f, 0.3)
@@ -142,12 +145,24 @@ class TestGraphValidation:
                 recomputed[j] += 1
             assert np.array_equal(g.degrees, recomputed)
 
-    def test_adjacency_matrix_matches_edges(self):
-        g = Graph(4, [(0, 1), (1, 2)])
-        expected = np.zeros((4, 4))
-        expected[0, 1] = expected[1, 0] = 1
-        expected[1, 2] = expected[2, 1] = 1
-        assert np.array_equal(g.adjacency_matrix(), expected)
+
+class TestEdgeFiltrationValidation:
+    # every pair of 3 vertices once is [(0, 1), (0, 2), (1, 2)]
+    def test_rejects_duplicate_pair(self):
+        with pytest.raises(ValueError):
+            EdgeFiltration(3, [(0, 1)] * 3)
+
+    def test_rejects_reversed_pair(self):
+        with pytest.raises(ValueError):
+            EdgeFiltration(3, [(0, 1), (0, 2), (2, 1)])
+
+    def test_rejects_out_of_range_vertex(self):
+        with pytest.raises(ValueError):
+            EdgeFiltration(3, [(0, 1), (0, 2), (1, 3)])
+
+    def test_rejects_wrong_pair_count(self):
+        with pytest.raises(ValueError):
+            EdgeFiltration(3, [(0, 1), (0, 2)])
 
 
 class TestStreamPrefixes:
@@ -173,8 +188,10 @@ class TestStreamPrefixes:
             streamed = list(stream_prefixes(f, list(range(total + 1))))
             for m, g in enumerate(streamed):
                 direct = graph_at_density(f, m / total)
-                assert g.edge_set() == direct.edge_set()
-                assert np.array_equal(g.degrees, direct.degrees)
+                checked = Graph(n, f.order[:m])
+                for other in (direct, checked):
+                    assert g.edge_set() == other.edge_set()
+                    assert np.array_equal(g.degrees, other.degrees)
 
     def test_rejects_bad_checkpoints(self):
         f = build_filtration(sample_gaussian_symmetric(5, 0))
