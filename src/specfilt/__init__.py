@@ -64,6 +64,7 @@ from .spectra import (
     Spectrum,
     eigenvalues,
     laplacian,
+    laplacian_std,
     normalized_laplacian,
     raw_laplacian,
     spectral_gap,
@@ -100,6 +101,7 @@ __all__ = [
     "graph_at_density",
     "growth_fits",
     "laplacian",
+    "laplacian_std",
     "linear_fit",
     "normalized_laplacian",
     "rank_one_matrix",

@@ -52,6 +52,10 @@ __all__ = ["RunConfig", "UsageError", "parse_args", "run", "main",
 
 EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERICAL = 0, 1, 2, 3
 
+# far more bins than any spectrum has eigenvalues; at this limit one kind
+# peaks near 400 MB of memory and writes about 100 MB of CSV and SVG
+MAX_BINS = 10**6
+
 EXPERIMENTS = ("gap-curve", "std-curve", "density", "sqrt-gap")
 ENSEMBLES = ("gaussian", "positive-rank1", "wishart-rank1", "circle", "torus",
              "matrix-file")
@@ -105,7 +109,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--p", type=float, default=None,
                         help="edge density (density experiment only)")
     parser.add_argument("--bins", type=int, default=100,
-                        help="histogram bin count (default 100)")
+                        help=f"histogram bin count, 1 to {MAX_BINS} (default 100)")
     parser.add_argument("--grid", default=None, metavar="uniform:K|file:PATH",
                         help="density grid spec (default uniform:50, with "
                              "extra points near 0 for std-curve)")
@@ -147,8 +151,8 @@ def parse_args(argv) -> RunConfig:
             parser.error("--p must lie in [0, 1]")
     elif args.p is not None:
         parser.error(f"--p is not a {args.experiment} flag")
-    if args.bins < 1:
-        parser.error("--bins must be at least 1")
+    if not 1 <= args.bins <= MAX_BINS:
+        parser.error(f"--bins must lie in [1, {MAX_BINS}]")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if not 0 <= args.sigma < np.inf:
@@ -196,19 +200,25 @@ def _draw_matrices(config: RunConfig) -> list:
         except ValueError as exc:
             raise UsageError(f"--matrix: {exc}") from exc
     seeds = [(config.seed + k) % SEED_MAX for k in range(config.repeats)]
+    try:
+        return [_sample(config, s) for s in seeds]
+    except ValueError as exc:
+        # e.g. a finite --sigma so large that coordinates or distances overflow
+        raise UsageError(f"{config.ensemble} ensemble: {exc}") from exc
+
+
+def _sample(config: RunConfig, seed: int):
     if config.ensemble == "gaussian":
-        return [sample_gaussian_symmetric(config.n, s) for s in seeds]
+        return sample_gaussian_symmetric(config.n, seed)
     if config.ensemble == "positive-rank1":
-        return [sample_positive_rank_one(config.n, s) for s in seeds]
+        return sample_positive_rank_one(config.n, seed)
     if config.ensemble == "wishart-rank1":
-        return [sample_wishart_rank_one(config.n, s) for s in seeds]
+        return sample_wishart_rank_one(config.n, seed)
     if config.ensemble == "circle":
-        return [distance_matrix(sample_noisy_circle(config.n, config.sigma, s))
-                for s in seeds]
+        return distance_matrix(sample_noisy_circle(config.n, config.sigma, seed))
     if config.ensemble == "torus":
-        return [distance_matrix(sample_noisy_torus(config.n, config.major,
-                                                   config.minor, config.sigma, s))
-                for s in seeds]
+        return distance_matrix(sample_noisy_torus(config.n, config.major,
+                                                  config.minor, config.sigma, seed))
     raise UsageError(f"unknown ensemble {config.ensemble!r}")
 
 

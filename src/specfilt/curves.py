@@ -5,6 +5,11 @@ counts (round half up, duplicates dropped), and walks the snapshot
 stream, computing one scalar per snapshot.  The result is a
 :class:`CurveSeries` of (density, value) pairs ready for CSV or SVG
 output.
+
+The gap curve runs one dense eigensolve per snapshot.  The width (std)
+curve runs none: its value comes from the traces of the Laplacian, which
+depend only on the snapshot's degrees and edges
+(:func:`specfilt.spectra.laplacian_std`).
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from .spectra import (
     NumericalError,
     eigenvalues,
     laplacian,
+    laplacian_std,
     spectral_gap,
     spectrum_histogram,
-    spectrum_std,
+    spectrum_std,  # not called here; bench/child.py traces it by this name
 )
 
 __all__ = [
@@ -132,16 +138,16 @@ def _series_meta(matrix: SymmetricMatrix) -> dict:
 
 
 def _sweep(matrix, grid, kind, statistic: str, stat_fn) -> CurveSeries:
+    # stat_fn maps each snapshot Graph to the statistic's value
     filtration = build_filtration(matrix)
     counts, densities = _checkpoints(grid, matrix.n)
     ys = []
     for p, graph in zip(densities, stream_prefixes(filtration, counts)):
         try:
-            spectrum = eigenvalues(laplacian(graph, kind), kind)
+            ys.append(stat_fn(graph))
         except NumericalError as exc:
             exc.density = p
             raise
-        ys.append(stat_fn(spectrum))
     return CurveSeries(
         statistic=statistic,
         kind=kind,
@@ -157,12 +163,17 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
     At p = 0 the gap is 0; at p = 1 it is n for the raw kind and
     n/(n - 1) for the normalized kind (the complete-graph values).
     """
-    return _sweep(matrix, grid, kind, "gap", spectral_gap)
+    return _sweep(matrix, grid, kind, "gap",
+                  lambda graph: spectral_gap(eigenvalues(laplacian(graph, kind), kind)))
 
 
 def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSeries:
-    """Standard deviation of the eigenvalue distribution vs density."""
-    return _sweep(matrix, grid, kind, "std", spectrum_std)
+    """Standard deviation of the eigenvalue distribution vs density.
+
+    Each value comes from the traces of the snapshot's Laplacian
+    (:func:`specfilt.spectra.laplacian_std`), not from an eigensolve.
+    """
+    return _sweep(matrix, grid, kind, "std", lambda graph: laplacian_std(graph, kind))
 
 
 def sqrt_curve(series: CurveSeries) -> CurveSeries:

@@ -11,6 +11,11 @@ eigenvalue.  With that convention the multiplicity of the eigenvalue 0
 equals the number of connected components for both kinds, throughout the
 whole filtration.
 
+The width of a spectrum (its population standard deviation) comes from
+traces instead, by :func:`laplacian_std`: ``tr L`` and ``tr L^2`` depend
+only on the degrees and edges, so no matrix is built and nothing is
+solved.  :func:`spectrum_std` computes the same width from eigenvalues.
+
 Eigenvalues come from a full dense symmetric decomposition
 (``numpy.linalg.eigvalsh``, LAPACK's tridiagonalization plus implicitly
 shifted iteration).  Results are validated against the theoretical range
@@ -20,6 +25,7 @@ band raise :class:`NumericalError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +50,7 @@ __all__ = [
     "spectral_gap",
     "spectrum_histogram",
     "spectrum_std",
+    "laplacian_std",
     "zero_multiplicity",
 ]
 
@@ -260,6 +267,31 @@ def spectrum_std(spectrum: Spectrum) -> float:
     if spectrum.values.size < 1:
         raise ValueError("empty spectrum")
     return float(np.std(spectrum.values))
+
+
+def laplacian_std(graph: Graph, kind: str) -> float:
+    """Population standard deviation of the Laplacian spectrum, from traces.
+
+    With d the degree vector, ``n^2 var = n tr L^2 - (tr L)^2``.  For the
+    raw kind ``tr L = sum d`` and ``tr L^2 = sum d^2 + sum d``, so
+    ``n^2 var`` is an integer and is computed exactly.  For the normalized
+    kind ``tr N = k``, the number of non-isolated vertices, and
+    ``tr N^2 = k + 2 S`` with ``S`` the sum over edges of
+    ``1 / (d_i d_j)``; both ``k (n - k)`` and ``S`` are nonnegative.
+    Equals :func:`spectrum_std` of the eigenvalues up to the solver's
+    round-off; no eigensolve is run.
+    """
+    _check_kind(kind)
+    n, degrees = graph.n, graph.degrees
+    if kind == RAW:
+        total = int(degrees.sum())
+        n2_var = n * (int((degrees * degrees).sum()) + total) - total * total
+    else:
+        k = int(np.count_nonzero(degrees))
+        i, j = graph.edge_array[:, 0], graph.edge_array[:, 1]
+        inverse_products = float(np.sum(1.0 / (degrees[i] * degrees[j])))
+        n2_var = n * k - k * k + 2 * n * inverse_products
+    return math.sqrt(n2_var) / n
 
 
 def zero_multiplicity(spectrum: Spectrum) -> int:

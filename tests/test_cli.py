@@ -58,6 +58,17 @@ class TestParseArgs:
                             "--p", "0.5", flag, value])
             assert info.value.code == EXIT_USAGE
 
+    def test_bins_bounded(self, capsys):
+        base = ["density", "--ensemble", "gaussian", "--n", "10", "--p", "0.5"]
+        assert parse_args(base + ["--bins", str(cli.MAX_BINS)]).bins == cli.MAX_BINS
+        for bins in ("0", str(cli.MAX_BINS + 1), "100000000000"):
+            with pytest.raises(SystemExit) as info:
+                parse_args(base + ["--bins", bins])
+            assert info.value.code == EXIT_USAGE
+        with pytest.raises(SystemExit):
+            parse_args(["--help"])
+        assert f"1 to {cli.MAX_BINS}" in capsys.readouterr().out
+
     def test_density_requires_p(self):
         with pytest.raises(SystemExit) as info:
             parse_args(["density", "--ensemble", "gaussian", "--n", "10"])
@@ -254,6 +265,18 @@ class TestRun:
              "--major", "3", "--minor", "0.5", "--output", str(tmp_path)]
         )
         assert code == EXIT_OK
+
+    def test_overflowing_sigma_is_usage_error(self, tmp_path, capsys):
+        for ensemble, sigma, message in (("torus", "1e308", "coordinates must be finite"),
+                                         ("circle", "1e200", "matrix entries must be finite")):
+            code = main(
+                ["density", "--ensemble", ensemble, "--n", "10", "--p", "0.5",
+                 "--sigma", sigma, "--output", str(tmp_path)]
+            )
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("specfilt: error: ")
+            assert message in err
 
     def test_io_failure_exit_code(self, tmp_path):
         blocker = tmp_path / "blocker"

@@ -27,9 +27,17 @@ from specfilt.filtration import (
     build_filtration,
     count_components,
     edge_count_at_density,
+    graph_at_density,
     stream_prefixes,
 )
-from specfilt.spectra import NORMALIZED, RAW, NumericalError
+from specfilt.spectra import (
+    NORMALIZED,
+    RAW,
+    NumericalError,
+    eigenvalues,
+    laplacian,
+    spectrum_std,
+)
 
 
 class TestDensityGrid:
@@ -179,6 +187,22 @@ class TestStdCurve:
         mat = sample_gaussian_symmetric(6, 2)
         series = std_curve(mat, DensityGrid([0.0, 1.0]), RAW)
         assert series.statistic == "std"
+
+    def test_no_eigensolve(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("std_curve must not build or solve a Laplacian")
+
+        mat = sample_gaussian_symmetric(15, 4)
+        filtration = build_filtration(mat)
+        grid = DensityGrid.with_zero_refinement(15, steps=10)
+        monkeypatch.setattr(curves_mod, "eigenvalues", forbidden)
+        monkeypatch.setattr(curves_mod, "laplacian", forbidden)
+        for kind in (RAW, NORMALIZED):
+            series = std_curve(mat, grid, kind)
+            for p, value in zip(series.xs, series.ys):
+                graph = graph_at_density(filtration, float(p))
+                oracle = spectrum_std(eigenvalues(laplacian(graph, kind), kind))
+                assert abs(value - oracle) <= 1e-12
 
 
 class TestSqrtCurve:

@@ -1,10 +1,17 @@
 """Laplacian assembly, eigenvalue contracts, histograms, and statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
-from specfilt.ensembles import SymmetricMatrix, sample_gaussian_symmetric
-from specfilt.filtration import Graph, build_filtration, count_components
+from specfilt.ensembles import (
+    SymmetricMatrix,
+    sample_gaussian_symmetric,
+    sample_positive_rank_one,
+    sample_wishart_rank_one,
+)
+from specfilt.filtration import Graph, build_filtration, count_components, stream_prefixes
 from specfilt.spectra import (
     NORMALIZED,
     RAW,
@@ -12,6 +19,7 @@ from specfilt.spectra import (
     NumericalError,
     eigenvalues,
     laplacian,
+    laplacian_std,
     normalized_laplacian,
     raw_laplacian,
     spectral_gap,
@@ -251,3 +259,43 @@ class TestSpectrumStd:
         expected = float(np.std([0.0, 4.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0]))
         assert abs(expected - np.sqrt(1.0 / 3.0)) <= 1e-15
         assert abs(spectrum_std(spec) - expected) <= 1e-12
+
+
+class TestLaplacianStd:
+    def test_matches_spectrum_std_on_every_prefix(self):
+        samplers = (sample_gaussian_symmetric, sample_positive_rank_one,
+                    sample_wishart_rank_one)
+        for n in range(2, 9):
+            for sample in samplers:
+                f = build_filtration(sample(n, 70 + n))
+                for g in stream_prefixes(f, range(f.total_pairs + 1)):
+                    for kind in (RAW, NORMALIZED):
+                        oracle = spectrum_std(eigenvalues(laplacian(g, kind), kind))
+                        assert abs(laplacian_std(g, kind) - oracle) <= 1e-12
+
+    def test_empty_graph(self):
+        for kind in (RAW, NORMALIZED):
+            assert laplacian_std(Graph(5, []), kind) == 0.0
+
+    def test_complete_graph(self):
+        for n in range(2, 12):
+            g = complete_graph(n)
+            assert math.isclose(laplacian_std(g, RAW), math.sqrt(n - 1), rel_tol=1e-15)
+            assert math.isclose(laplacian_std(g, NORMALIZED), math.sqrt(1 / (n - 1)),
+                                rel_tol=1e-15)
+
+    def test_isolated_vertices(self):
+        # a triangle plus 2 isolated vertices: raw {0, 0, 0, 3, 3},
+        # normalized {0, 0, 0, 3/2, 3/2}
+        g = Graph(5, [(0, 1), (0, 2), (1, 2)])
+        assert math.isclose(laplacian_std(g, RAW), math.sqrt(54) / 5, rel_tol=1e-15)
+        assert math.isclose(laplacian_std(g, NORMALIZED), math.sqrt(27 / 50),
+                            rel_tol=1e-15)
+        # a path on 3 vertices plus 1 isolated vertex: normalized {0, 0, 1, 2}
+        g = Graph(4, [(0, 1), (1, 2)])
+        assert math.isclose(laplacian_std(g, NORMALIZED), math.sqrt(11) / 4,
+                            rel_tol=1e-15)
+
+    def test_rejects_invalid_kind(self):
+        with pytest.raises(ValueError):
+            laplacian_std(Graph(3, [(0, 1)]), "signless")
