@@ -43,6 +43,7 @@ from .filtration import (
     Partition2,
     build_filtration,
     check_bipartite,
+    connectivity_index,
     count_components,
     edge_count_at_density,
     graph_at_density,
@@ -92,6 +93,7 @@ __all__ = [
     "average_series",
     "build_filtration",
     "check_bipartite",
+    "connectivity_index",
     "count_components",
     "density_snapshot",
     "distance_matrix",

@@ -55,6 +55,9 @@ EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERICAL = 0, 1, 2, 3
 # far more bins than any spectrum has eigenvalues; at this limit one kind
 # peaks near 400 MB of memory and writes about 100 MB of CSV and SVG
 MAX_BINS = 10**6
+# uniform:K grids with larger K would allocate K + 1 densities before the
+# sweep drops the ones that round to the same edge count
+MAX_GRID_STEPS = 10**6
 
 EXPERIMENTS = ("gap-curve", "std-curve", "density", "sqrt-gap")
 ENSEMBLES = ("gaussian", "positive-rank1", "wishart-rank1", "circle", "torus",
@@ -111,8 +114,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--bins", type=int, default=100,
                         help=f"histogram bin count, 1 to {MAX_BINS} (default 100)")
     parser.add_argument("--grid", default=None, metavar="uniform:K|file:PATH",
-                        help="density grid spec (default uniform:50, with "
-                             "extra points near 0 for std-curve)")
+                        help=f"density grid spec, K from 1 to {MAX_GRID_STEPS} "
+                             "(default uniform:50, with extra points near 0 "
+                             "for std-curve)")
     parser.add_argument("--repeats", type=int, default=1,
                         help="independent draws to average (default 1)")
     parser.add_argument("--output", default=".",
@@ -166,8 +170,8 @@ def parse_args(argv) -> RunConfig:
                 steps = int(tail)
             except ValueError:
                 steps = 0
-            if steps < 1:
-                parser.error("--grid uniform:K needs a positive integer K")
+            if not 1 <= steps <= MAX_GRID_STEPS:
+                parser.error(f"--grid uniform:K needs an integer K in [1, {MAX_GRID_STEPS}]")
         elif head == "file":
             if not tail:
                 parser.error("--grid file:PATH needs a path")

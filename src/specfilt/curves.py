@@ -6,10 +6,12 @@ stream, computing one scalar per snapshot.  The result is a
 :class:`CurveSeries` of (density, value) pairs ready for CSV or SVG
 output.
 
-The gap curve runs one dense eigensolve per snapshot.  The width (std)
-curve runs none: its value comes from the traces of the Laplacian, which
-depend only on the snapshot's degrees and edges
-(:func:`specfilt.spectra.laplacian_std`).
+The gap curve runs one dense eigensolve per connected snapshot; below the
+connectivity index of the filtration (one union-find pass,
+:func:`specfilt.filtration.connectivity_index`) the gap is exactly 0 and
+nothing is solved.  The width (std) curve runs no eigensolve at all: its
+value comes from the traces of the Laplacian, which depend only on the
+snapshot's degrees and edges (:func:`specfilt.spectra.laplacian_std`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .ensembles import SymmetricMatrix
 from .filtration import (
     build_filtration,
+    connectivity_index,
     edge_count_at_density,
     graph_at_density,
     stream_prefixes,
@@ -137,10 +140,12 @@ def _series_meta(matrix: SymmetricMatrix) -> dict:
     return {"ensemble": matrix.ensemble, "n": matrix.n, "seed": matrix.seed}
 
 
-def _sweep(matrix, grid, kind, statistic: str, stat_fn) -> CurveSeries:
-    # stat_fn maps each snapshot Graph to the statistic's value
+def _sweep(matrix, grid, kind, statistic: str, stat_along) -> CurveSeries:
+    # stat_along(filtration, limit) returns the function that maps each
+    # snapshot Graph to the statistic's value; limit is the last checkpoint
     filtration = build_filtration(matrix)
     counts, densities = _checkpoints(grid, matrix.n)
+    stat_fn = stat_along(filtration, counts[-1])
     ys = []
     for p, graph in zip(densities, stream_prefixes(filtration, counts)):
         try:
@@ -160,11 +165,22 @@ def _sweep(matrix, grid, kind, statistic: str, stat_fn) -> CurveSeries:
 def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSeries:
     """Spectral gap (second-smallest eigenvalue) as a function of density.
 
-    At p = 0 the gap is 0; at p = 1 it is n for the raw kind and
-    n/(n - 1) for the normalized kind (the complete-graph values).
+    The gap is exactly 0.0 at every snapshot below the connectivity index
+    (the disconnected ones), with no eigensolve; each connected snapshot
+    is solved.  At p = 1 it is n for the raw kind and n/(n - 1) for the
+    normalized kind (the complete-graph values).
     """
-    return _sweep(matrix, grid, kind, "gap",
-                  lambda graph: spectral_gap(eigenvalues(laplacian(graph, kind), kind)))
+    def gap_along(filtration, limit):
+        connected_from = connectivity_index(filtration, limit)
+
+        def gap(graph):
+            if connected_from is None or graph.edge_count < connected_from:
+                return 0.0
+            return spectral_gap(eigenvalues(laplacian(graph, kind), kind))
+
+        return gap
+
+    return _sweep(matrix, grid, kind, "gap", gap_along)
 
 
 def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSeries:
@@ -173,7 +189,8 @@ def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
     Each value comes from the traces of the snapshot's Laplacian
     (:func:`specfilt.spectra.laplacian_std`), not from an eigensolve.
     """
-    return _sweep(matrix, grid, kind, "std", lambda graph: laplacian_std(graph, kind))
+    return _sweep(matrix, grid, kind, "std",
+                  lambda filtration, limit: lambda graph: laplacian_std(graph, kind))
 
 
 def sqrt_curve(series: CurveSeries) -> CurveSeries:

@@ -230,7 +230,8 @@ def sample_noisy_circle(n: int, sigma: float = 0.1, seed: int = 0) -> PointCloud
     rng = _checked_rng(seed)
     angle = (2.0 * np.pi) * rng.random(n)
     points = np.column_stack([np.cos(angle), np.sin(angle)])
-    points = points + sigma * _standard_normals(rng, 2 * n).reshape(n, 2)
+    with np.errstate(over="ignore"):  # PointCloud rejects what overflows
+        points = points + sigma * _standard_normals(rng, 2 * n).reshape(n, 2)
     return PointCloud(points, ensemble="circle", seed=int(seed))
 
 
@@ -260,7 +261,8 @@ def sample_noisy_torus(
     points = np.column_stack(
         [ring * np.cos(theta), ring * np.sin(theta), minor_radius * np.sin(phi)]
     )
-    points = points + sigma * _standard_normals(rng, 3 * n).reshape(n, 3)
+    with np.errstate(over="ignore"):  # PointCloud rejects what overflows
+        points = points + sigma * _standard_normals(rng, 3 * n).reshape(n, 3)
     return PointCloud(points, ensemble="torus", seed=int(seed))
 
 
@@ -268,6 +270,7 @@ def distance_matrix(cloud: PointCloud) -> SymmetricMatrix:
     """Euclidean distance matrix of a point cloud (zero diagonal)."""
     pts = cloud.points
     i, j = np.triu_indices(cloud.n, k=1)
-    diff = pts[i] - pts[j]
-    upper = np.sqrt((diff * diff).sum(axis=1))
+    with np.errstate(over="ignore"):  # the matrix rejects what overflows
+        diff = pts[i] - pts[j]
+        upper = np.sqrt((diff * diff).sum(axis=1))
     return _symmetric_from_upper(cloud.n, upper, cloud.ensemble, cloud.seed)

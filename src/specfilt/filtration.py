@@ -36,6 +36,7 @@ __all__ = [
     "graph_at_density",
     "stream_prefixes",
     "count_components",
+    "connectivity_index",
     "check_bipartite",
 ]
 
@@ -218,6 +219,31 @@ def count_components(graph: Graph) -> int:
     for i, j in graph.edge_array.tolist():
         merges += ds.union(i, j)
     return graph.n - merges
+
+
+# pairs converted to Python ints at a time, so that the pass never holds
+# the whole prefix (about C(n, 2)/2 pairs) as Python ints
+_BLOCK = 256
+
+
+def connectivity_index(filtration: EdgeFiltration, limit: int) -> int | None:
+    """Smallest edge count m <= ``limit`` whose prefix graph is connected.
+
+    One union-find pass along ``order``, stopping at the edge that leaves
+    one component.  Returns ``None`` when the prefix of ``limit`` edges is
+    still disconnected.  ``limit`` must lie in [0, C(n, 2)].
+    """
+    if not 0 <= limit <= filtration.total_pairs:
+        raise ValueError(f"limit must lie in [0, {filtration.total_pairs}]")
+    ds = _DisjointSet(filtration.n)
+    components = filtration.n
+    for start in range(0, limit, _BLOCK):
+        block = filtration.order[start:min(start + _BLOCK, limit)].tolist()
+        for m, (i, j) in enumerate(block, start + 1):
+            components -= ds.union(i, j)
+            if components == 1:
+                return m
+    return None
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import hashlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,18 @@ class TestParseArgs:
         with pytest.raises(SystemExit):
             parse_args(["--help"])
         assert f"1 to {cli.MAX_BINS}" in capsys.readouterr().out
+
+    def test_grid_steps_bounded(self, capsys):
+        base = ["gap-curve", "--ensemble", "gaussian", "--n", "10", "--grid"]
+        limit = cli.MAX_GRID_STEPS
+        assert parse_args(base + [f"uniform:{limit}"]).grid == f"uniform:{limit}"
+        for steps in (str(limit + 1), "100000000000000"):
+            with pytest.raises(SystemExit) as info:
+                parse_args(base + [f"uniform:{steps}"])
+            assert info.value.code == EXIT_USAGE
+        with pytest.raises(SystemExit):
+            parse_args(["--help"])
+        assert f"K from 1 to {limit}" in " ".join(capsys.readouterr().out.split())
 
     def test_density_requires_p(self):
         with pytest.raises(SystemExit) as info:
@@ -267,15 +280,20 @@ class TestRun:
         assert code == EXIT_OK
 
     def test_overflowing_sigma_is_usage_error(self, tmp_path, capsys):
+        # the overflow is caught by the finiteness checks, not reported as
+        # a numpy RuntimeWarning: any warning would raise here
         for ensemble, sigma, message in (("torus", "1e308", "coordinates must be finite"),
                                          ("circle", "1e200", "matrix entries must be finite")):
-            code = main(
-                ["density", "--ensemble", ensemble, "--n", "10", "--p", "0.5",
-                 "--sigma", sigma, "--output", str(tmp_path)]
-            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(
+                    ["density", "--ensemble", ensemble, "--n", "10", "--p", "0.5",
+                     "--sigma", sigma, "--output", str(tmp_path)]
+                )
             assert code == EXIT_USAGE
             err = capsys.readouterr().err
             assert err.startswith("specfilt: error: ")
+            assert err.count("\n") == 1
             assert message in err
 
     def test_io_failure_exit_code(self, tmp_path):

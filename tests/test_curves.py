@@ -25,6 +25,7 @@ from specfilt.ensembles import (
 )
 from specfilt.filtration import (
     build_filtration,
+    connectivity_index,
     count_components,
     edge_count_at_density,
     graph_at_density,
@@ -162,14 +163,43 @@ def test_endpoint_consistency_for_every_ensemble(make):
 
 def test_gap_positive_exactly_when_connected():
     n = 60
-    mat = sample_gaussian_symmetric(n, 14)
     grid = DensityGrid.uniform(30)
-    series = gap_curve(mat, grid, RAW)
+    for mat in (sample_gaussian_symmetric(n, 14), sample_wishart_rank_one(n, 14)):
+        filtration = build_filtration(mat)
+        for kind in (RAW, NORMALIZED):
+            series = gap_curve(mat, grid, kind)
+            counts = [edge_count_at_density(n, float(p)) for p in series.xs]
+            disconnected = 0
+            for gap, graph in zip(series.ys, stream_prefixes(filtration, counts)):
+                if count_components(graph) > 1:
+                    disconnected += 1
+                    assert gap == 0.0
+                else:
+                    assert gap > 0.0
+            assert 0 < disconnected < len(series)
+
+
+def test_gap_solves_only_from_the_connectivity_index(monkeypatch):
+    solved = []
+
+    def counting_eigenvalues(matrix, kind):
+        solved.append(int(np.count_nonzero(matrix.dense)))
+        return eigenvalues(matrix, kind)
+
+    monkeypatch.setattr(curves_mod, "eigenvalues", counting_eigenvalues)
+    n = 40
+    mat = sample_wishart_rank_one(n, 3)
     filtration = build_filtration(mat)
-    counts = [edge_count_at_density(n, float(p)) for p in series.xs]
-    for gap, graph in zip(series.ys, stream_prefixes(filtration, counts)):
-        connected = count_components(graph) == 1
-        assert (gap > 1e-8 * n) == connected
+    index = connectivity_index(filtration, filtration.total_pairs)
+    grid = DensityGrid.uniform(40)
+    counts = [edge_count_at_density(n, float(p)) for p in grid.points]
+    for kind in (RAW, NORMALIZED):
+        solved.clear()
+        gap_curve(mat, grid, kind)
+        connected = [m for m in counts if m >= index]
+        assert 0 < len(connected) < len(counts)
+        # a Laplacian with m edges and no isolated vertex has n + 2m nonzeros
+        assert solved == [n + 2 * m for m in connected]
 
 
 class TestStdCurve:

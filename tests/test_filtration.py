@@ -7,7 +7,9 @@ import pytest
 
 from specfilt.ensembles import (
     SymmetricMatrix,
+    distance_matrix,
     sample_gaussian_symmetric,
+    sample_noisy_circle,
     sample_wishart_rank_one,
 )
 from specfilt.filtration import (
@@ -18,6 +20,7 @@ from specfilt.filtration import (
     Graph,
     build_filtration,
     check_bipartite,
+    connectivity_index,
     count_components,
     edge_count_at_density,
     graph_at_density,
@@ -226,6 +229,54 @@ class TestCountComponents:
             assert count_components(g) == oracles.components_by_bfs(
                 n, g.edge_array.tolist()
             )
+
+
+class TestConnectivityIndex:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n, s: sample_gaussian_symmetric(n, s),
+            lambda n, s: sample_wishart_rank_one(n, s),
+            lambda n, s: distance_matrix(sample_noisy_circle(n, 0.1, s)),
+        ],
+        ids=["gaussian", "wishart-rank1", "circle"],
+    )
+    def test_matches_bfs_oracle_on_every_prefix(self, make):
+        for n in range(2, 9):
+            for seed in range(3):
+                f = build_filtration(make(n, seed))
+                order = f.order.tolist()
+                first = next(m for m in range(f.total_pairs + 1)
+                             if oracles.components_by_bfs(n, order[:m]) == 1)
+                for limit in range(f.total_pairs + 1):
+                    expected = first if first <= limit else None
+                    assert connectivity_index(f, limit) == expected
+
+    def test_two_vertices(self):
+        f = EdgeFiltration(2, [(0, 1)])
+        assert connectivity_index(f, 1) == 1
+        assert connectivity_index(f, 0) is None
+
+    def test_not_connected_by_limit(self):
+        # a triangle on 0, 1, 2 comes first; vertex 3 joins at edge 4
+        f = EdgeFiltration(4, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 3)])
+        assert connectivity_index(f, 3) is None
+        assert connectivity_index(f, 4) == 4
+        assert connectivity_index(f, 6) == 4
+
+    def test_index_past_the_first_block(self):
+        # vertex 29 is reached only after the 406 pairs among 0..28
+        n = 30
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        f = EdgeFiltration(n, sorted(pairs, key=lambda pair: pair[1] == n - 1))
+        assert connectivity_index(f, f.total_pairs) == 407
+        assert connectivity_index(f, 406) is None
+
+    def test_limit_out_of_range(self):
+        f = EdgeFiltration(3, [(0, 1), (0, 2), (1, 2)])
+        for limit in (-1, 4):
+            with pytest.raises(ValueError):
+                connectivity_index(f, limit)
 
 
 def random_tree_edges(n, seed):
