@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .curves import (
-    CurveSeries,
     DensityGrid,
     average_series,
     density_snapshot,
@@ -197,15 +196,20 @@ def parse_args(argv) -> RunConfig:
     )
 
 
-def _draw_matrices(config: RunConfig) -> list:
+def _seeds(config: RunConfig) -> list[int]:
+    if config.ensemble == "matrix-file":
+        return [config.seed]  # one matrix, read once; --repeats does not apply
+    return [(config.seed + k) % SEED_MAX for k in range(config.repeats)]
+
+
+def _draw(config: RunConfig, seed: int):
     if config.ensemble == "matrix-file":
         try:
-            return [read_matrix_csv(config.matrix)]
+            return read_matrix_csv(config.matrix)
         except ValueError as exc:
             raise UsageError(f"--matrix: {exc}") from exc
-    seeds = [(config.seed + k) % SEED_MAX for k in range(config.repeats)]
     try:
-        return [_sample(config, s) for s in seeds]
+        return _sample(config, seed)
     except ValueError as exc:
         # e.g. a finite --sigma so large that coordinates or distances overflow
         raise UsageError(f"{config.ensemble} ensemble: {exc}") from exc
@@ -251,19 +255,21 @@ def _resolve_grid(config: RunConfig, n: int) -> DensityGrid:
         raise UsageError(f"--grid file: {exc}") from exc
 
 
-def _pooled_histogram(matrices, config: RunConfig, kind: str) -> Histogram:
-    parts = [density_snapshot(m, config.p, kind, bins=config.bins) for m in matrices]
-    counts = np.sum([h.counts for h in parts], axis=0)
-    return Histogram(bin_edges=parts[0].bin_edges, counts=counts,
-                     total=int(counts.sum()))
-
-
-def _curve_for(matrices, grid: DensityGrid, config: RunConfig, kind: str) -> CurveSeries:
+def _compute(matrix, grid: DensityGrid | None, config: RunConfig, kind: str):
+    if config.experiment == "density":
+        return density_snapshot(matrix, config.p, kind, bins=config.bins)
     if config.experiment == "std-curve":
-        series = [std_curve(m, grid, kind) for m in matrices]
-    else:
-        series = [gap_curve(m, grid, kind) for m in matrices]
-    curve = average_series(series) if len(series) > 1 else series[0]
+        return std_curve(matrix, grid, kind)
+    return gap_curve(matrix, grid, kind)
+
+
+def _combine(parts: list, config: RunConfig):
+    # one result per matrix drawn: histograms pool, curves average
+    if config.experiment == "density":
+        counts = np.sum([h.counts for h in parts], axis=0)
+        return Histogram(bin_edges=parts[0].bin_edges, counts=counts,
+                         total=int(counts.sum()))
+    curve = average_series(parts) if len(parts) > 1 else parts[0]
     if config.experiment == "sqrt-gap":
         curve = sqrt_curve(curve)
     return curve
@@ -296,19 +302,29 @@ def _title(config: RunConfig, kind: str, n: int) -> str:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one experiment; returns the process exit status."""
+    """Execute one experiment; returns the process exit status.
+
+    Matrices are drawn one at a time: every kind is computed from a matrix,
+    sharing its filtration, and the matrix is dropped before the next one
+    is drawn.  Files are written once every matrix has been processed.
+    """
     try:
-        matrices = _draw_matrices(config)
-        n = matrices[0].n
-        out_dir = Path(config.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
         kinds = (RAW, NORMALIZED) if config.kind == "both" else (config.kind,)
-        grid = None if config.experiment == "density" else _resolve_grid(config, n)
+        parts = {kind: [] for kind in kinds}
+        n = grid = None
+        for seed in _seeds(config):
+            matrix = _draw(config, seed)
+            if n is None:
+                n = matrix.n
+                out_dir = Path(config.output)
+                out_dir.mkdir(parents=True, exist_ok=True)
+                if config.experiment != "density":
+                    grid = _resolve_grid(config, n)
+            for kind in kinds:
+                parts[kind].append(_compute(matrix, grid, config, kind))
+            del matrix  # and its filtration, before the next draw
         for kind in kinds:
-            if config.experiment == "density":
-                result = _pooled_histogram(matrices, config, kind)
-            else:
-                result = _curve_for(matrices, grid, config, kind)
+            result = _combine(parts[kind], config)
             stem = f"{config.experiment}-{config.ensemble}-{kind}"
             write_csv(result, out_dir / f"{stem}.csv")
             write_svg(result, out_dir / f"{stem}.svg", _title(config, kind, n))

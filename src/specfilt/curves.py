@@ -1,10 +1,15 @@
 """Spectral statistics swept along a filtration over a density grid.
 
-A sweep builds the filtration once, converts the grid densities to edge
-counts (round half up, duplicates dropped), and walks the snapshot
+A sweep takes the matrix's filtration, converts the grid densities to
+edge counts (round half up, duplicates dropped), and walks the snapshot
 stream, computing one scalar per snapshot.  The result is a
 :class:`CurveSeries` of (density, value) pairs ready for CSV or SVG
 output.
+
+The filtration is built on the first call for a matrix and kept with
+it, so every curve and snapshot of one matrix shares one sort.  The
+connectivity index is kept with the filtration, per limit, so both kinds
+of gap curve share one union-find pass.
 
 The gap curve runs one dense eigensolve per connected snapshot; below the
 connectivity index of the filtration (one union-find pass,
@@ -22,6 +27,7 @@ import numpy as np
 
 from .ensembles import SymmetricMatrix
 from .filtration import (
+    EdgeFiltration,
     build_filtration,
     connectivity_index,
     edge_count_at_density,
@@ -140,10 +146,26 @@ def _series_meta(matrix: SymmetricMatrix) -> dict:
     return {"ensemble": matrix.ensemble, "n": matrix.n, "seed": matrix.seed}
 
 
+def _filtration(matrix: SymmetricMatrix) -> EdgeFiltration:
+    # built on first use and kept with the matrix, whose entries are read-only
+    filtration = getattr(matrix, "_filtration", None)
+    if filtration is None:
+        filtration = matrix._filtration = build_filtration(matrix)
+    return filtration
+
+
+def _connected_from(filtration: EdgeFiltration, limit: int) -> int | None:
+    # one union-find pass per filtration and limit, whatever the kind
+    known = vars(filtration).setdefault("_connected_from", {})
+    if limit not in known:
+        known[limit] = connectivity_index(filtration, limit)
+    return known[limit]
+
+
 def _sweep(matrix, grid, kind, statistic: str, stat_along) -> CurveSeries:
     # stat_along(filtration, limit) returns the function that maps each
     # snapshot Graph to the statistic's value; limit is the last checkpoint
-    filtration = build_filtration(matrix)
+    filtration = _filtration(matrix)
     counts, densities = _checkpoints(grid, matrix.n)
     stat_fn = stat_along(filtration, counts[-1])
     ys = []
@@ -171,7 +193,7 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
     normalized kind (the complete-graph values).
     """
     def gap_along(filtration, limit):
-        connected_from = connectivity_index(filtration, limit)
+        connected_from = _connected_from(filtration, limit)
 
         def gap(graph):
             if connected_from is None or graph.edge_count < connected_from:
@@ -213,8 +235,7 @@ def density_snapshot(
     bins: int = DEFAULT_BINS,
 ) -> Histogram:
     """Histogram of the spectrum at one density, over the default range."""
-    filtration = build_filtration(matrix)
-    graph = graph_at_density(filtration, density)
+    graph = graph_at_density(_filtration(matrix), density)
     try:
         spectrum = eigenvalues(laplacian(graph, kind), kind)
     except NumericalError as exc:

@@ -267,10 +267,24 @@ def sample_noisy_torus(
 
 
 def distance_matrix(cloud: PointCloud) -> SymmetricMatrix:
-    """Euclidean distance matrix of a point cloud (zero diagonal)."""
-    pts = cloud.points
-    i, j = np.triu_indices(cloud.n, k=1)
+    """Euclidean distance matrix of a point cloud (zero diagonal).
+
+    Built in one n x n buffer: per coordinate the outer difference
+    x[i] - x[j] is squared and added, left to right over the coordinates,
+    then the square root is taken in place.  Negation is exact, so the
+    two triangles are bitwise equal, and each entry equals the pairwise
+    formula ``sqrt(sum((p[i] - p[j]) ** 2))``.
+    """
+    x = cloud.points.T
+    dense = np.empty((cloud.n, cloud.n))
+    term = np.empty_like(dense)
     with np.errstate(over="ignore"):  # the matrix rejects what overflows
-        diff = pts[i] - pts[j]
-        upper = np.sqrt((diff * diff).sum(axis=1))
-    return _symmetric_from_upper(cloud.n, upper, cloud.ensemble, cloud.seed)
+        np.subtract.outer(x[0], x[0], out=dense)
+        np.multiply(dense, dense, out=dense)
+        for coordinate in x[1:]:
+            np.subtract.outer(coordinate, coordinate, out=term)
+            np.multiply(term, term, out=term)
+            dense += term
+        del term
+        np.sqrt(dense, out=dense)
+    return SymmetricMatrix(dense, ensemble=cloud.ensemble, seed=cloud.seed)

@@ -110,19 +110,26 @@ def read_matrix_csv(path) -> SymmetricMatrix:
     relative to the largest magnitude) is accepted; the upper triangle
     wins and is mirrored so the stored matrix is exactly symmetric.
     """
-    rows = []
+    dense = None
+    k = 0
     with open(Path(path), "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            rows.append([float(cell) for cell in line.split(",")])
-    if not rows:
+            cells = line.split(",")
+            if dense is None:
+                # the first row fixes n; every row is parsed straight into
+                # the n x n array (numpy parses each cell as float() does)
+                dense = np.empty((len(cells), len(cells)))
+            if k == dense.shape[0] or len(cells) != dense.shape[0]:
+                raise ValueError("matrix file must be square")
+            dense[k] = cells
+            k += 1
+    if dense is None:
         raise ValueError("matrix file is empty")
-    widths = {len(row) for row in rows}
-    if len(widths) != 1 or widths.pop() != len(rows):
+    if k != dense.shape[0]:
         raise ValueError("matrix file must be square")
-    dense = np.array(rows, dtype=float)
     if not np.isfinite(dense).all():
         raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(dense).max()))

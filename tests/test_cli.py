@@ -4,11 +4,13 @@ import hashlib
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import specfilt.cli as cli
+import specfilt.curves as curves
 from specfilt.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_args, run
 from specfilt.ensembles import sample_wishart_rank_one
 from specfilt.output import read_curve_csv, write_matrix_csv
@@ -316,6 +318,69 @@ class TestRun:
         )
         assert code == EXIT_NUMERICAL
         assert "p=0.25" in capsys.readouterr().err
+
+
+class TestOneFiltrationPerMatrix:
+    """Every kind computed from one matrix shares one sort and, for the gap
+    curve, one connectivity pass."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["density", "--ensemble", "torus", "--n", "30", "--p", "0.3"], 1),
+        (["std-curve", "--ensemble", "gaussian", "--n", "20"], 1),
+        (["gap-curve", "--ensemble", "gaussian", "--n", "20", "--seed", "4",
+          "--repeats", "3", "--grid", "uniform:10"], 3),
+    ], ids=["density", "std-curve", "gap-curve-repeats"])
+    def test_one_sort_per_matrix(self, tmp_path, monkeypatch, argv, builds):
+        calls = self.count_calls(monkeypatch, curves, "build_filtration")
+        code = main(argv + ["--kind", "both", "--output", str(tmp_path)])
+        assert code == EXIT_OK
+        assert len(calls) == builds
+
+    def test_gap_curve_both_kinds_one_connectivity_pass(self, tmp_path, monkeypatch):
+        passes = self.count_calls(monkeypatch, curves, "connectivity_index")
+        code = main(["gap-curve", "--ensemble", "wishart-rank1", "--n", "30",
+                     "--kind", "both", "--grid", "uniform:20", "--output", str(tmp_path)])
+        assert code == EXIT_OK
+        assert len(passes) == 1
+
+    def test_repeats_hold_one_matrix_at_a_time(self, tmp_path, monkeypatch):
+        drawn = []
+        draw = cli._draw
+
+        def tracking(config, seed):
+            # every earlier matrix, with its filtration, is gone by now
+            assert all(ref() is None for ref in drawn)
+            matrix = draw(config, seed)
+            drawn.append(weakref.ref(matrix))
+            return matrix
+
+        monkeypatch.setattr(cli, "_draw", tracking)
+        code = main(["std-curve", "--ensemble", "wishart-rank1", "--n", "20",
+                     "--kind", "both", "--repeats", "3", "--output", str(tmp_path)])
+        assert code == EXIT_OK
+        assert len(drawn) == 3
+
+    def test_unparsable_matrix_cell_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "matrix.csv"
+        path.write_text("0,1,2\n1,0,x\n2,x,0\n")
+        code = main(["density", "--ensemble", "matrix-file", "--matrix", str(path),
+                     "--p", "0.5", "--output", str(tmp_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("specfilt: error: --matrix: could not convert")
+        assert err.count("\n") == 1
 
 
 class TestReproducibility:

@@ -192,6 +192,19 @@ class TestPointClouds:
             PointCloud(np.zeros((5, 4)))
 
 
+def distances_by_pair_gather(points):
+    """Distance matrix from the gathered differences of the pairs i < j,
+    mirrored into the lower triangle: the kernel's reference formula."""
+    n = points.shape[0]
+    i, j = np.triu_indices(n, k=1)
+    diff = points[i] - points[j]
+    upper = np.sqrt((diff * diff).sum(axis=1))
+    dense = np.zeros((n, n))
+    dense[i, j] = upper
+    dense[j, i] = upper
+    return dense
+
+
 class TestDistanceMatrix:
     def test_pythagorean_triple(self):
         cloud = PointCloud(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]]))
@@ -214,6 +227,21 @@ class TestDistanceMatrix:
         mat = distance_matrix(cloud)
         assert mat.dense[0, 1] == 0.0
         assert mat.dense[0, 2] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 2.5])
+    @pytest.mark.parametrize(
+        "sample",
+        [lambda sigma, seed: sample_noisy_circle(150, sigma, seed),
+         lambda sigma, seed: sample_noisy_torus(150, 2.0, 1.0, sigma, seed)],
+        ids=["circle", "torus"],
+    )
+    def test_bitwise_equal_to_pair_gather(self, sample, sigma, seed):
+        cloud = sample(sigma, seed)
+        dense = distance_matrix(cloud).dense
+        oracle = distances_by_pair_gather(cloud.points)
+        # compared as bits, so that -0.0 and 0.0 differ
+        assert np.array_equal(dense.view(np.int64), oracle.view(np.int64))
 
     def test_symmetry_and_provenance(self):
         cloud = sample_noisy_torus(20, seed=3)

@@ -8,6 +8,7 @@ import pytest
 from specfilt.ensembles import (
     SymmetricMatrix,
     distance_matrix,
+    rank_one_matrix,
     sample_gaussian_symmetric,
     sample_noisy_circle,
     sample_wishart_rank_one,
@@ -79,6 +80,77 @@ class TestBuildFiltration:
         assert np.array_equal(
             build_filtration(base).order, build_filtration(other).order
         )
+
+
+def stable_sort_order(matrix):
+    """The pairs sorted by a stable argsort of the entries in (i, j) order."""
+    i, j = np.triu_indices(matrix.n, k=1)
+    rank = np.argsort(matrix.dense[i, j], kind="stable")
+    return np.column_stack([i[rank], j[rank]])
+
+
+def symmetric_from_upper_values(values, n):
+    dense = np.zeros((n, n))
+    i, j = np.triu_indices(n, k=1)
+    dense[i, j] = values
+    dense[j, i] = values
+    return SymmetricMatrix(dense)
+
+
+class TestBuildFiltrationTies:
+    """(value, i, j) order at sizes where numpy's default argsort is a
+    SIMD sort that leaves runs of equal entries in arbitrary order."""
+
+    def test_integer_valued_matches_python_sort(self):
+        n = 200
+        rng = np.random.default_rng(5)
+        values = rng.integers(-3, 4, n * (n - 1) // 2).astype(float)
+        mat = symmetric_from_upper_values(values, n)
+        f = build_filtration(mat)
+        assert [tuple(e) for e in f.order.tolist()] == oracles.sorted_pairs_by_entry(
+            mat.dense
+        )
+
+    @pytest.mark.parametrize("n, levels", [(300, 2), (400, 50), (600, 1000)])
+    def test_integer_valued_matches_stable_sort(self, n, levels):
+        rng = np.random.default_rng(n)
+        values = rng.integers(0, levels, n * (n - 1) // 2).astype(float)
+        mat = symmetric_from_upper_values(values, n)
+        assert np.array_equal(build_filtration(mat).order, stable_sort_order(mat))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.0, -2.5])
+    def test_all_equal_entries_in_lexicographic_order(self, value):
+        n = 250
+        mat = SymmetricMatrix(np.full((n, n), value))
+        i, j = np.triu_indices(n, k=1)
+        assert np.array_equal(build_filtration(mat).order, np.column_stack([i, j]))
+
+    def test_signed_zeros_are_one_run(self):
+        n = 220
+        rng = np.random.default_rng(9)
+        values = rng.choice([-0.0, 0.0, -1.0, 1.0], n * (n - 1) // 2)
+        mat = symmetric_from_upper_values(values, n)
+        f = build_filtration(mat)
+        assert np.array_equal(f.order, stable_sort_order(mat))
+        assert [tuple(e) for e in f.order.tolist()] == oracles.sorted_pairs_by_entry(
+            mat.dense
+        )
+
+    def test_rank_one_with_repeated_entries(self):
+        n = 300
+        rng = np.random.default_rng(4)
+        mat = rank_one_matrix(rng.choice([-2.0, -0.5, 0.0, 1.0, 3.0], n))
+        assert np.array_equal(build_filtration(mat).order, stable_sort_order(mat))
+
+    def test_distinct_entries_match_stable_sort(self):
+        for mat in (sample_gaussian_symmetric(300, 1),
+                    distance_matrix(sample_noisy_circle(300, 0.0, 2))):
+            assert np.array_equal(build_filtration(mat).order, stable_sort_order(mat))
+
+    def test_order_is_int64(self):
+        f = build_filtration(sample_gaussian_symmetric(200, 3))
+        assert f.order.dtype == np.int64
+        assert f.order.shape == (200 * 199 // 2, 2)
 
 
 class TestGraphAtDensity:

@@ -153,6 +153,40 @@ class TestMatrixCsv:
         with pytest.raises(ValueError):
             read_matrix_csv(path)
 
+    def test_repr_values_round_trip_bit_exactly(self, tmp_path):
+        dense = distance_matrix(sample_noisy_circle(30, seed=8)).dense
+        path = tmp_path / "matrix.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in dense.tolist()))
+        loaded = read_matrix_csv(path)
+        assert np.array_equal(loaded.dense.view(np.int64), dense.view(np.int64))
+
+    def test_crlf_blank_lines_and_spaces(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_bytes(b"\r\n0, 1.5 ,-2\r\n\r\n 1.5,0,3e0\r\n-2 ,3,  0\r\n\r\n\r\n")
+        loaded = read_matrix_csv(path)
+        assert loaded.dense.tolist() == [[0.0, 1.5, -2.0], [1.5, 0.0, 3.0], [-2.0, 3.0, 0.0]]
+
+    @pytest.mark.parametrize("text", ["0,1\n1,0,2\n", "0,1,2\n1,0\n2,0,1\n",
+                                      "0,1\n1,0\n0,0\n", "0,1,2\n1,0,3\n"])
+    def test_ragged_or_non_square_rows(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="must be square"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("cell", ["abc", "0x10", "", "1 2"])
+    def test_unparsable_cell(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1\n1,{cell}\n")
+        with pytest.raises(ValueError, match="could not convert"):
+            read_matrix_csv(path)
+
+    def test_blank_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n  \n\r\n")
+        with pytest.raises(ValueError, match="empty"):
+            read_matrix_csv(path)
+
 
 def test_points_csv(tmp_path):
     cloud = sample_noisy_circle(5, seed=1)
