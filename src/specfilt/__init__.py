@@ -40,11 +40,8 @@ from .ensembles import (
 from .filtration import (
     EdgeFiltration,
     Graph,
-    Partition2,
     build_filtration,
-    check_bipartite,
     connectivity_index,
-    count_components,
     edge_count_at_density,
     graph_at_density,
     stream_prefixes,
@@ -84,7 +81,6 @@ __all__ = [
     "Histogram",
     "NORMALIZED",
     "NumericalError",
-    "Partition2",
     "PointCloud",
     "RAW",
     "RankOneMatrix",
@@ -92,9 +88,7 @@ __all__ = [
     "SymmetricMatrix",
     "average_series",
     "build_filtration",
-    "check_bipartite",
     "connectivity_index",
-    "count_components",
     "density_snapshot",
     "distance_matrix",
     "edge_count_at_density",

@@ -7,16 +7,17 @@ stream, computing one scalar per snapshot.  The result is a
 output.
 
 The filtration is built on the first call for a matrix and kept with
-it, so every curve and snapshot of one matrix shares one sort.  The
-connectivity index is kept with the filtration, per limit, so both kinds
-of gap curve share one union-find pass.
+it, so every curve and snapshot of one matrix shares one sort.  Its
+connectivity index is kept with it too, so both kinds of gap curve share
+one spanning tree.
 
 The gap curve runs one dense eigensolve per connected snapshot; below the
-connectivity index of the filtration (one union-find pass,
+connectivity index (one more than the largest rank in the minimum
+spanning tree of the rank matrix,
 :func:`specfilt.filtration.connectivity_index`) the gap is exactly 0 and
 nothing is solved.  The width (std) curve runs no eigensolve at all: its
 value comes from the traces of the Laplacian, which depend only on the
-snapshot's degrees and edges (:func:`specfilt.spectra.laplacian_std`).
+snapshot's degrees and adjacency (:func:`specfilt.spectra.laplacian_std`).
 """
 
 from __future__ import annotations
@@ -154,22 +155,21 @@ def _filtration(matrix: SymmetricMatrix) -> EdgeFiltration:
     return filtration
 
 
-def _connected_from(filtration: EdgeFiltration, limit: int) -> int | None:
-    # one union-find pass per filtration and limit, whatever the kind
-    known = vars(filtration).setdefault("_connected_from", {})
-    if limit not in known:
-        known[limit] = connectivity_index(filtration, limit)
-    return known[limit]
+def _connected_at(matrix: SymmetricMatrix) -> int:
+    # found on first use and kept with the matrix, like its filtration
+    connected_at = getattr(matrix, "_connected_at", None)
+    if connected_at is None:
+        filtration = _filtration(matrix)
+        connected_at = matrix._connected_at = connectivity_index(
+            filtration, filtration.total_pairs)
+    return connected_at
 
 
-def _sweep(matrix, grid, kind, statistic: str, stat_along) -> CurveSeries:
-    # stat_along(filtration, limit) returns the function that maps each
-    # snapshot Graph to the statistic's value; limit is the last checkpoint
-    filtration = _filtration(matrix)
+def _sweep(matrix, grid, kind, statistic: str, stat_fn) -> CurveSeries:
+    # stat_fn maps each snapshot Graph to the statistic's value
     counts, densities = _checkpoints(grid, matrix.n)
-    stat_fn = stat_along(filtration, counts[-1])
     ys = []
-    for p, graph in zip(densities, stream_prefixes(filtration, counts)):
+    for p, graph in zip(densities, stream_prefixes(_filtration(matrix), counts)):
         try:
             ys.append(stat_fn(graph))
         except NumericalError as exc:
@@ -192,17 +192,14 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
     is solved.  At p = 1 it is n for the raw kind and n/(n - 1) for the
     normalized kind (the complete-graph values).
     """
-    def gap_along(filtration, limit):
-        connected_from = _connected_from(filtration, limit)
+    connected_at = _connected_at(matrix)
 
-        def gap(graph):
-            if connected_from is None or graph.edge_count < connected_from:
-                return 0.0
-            return spectral_gap(eigenvalues(laplacian(graph, kind), kind))
+    def gap(graph):
+        if graph.edge_count < connected_at:
+            return 0.0
+        return spectral_gap(eigenvalues(laplacian(graph, kind), kind))
 
-        return gap
-
-    return _sweep(matrix, grid, kind, "gap", gap_along)
+    return _sweep(matrix, grid, kind, "gap", gap)
 
 
 def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSeries:
@@ -211,8 +208,7 @@ def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
     Each value comes from the traces of the snapshot's Laplacian
     (:func:`specfilt.spectra.laplacian_std`), not from an eigensolve.
     """
-    return _sweep(matrix, grid, kind, "std",
-                  lambda filtration, limit: lambda graph: laplacian_std(graph, kind))
+    return _sweep(matrix, grid, kind, "std", lambda graph: laplacian_std(graph, kind))
 
 
 def sqrt_curve(series: CurveSeries) -> CurveSeries:

@@ -101,6 +101,18 @@ class SymmetricMatrix:
         self.ensemble = ensemble
         self.seed = seed
 
+    @classmethod
+    def _trusted(cls, dense: np.ndarray) -> "SymmetricMatrix":
+        """Wrap a float64 array that is square, finite and exactly
+        symmetric by construction, without the constructor's copy and
+        scans; the array becomes read-only."""
+        matrix = cls.__new__(cls)
+        dense.setflags(write=False)
+        matrix.dense = dense
+        matrix.ensemble = None
+        matrix.seed = None
+        return matrix
+
     @property
     def n(self) -> int:
         return self.dense.shape[0]

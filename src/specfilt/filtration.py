@@ -13,9 +13,17 @@ arbitrary, followed by an exact repair that re-sorts only the positions
 of such runs by pair index (see :func:`build_filtration`).  A stable
 sort gives the same order at about three times the cost.
 
-Vertex pairs are checked where they enter, in :class:`EdgeFiltration`
-and the public :class:`Graph` constructor; snapshots of a filtration are
-unchecked read-only views of a prefix of its order, sharing its memory.
+A filtration is held as its rank matrix R, the inverse of that sort:
+``R[i, j] = R[j, i]`` is the position of pair (i, j) in the order, and
+the diagonal holds C(n, 2), past every position.  The snapshot after m
+edges is the graph with adjacency ``R < m``.  The connectivity index,
+the fewest edges after which the snapshot is connected, is one more than
+the largest rank in the minimum spanning tree of R (see
+:func:`connectivity_index`).
+
+Vertex pairs are checked where they enter, in the :class:`EdgeFiltration`
+and :class:`Graph` constructors; the snapshots of a filtration are not
+checked again.
 
 All arithmetic on edge counts is integer arithmetic; converting a target
 density p to an edge count rounds half up (see
@@ -25,46 +33,51 @@ density p to an edge count rounds half up (see
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
 __all__ = [
     "EdgeFiltration",
     "Graph",
-    "Partition2",
-    "UNASSIGNED",
-    "SIDE_A",
-    "SIDE_B",
     "build_filtration",
     "edge_count_at_density",
     "graph_at_density",
     "stream_prefixes",
-    "count_components",
     "connectivity_index",
-    "check_bipartite",
 ]
-
-UNASSIGNED, SIDE_A, SIDE_B = 0, 1, 2
 
 
 class EdgeFiltration:
     """Total order on all C(n, 2) vertex pairs of an n-vertex set.
 
-    ``order[k]`` is the pair (i, j), i < j, inserted at step k + 1.  The
-    constructor checks that ``order`` lists every pair exactly once.
+    ``rank`` is the read-only int32 rank matrix: ``rank[i, j]`` and
+    ``rank[j, i]`` hold k when the pair (i, j) is inserted at step k + 1,
+    and the diagonal holds C(n, 2).  The constructor takes the order as a
+    sequence of pairs (i, j), i < j, and checks that it lists every pair
+    exactly once.
     """
 
     def __init__(self, n: int, order):
-        self.n = int(n)
-        self.order = _checked_pairs(n, order)
-        if self.total_pairs != n * (n - 1) // 2:
+        n = int(n)
+        i, j = _checked_pairs(n, order)
+        total = n * (n - 1) // 2
+        rank = np.full((n, n), total, dtype=np.int32)
+        if i.size == total:
+            rank[i, j] = rank[j, i] = np.arange(total, dtype=np.int32)
+        # a repeated pair leaves another one unset
+        if np.count_nonzero(rank < total) != 2 * total:
             raise ValueError("order must list every unordered pair exactly once")
+        self._hold(rank)
+
+    def _hold(self, rank: np.ndarray) -> None:
+        rank.setflags(write=False)
+        self.n = rank.shape[0]
+        self.rank = rank
 
     @property
     def total_pairs(self) -> int:
-        return self.order.shape[0]
+        return self.n * (self.n - 1) // 2
 
     def __repr__(self) -> str:
         return f"EdgeFiltration(n={self.n}, pairs={self.total_pairs})"
@@ -73,70 +86,54 @@ class EdgeFiltration:
 class Graph:
     """Immutable snapshot of a filtration prefix: n vertices, m edges.
 
-    Stores the edge array and the degree vector; adjacency lists are
-    built on first use.  The constructor checks ``edges``; snapshots of a
-    filtration skip the check and share the memory of its ``order``.
+    Stores the read-only boolean adjacency matrix (symmetric, False on the
+    diagonal), its read-only degree vector and the edge count.  The
+    constructor checks ``edges``, a sequence of distinct pairs (i, j),
+    i < j; snapshots of a filtration are thresholds of its rank matrix.
     """
 
     def __init__(self, n: int, edges):
-        self._attach(int(n), _checked_pairs(n, edges))
+        n = int(n)
+        i, j = _checked_pairs(n, edges)
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[i, j] = adjacency[j, i] = True
+        if np.count_nonzero(adjacency) != 2 * i.size:
+            raise ValueError("duplicate pair")
+        self._hold(adjacency, i.size)
 
-    def _attach(self, n: int, edges: np.ndarray) -> None:
-        # edges: a read-only (m, 2) int64 array of distinct pairs i < j
-        self.n = n
-        self.edge_array = edges
-        degrees = np.bincount(edges.ravel(), minlength=n)
+    def _hold(self, adjacency: np.ndarray, edge_count: int) -> None:
+        degrees = np.count_nonzero(adjacency, axis=1)
+        adjacency.setflags(write=False)
         degrees.setflags(write=False)
+        self.n = adjacency.shape[0]
+        self.adjacency = adjacency
         self.degrees = degrees
-        self._adjacency: tuple[tuple[int, ...], ...] | None = None
-
-    @property
-    def edge_count(self) -> int:
-        return self.edge_array.shape[0]
+        self.edge_count = edge_count
 
     @property
     def density(self) -> float:
         return self.edge_count / (self.n * (self.n - 1) // 2)
 
-    def adjacency_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbor tuples per vertex (cached after the first call)."""
-        if self._adjacency is None:
-            adj: list[list[int]] = [[] for _ in range(self.n)]
-            for i, j in self.edge_array.tolist():
-                adj[i].append(j)
-                adj[j].append(i)
-            self._adjacency = tuple(tuple(neigh) for neigh in adj)
-        return self._adjacency
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.edge_array}
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count}, density={self.density:.4g})"
 
 
-def _checked_pairs(n: int, pairs) -> np.ndarray:
-    """Read-only int64 (m, 2) copy of ``pairs`` if they are distinct pairs
-    (i, j), 0 <= i < j < n, n >= 2; raises ``ValueError`` otherwise."""
+def _checked_pairs(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex arrays i, j of ``pairs`` if every pair has 0 <= i < j < n
+    and n >= 2; raises ``ValueError`` otherwise."""
     if n < 2:
         raise ValueError("a graph needs at least 2 vertices")
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     i, j = pairs[:, 0], pairs[:, 1]
     if pairs.size and (i.min() < 0 or j.max() >= n or not (i < j).all()):
         raise ValueError("pairs must be stored as (i, j) with 0 <= i < j < n")
-    # n * n bytes: an eighth of the dense Laplacian of an n-vertex graph
-    seen = np.zeros(n * n, dtype=bool)
-    seen[i * n + j] = True
-    if np.count_nonzero(seen) != pairs.shape[0]:
-        raise ValueError("duplicate pair")
-    pairs.setflags(write=False)
-    return pairs
+    return i, j
 
 
-def _prefix(filtration: EdgeFiltration, m: int) -> Graph:
-    # the order was checked when the filtration was built
+def _snapshot(filtration: EdgeFiltration, m: int) -> Graph:
+    # the rank matrix was checked, or built from a sort, with the filtration
     graph = Graph.__new__(Graph)
-    graph._attach(filtration.n, filtration.order[:m])
+    graph._hold(filtration.rank < m, m)
     return graph
 
 
@@ -148,17 +145,24 @@ def build_filtration(matrix) -> EdgeFiltration:
     The pairs are sorted by numpy's default ``argsort``, and each run of
     equal entries is then put in (i, j) order (:func:`_order_ties`); the
     result equals a stable sort of the entries listed in (i, j) order.
-    ``order`` is int64, the index type numpy's ``bincount`` and fancy
-    indexing work in.  Raises ``ValueError`` if any consulted entry is NaN.
+    Each pair's position in that sort is written straight into the rank
+    matrix, which is int32: C(n, 2) fits for n up to 65 536.  Raises
+    ``ValueError`` if any consulted entry is NaN.
     """
     n = matrix.n
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    # the entries are read row by row, in (i, j) order; flat holds the
-    # index i * n + j of each pair, in filtration order
-    flat = np.flatnonzero(upper)[_ranks(matrix.dense[upper])]
-    order = np.empty((flat.size, 2), dtype=np.int64)
-    np.divmod(flat, n, out=(order[:, 0], order[:, 1]))
-    return EdgeFiltration(n, order)
+    # the entries are read row by row, in (i, j) order, the order in
+    # which boolean indexing by upper writes them back
+    by_position = _ranks(matrix.dense[upper])
+    positions = np.empty(by_position.size, dtype=np.int32)
+    positions[by_position] = np.arange(by_position.size, dtype=np.int32)
+    rank = np.empty((n, n), dtype=np.int32)
+    rank[upper] = positions
+    rank.T[upper] = positions
+    np.fill_diagonal(rank, by_position.size)
+    filtration = EdgeFiltration.__new__(EdgeFiltration)
+    filtration._hold(rank)
+    return filtration
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -199,20 +203,22 @@ def edge_count_at_density(n: int, density: float) -> int:
 
 def graph_at_density(filtration: EdgeFiltration, density: float) -> Graph:
     """Snapshot on the first ``round(p * C(n, 2))`` filtration edges."""
-    return _prefix(filtration, edge_count_at_density(filtration.n, density))
+    return _snapshot(filtration, edge_count_at_density(filtration.n, density))
 
 
 def stream_prefixes(filtration: EdgeFiltration, checkpoints):
     """Iterate graph snapshots at the given edge counts.
 
-    ``checkpoints`` must be non-decreasing integers in
-    [0, C(n, 2)].  Each yielded graph equals the corresponding
-    :func:`graph_at_density` result; the costly sort is shared across
-    all checkpoints.
+    ``checkpoints`` must be non-decreasing integers in [0, C(n, 2)];
+    anything else raises ``ValueError`` before the first snapshot.  Each
+    yielded graph equals the corresponding :func:`graph_at_density`
+    result; the costly sort is shared across all checkpoints.
     """
     counts = []
     for c in checkpoints:
-        if isinstance(c, bool) or int(c) != c:
+        integral = isinstance(c, numbers.Integral) or (
+            isinstance(c, numbers.Real) and float(c).is_integer())
+        if isinstance(c, bool) or not integral:
             raise ValueError("checkpoints must be integers")
         counts.append(int(c))
     total = filtration.total_pairs
@@ -220,107 +226,33 @@ def stream_prefixes(filtration: EdgeFiltration, checkpoints):
         raise ValueError("checkpoints must be sorted")
     if counts and (counts[0] < 0 or counts[-1] > total):
         raise ValueError(f"checkpoints must lie in [0, {total}]")
-    return (_prefix(filtration, m) for m in counts)
-
-
-class _DisjointSet:
-    """Union-find with path halving and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
-def count_components(graph: Graph) -> int:
-    """Number of connected components, via union-find."""
-    ds = _DisjointSet(graph.n)
-    merges = 0
-    for i, j in graph.edge_array.tolist():
-        merges += ds.union(i, j)
-    return graph.n - merges
-
-
-# pairs converted to Python ints at a time, so that the pass never holds
-# the whole prefix (about C(n, 2)/2 pairs) as Python ints
-_BLOCK = 256
+    return (_snapshot(filtration, m) for m in counts)
 
 
 def connectivity_index(filtration: EdgeFiltration, limit: int) -> int | None:
     """Smallest edge count m <= ``limit`` whose prefix graph is connected.
 
-    One union-find pass along ``order``, stopping at the edge that leaves
-    one component.  Returns ``None`` when the prefix of ``limit`` edges is
-    still disconnected.  ``limit`` must lie in [0, C(n, 2)].
+    The prefix of m edges is connected exactly when every edge of the
+    minimum spanning tree of the rank matrix has rank below m, so the
+    index is one more than the largest tree rank.  The tree is grown by
+    Prim's algorithm in n - 1 vectorised steps, O(n^2) in all.  Returns
+    ``None`` when the prefix of ``limit`` edges is still disconnected.
+    ``limit`` must lie in [0, C(n, 2)].
     """
-    if not 0 <= limit <= filtration.total_pairs:
-        raise ValueError(f"limit must lie in [0, {filtration.total_pairs}]")
-    ds = _DisjointSet(filtration.n)
-    components = filtration.n
-    for start in range(0, limit, _BLOCK):
-        block = filtration.order[start:min(start + _BLOCK, limit)].tolist()
-        for m, (i, j) in enumerate(block, start + 1):
-            components -= ds.union(i, j)
-            if components == 1:
-                return m
-    return None
-
-
-@dataclass(frozen=True)
-class Partition2:
-    """Result of a two-coloring attempt.
-
-    ``side[v]`` is ``SIDE_A`` or ``SIDE_B`` for vertices in components
-    that were completely two-colored, ``UNASSIGNED`` otherwise.  When
-    ``bipartite`` is False the labels of the components completed before
-    the first conflict are retained.
-    """
-
-    side: np.ndarray
-    bipartite: bool
-
-    def vertices_on(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.side == label)
-
-
-def check_bipartite(graph: Graph) -> Partition2:
-    """Breadth-first two-coloring, one component at a time."""
-    side = np.zeros(graph.n, dtype=np.int8)
-    adj = graph.adjacency_lists()
-    for start in range(graph.n):
-        if side[start] != UNASSIGNED:
-            continue
-        members = [start]
-        side[start] = SIDE_A
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if side[w] == UNASSIGNED:
-                    side[w] = SIDE_A + SIDE_B - side[u]
-                    members.append(w)
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    side[np.array(members)] = UNASSIGNED
-                    side.setflags(write=False)
-                    return Partition2(side=side, bipartite=False)
-    side.setflags(write=False)
-    return Partition2(side=side, bipartite=True)
+    total = filtration.total_pairs
+    if not 0 <= limit <= total:
+        raise ValueError(f"limit must lie in [0, {total}]")
+    rank = filtration.rank
+    # reach[v]: the lowest rank of a pair joining v to the tree; the tree's
+    # own vertices keep C(n, 2), above every rank, so argmin never picks one
+    reach = rank[0].copy()
+    outside = np.ones(filtration.n, dtype=bool)
+    outside[0] = False
+    largest = 0
+    for _ in range(filtration.n - 1):
+        v = int(np.argmin(reach))
+        largest = max(largest, int(reach[v]))
+        reach[v] = total
+        outside[v] = False
+        np.minimum(reach, rank[v], out=reach, where=outside)
+    return largest + 1 if largest < limit else None

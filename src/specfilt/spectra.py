@@ -11,10 +11,15 @@ eigenvalue.  With that convention the multiplicity of the eigenvalue 0
 equals the number of connected components for both kinds, throughout the
 whole filtration.
 
+Both are built in one n x n array from the snapshot's boolean adjacency
+and degree vector, symmetric by construction, so they are neither copied
+nor scanned again; each normalized entry is one rounding of
+``-1 / sqrt(d_i * d_j)``.
+
 The width of a spectrum (its population standard deviation) comes from
 traces instead, by :func:`laplacian_std`: ``tr L`` and ``tr L^2`` depend
-only on the degrees and edges, so no matrix is built and nothing is
-solved.  :func:`spectrum_std` computes the same width from eigenvalues.
+only on the degrees and adjacency, so no Laplacian is built and nothing
+is solved.  :func:`spectrum_std` computes the same width from eigenvalues.
 
 Eigenvalues come from a full dense symmetric decomposition
 (``numpy.linalg.eigvalsh``, LAPACK's tridiagonalization plus implicitly
@@ -89,14 +94,10 @@ def _check_kind(kind: str) -> str:
 
 def raw_laplacian(graph: Graph) -> SymmetricMatrix:
     """Degree matrix minus adjacency matrix."""
-    n = graph.n
-    mat = np.zeros((n, n))
-    if graph.edge_count:
-        i, j = graph.edge_array[:, 0], graph.edge_array[:, 1]
-        mat[i, j] = -1.0
-        mat[j, i] = -1.0
-    mat[np.arange(n), np.arange(n)] = graph.degrees.astype(float)
-    return SymmetricMatrix(mat)
+    # 0.0 - 1.0 on the edges and 0.0 - 0.0 elsewhere, so no entry is -0.0
+    mat = np.subtract(0.0, graph.adjacency, dtype=float)
+    np.fill_diagonal(mat, graph.degrees)
+    return SymmetricMatrix._trusted(mat)
 
 
 def normalized_laplacian(graph: Graph) -> SymmetricMatrix:
@@ -105,16 +106,17 @@ def normalized_laplacian(graph: Graph) -> SymmetricMatrix:
     Entries are 1 on the diagonal for vertices of positive degree,
     ``-1 / sqrt(deg(i) * deg(j))`` on edges, and 0 elsewhere.
     """
-    n = graph.n
     degrees = graph.degrees.astype(float)
-    mat = np.zeros((n, n))
-    if graph.edge_count:
-        i, j = graph.edge_array[:, 0], graph.edge_array[:, 1]
-        w = -1.0 / np.sqrt(degrees[i] * degrees[j])
-        mat[i, j] = w
-        mat[j, i] = w
-    mat[np.arange(n), np.arange(n)] = (degrees > 0).astype(float)
-    return SymmetricMatrix(mat)
+    # an isolated vertex has no edges, so the 1 standing in for its degree
+    # is masked away with the other non-edges
+    scale = np.maximum(degrees, 1.0)
+    mat = np.multiply.outer(scale, scale)
+    np.sqrt(mat, out=mat)
+    np.divide(-1.0, mat, out=mat)
+    mat *= graph.adjacency
+    mat += 0.0  # the masked entries are -0.0
+    np.fill_diagonal(mat, degrees > 0)
+    return SymmetricMatrix._trusted(mat)
 
 
 def laplacian(graph: Graph, kind: str) -> SymmetricMatrix:
@@ -288,8 +290,11 @@ def laplacian_std(graph: Graph, kind: str) -> float:
         n2_var = n * (int((degrees * degrees).sum()) + total) - total * total
     else:
         k = int(np.count_nonzero(degrees))
-        i, j = graph.edge_array[:, 0], graph.edge_array[:, 1]
-        inverse_products = float(np.sum(1.0 / (degrees[i] * degrees[j])))
+        # with w = 1/d (0 where d = 0), S = w.A.w / 2; fsum rounds the sum
+        # of the n terms w_i (A w)_i once
+        w = np.zeros(n)
+        np.divide(1.0, degrees, out=w, where=degrees > 0)
+        inverse_products = 0.5 * math.fsum(w * (graph.adjacency.astype(float) @ w))
         n2_var = n * k - k * k + 2 * n * inverse_products
     return math.sqrt(n2_var) / n
 

@@ -4,12 +4,15 @@ Nothing here touches the library's eigensolver path.  Eigenvalues are
 recomputed from scratch: exact characteristic polynomial over rationals
 (Faddeev-LeVerrier), exact square-free factorization (Yun's algorithm),
 then high-precision root finding with mpmath on the simple-root factors.
-Graph quantities (components, bipartite prefix) use their own
-independent algorithms.
+Graph quantities (components, two-colouring, bipartite prefix) use their
+own independent algorithms.  The Laplacians are also scattered from an
+edge list, a bit-for-bit reference for the library's assembly from the
+adjacency matrix.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import mpmath
@@ -152,7 +155,7 @@ def raw_laplacian_fractions(graph):
     mat = [[Fraction(0) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         mat[i][i] = Fraction(int(graph.degrees[i]))
-    for i, j in graph.edge_array.tolist():
+    for i, j in edges_of(graph):
         mat[i][j] = Fraction(-1)
         mat[j][i] = Fraction(-1)
     return mat
@@ -176,6 +179,56 @@ def normalized_similar_fractions(graph):
         else:
             out.append([entry / d for entry in raw[i]])
     return out
+
+
+# ---------------------------------------------------------------------------
+# edge lists and edge-list Laplacians
+# ---------------------------------------------------------------------------
+
+
+def order_of(filtration) -> np.ndarray:
+    """The (C(n, 2), 2) array of pairs (i, j), i < j, in filtration order."""
+    i, j = np.triu_indices(filtration.n, k=1)
+    by_rank = np.argsort(filtration.rank[i, j])
+    return np.column_stack([i[by_rank], j[by_rank]])
+
+
+def edges_of(graph) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, of a Graph, read from its adjacency."""
+    i, j = np.nonzero(np.triu(graph.adjacency))
+    return list(zip(i.tolist(), j.tolist()))
+
+
+def _edge_array(edges) -> np.ndarray:
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def raw_laplacian_scatter(n, edges) -> np.ndarray:
+    """Raw Laplacian scattered from an edge list (i, j), i < j."""
+    edges = _edge_array(edges)
+    degrees = np.bincount(edges.ravel(), minlength=n)
+    mat = np.zeros((n, n))
+    if edges.size:
+        i, j = edges[:, 0], edges[:, 1]
+        mat[i, j] = -1.0
+        mat[j, i] = -1.0
+    mat[np.arange(n), np.arange(n)] = degrees.astype(float)
+    return mat
+
+
+def normalized_laplacian_scatter(n, edges) -> np.ndarray:
+    """Normalized Laplacian scattered from an edge list (i, j), i < j,
+    with zero rows for isolated vertices."""
+    edges = _edge_array(edges)
+    degrees = np.bincount(edges.ravel(), minlength=n).astype(float)
+    mat = np.zeros((n, n))
+    if edges.size:
+        i, j = edges[:, 0], edges[:, 1]
+        w = -1.0 / np.sqrt(degrees[i] * degrees[j])
+        mat[i, j] = w
+        mat[j, i] = w
+    mat[np.arange(n), np.arange(n)] = (degrees > 0).astype(float)
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +259,43 @@ def components_by_bfs(n, edges) -> int:
     return count
 
 
+def two_colouring(n, edges) -> tuple[bool, list[int]]:
+    """Breadth-first two-colouring, one component at a time.
+
+    Returns (bipartite, side).  ``side[v]`` is 0 or 1 for the vertices of
+    every component coloured without conflict and -1 for the others; the
+    colouring stops at the first component that holds an odd cycle.
+    """
+    adj = [[] for _ in range(n)]
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    side = [-1] * n
+    for start in range(n):
+        if side[start] != -1:
+            continue
+        members = [start]
+        side[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if side[w] == -1:
+                    side[w] = 1 - side[u]
+                    members.append(w)
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    for v in members:
+                        side[v] = -1
+                    return False, side
+    return True, side
+
+
 def first_odd_cycle_index(order) -> int:
     """1-based index of the first edge that closes an odd cycle.
 
-    Uses union-find with parity, entirely separate from the library's
-    BFS two-coloring.  Returns len(order) + 1 when every prefix is
+    Uses union-find with parity, entirely separate from the BFS
+    two-colouring.  Returns len(order) + 1 when every prefix is
     bipartite.
     """
     n = int(np.max(order)) + 1 if len(order) else 0

@@ -39,7 +39,7 @@ def _connectivity_density(matrix, grid):
     counts = sorted({sf.edge_count_at_density(n, float(p)) for p in grid.points})
     total = n * (n - 1) // 2
     for m, graph in zip(counts, sf.stream_prefixes(filtration, counts)):
-        if sf.count_components(graph) == 1:
+        if oracles.components_by_bfs(n, oracles.edges_of(graph)) == 1:
             return m / total
     return 1.0
 
@@ -160,36 +160,35 @@ def test_c05_wishart_bipartite_stage():
         k = int((matrix.v < 0).sum())
         stage = k * (n - k)
         filtration = sf.build_filtration(matrix)
+        order = oracles.order_of(filtration).tolist()
 
         # bipartiteness is monotone along the filtration, so the last
         # bipartite prefix found by binary search covers every m <= stage
         lo, hi = 0, filtration.total_pairs
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if sf.check_bipartite(sf.Graph(n, filtration.order[:mid])).bipartite:
+            if oracles.two_colouring(n, order[:mid])[0]:
                 lo = mid
             else:
                 hi = mid
         if lo != stage:
             failures.append(f"seed {seed}: last bipartite prefix {lo} != {stage}")
             continue
-        if oracles.first_odd_cycle_index(filtration.order) != stage + 1:
+        if oracles.first_odd_cycle_index(order) != stage + 1:
             failures.append(f"seed {seed}: parity oracle disagrees")
             continue
 
-        graph = sf.Graph(n, filtration.order[:stage])
-        result = sf.check_bipartite(graph)
+        graph = next(sf.stream_prefixes(filtration, [stage]))
+        edges = oracles.edges_of(graph)
+        bipartite, side = oracles.two_colouring(n, edges)
         negatives = frozenset(np.flatnonzero(matrix.v < 0).tolist())
         positives = frozenset(np.flatnonzero(matrix.v >= 0).tolist())
-        sides = {
-            frozenset(result.vertices_on(sf.filtration.SIDE_A).tolist()),
-            frozenset(result.vertices_on(sf.filtration.SIDE_B).tolist()),
-        }
-        if not result.bipartite or sides != {negatives, positives}:
+        sides = {frozenset(v for v in range(n) if side[v] == label) for label in (0, 1)}
+        if not bipartite or sides != {negatives, positives}:
             failures.append(f"seed {seed}: sides differ from sign classes")
             continue
         expected_edges = {(min(i, j), max(i, j)) for i in negatives for j in positives}
-        if graph.edge_set() != expected_edges:
+        if set(edges) != expected_edges:
             failures.append(f"seed {seed}: edge set is not K_k,n-k")
             continue
 
@@ -207,7 +206,7 @@ def test_c05_wishart_bipartite_stage():
 def test_c06_zero_multiplicity_counts_components(snapshot_battery):
     failures = []
     for ensemble, graph, raw, norm in snapshot_battery:
-        expected = sf.count_components(graph)
+        expected = oracles.components_by_bfs(graph.n, oracles.edges_of(graph))
         for spectrum in (raw, norm):
             found = sf.zero_multiplicity(spectrum)
             if found != expected:
@@ -280,8 +279,9 @@ def test_c11_small_instance_charpoly_oracle():
         n = sizes[fid % len(sizes)]
         matrix = sf.sample_gaussian_symmetric(n, 1000 + fid)
         filtration = sf.build_filtration(matrix)
+        order = oracles.order_of(filtration)
         for m in range(filtration.total_pairs + 1):
-            graph = sf.Graph(n, filtration.order[:m])
+            graph = sf.Graph(n, order[:m])
             raw = sf.eigenvalues(sf.raw_laplacian(graph), sf.RAW).values
             raw_oracle = oracles.charpoly_eigenvalues(
                 oracles.raw_laplacian_fractions(graph)

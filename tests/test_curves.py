@@ -26,7 +26,6 @@ from specfilt.ensembles import (
 from specfilt.filtration import (
     build_filtration,
     connectivity_index,
-    count_components,
     edge_count_at_density,
     graph_at_density,
     stream_prefixes,
@@ -39,6 +38,8 @@ from specfilt.spectra import (
     laplacian,
     spectrum_std,
 )
+
+from oracles import components_by_bfs, edges_of
 
 
 class TestDensityGrid:
@@ -171,7 +172,7 @@ def test_gap_positive_exactly_when_connected():
             counts = [edge_count_at_density(n, float(p)) for p in series.xs]
             disconnected = 0
             for gap, graph in zip(series.ys, stream_prefixes(filtration, counts)):
-                if count_components(graph) > 1:
+                if components_by_bfs(n, edges_of(graph)) > 1:
                     disconnected += 1
                     assert gap == 0.0
                 else:

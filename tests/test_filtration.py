@@ -1,4 +1,5 @@
-"""Filtration order, snapshots, components, and two-coloring."""
+"""Filtration order and rank matrix, snapshots, connectivity index, and the
+component and two-colouring oracles the other tests rely on."""
 
 import types
 
@@ -14,21 +15,18 @@ from specfilt.ensembles import (
     sample_wishart_rank_one,
 )
 from specfilt.filtration import (
-    SIDE_A,
-    SIDE_B,
-    UNASSIGNED,
     EdgeFiltration,
     Graph,
     build_filtration,
-    check_bipartite,
     connectivity_index,
-    count_components,
     edge_count_at_density,
     graph_at_density,
     stream_prefixes,
 )
+from specfilt.spectra import RAW, eigenvalues, raw_laplacian, zero_multiplicity
 
 import oracles
+from oracles import components_by_bfs, edges_of, order_of, two_colouring
 
 
 def symmetric_from_offdiagonal(values_by_pair, n):
@@ -42,26 +40,29 @@ class TestBuildFiltration:
     def test_three_vertex_example(self):
         mat = symmetric_from_offdiagonal({(0, 1): 0.3, (0, 2): 0.1, (1, 2): 0.2}, 3)
         f = build_filtration(mat)
-        assert f.order.tolist() == [[0, 2], [1, 2], [0, 1]]
+        assert order_of(f).tolist() == [[0, 2], [1, 2], [0, 1]]
+        assert f.rank.tolist() == [[3, 2, 0], [2, 3, 1], [0, 1, 3]]
+        checked = EdgeFiltration(3, [(0, 2), (1, 2), (0, 1)])
+        assert np.array_equal(checked.rank, f.rank)
 
     def test_all_ties_fall_back_to_lexicographic(self):
         n = 5
         mat = SymmetricMatrix(np.ones((n, n)) - np.eye(n))
         f = build_filtration(mat)
         expected = [[i, j] for i in range(n) for j in range(i + 1, n)]
-        assert f.order.tolist() == expected
+        assert order_of(f).tolist() == expected
 
     def test_matches_brute_force_sort(self):
         mat = sample_gaussian_symmetric(6, 31)
         f = build_filtration(mat)
-        assert [tuple(e) for e in f.order.tolist()] == oracles.sorted_pairs_by_entry(
+        assert [tuple(e) for e in order_of(f).tolist()] == oracles.sorted_pairs_by_entry(
             mat.dense
         )
 
     def test_permutation_property(self):
         mat = sample_gaussian_symmetric(9, 77)
         f = build_filtration(mat)
-        assert sorted(map(tuple, f.order.tolist())) == [
+        assert sorted(map(tuple, order_of(f).tolist())) == [
             (i, j) for i in range(9) for j in range(i + 1, 9)
         ]
 
@@ -77,9 +78,7 @@ class TestBuildFiltration:
         shifted = np.array(base.dense)
         np.fill_diagonal(shifted, 1e9)
         other = SymmetricMatrix(shifted)
-        assert np.array_equal(
-            build_filtration(base).order, build_filtration(other).order
-        )
+        assert np.array_equal(build_filtration(base).rank, build_filtration(other).rank)
 
 
 def stable_sort_order(matrix):
@@ -107,7 +106,7 @@ class TestBuildFiltrationTies:
         values = rng.integers(-3, 4, n * (n - 1) // 2).astype(float)
         mat = symmetric_from_upper_values(values, n)
         f = build_filtration(mat)
-        assert [tuple(e) for e in f.order.tolist()] == oracles.sorted_pairs_by_entry(
+        assert [tuple(e) for e in order_of(f).tolist()] == oracles.sorted_pairs_by_entry(
             mat.dense
         )
 
@@ -116,14 +115,14 @@ class TestBuildFiltrationTies:
         rng = np.random.default_rng(n)
         values = rng.integers(0, levels, n * (n - 1) // 2).astype(float)
         mat = symmetric_from_upper_values(values, n)
-        assert np.array_equal(build_filtration(mat).order, stable_sort_order(mat))
+        assert np.array_equal(order_of(build_filtration(mat)), stable_sort_order(mat))
 
     @pytest.mark.parametrize("value", [0.0, -0.0, 1.0, -2.5])
     def test_all_equal_entries_in_lexicographic_order(self, value):
         n = 250
         mat = SymmetricMatrix(np.full((n, n), value))
         i, j = np.triu_indices(n, k=1)
-        assert np.array_equal(build_filtration(mat).order, np.column_stack([i, j]))
+        assert np.array_equal(order_of(build_filtration(mat)), np.column_stack([i, j]))
 
     def test_signed_zeros_are_one_run(self):
         n = 220
@@ -131,8 +130,8 @@ class TestBuildFiltrationTies:
         values = rng.choice([-0.0, 0.0, -1.0, 1.0], n * (n - 1) // 2)
         mat = symmetric_from_upper_values(values, n)
         f = build_filtration(mat)
-        assert np.array_equal(f.order, stable_sort_order(mat))
-        assert [tuple(e) for e in f.order.tolist()] == oracles.sorted_pairs_by_entry(
+        assert np.array_equal(order_of(f), stable_sort_order(mat))
+        assert [tuple(e) for e in order_of(f).tolist()] == oracles.sorted_pairs_by_entry(
             mat.dense
         )
 
@@ -140,17 +139,24 @@ class TestBuildFiltrationTies:
         n = 300
         rng = np.random.default_rng(4)
         mat = rank_one_matrix(rng.choice([-2.0, -0.5, 0.0, 1.0, 3.0], n))
-        assert np.array_equal(build_filtration(mat).order, stable_sort_order(mat))
+        assert np.array_equal(order_of(build_filtration(mat)), stable_sort_order(mat))
 
     def test_distinct_entries_match_stable_sort(self):
         for mat in (sample_gaussian_symmetric(300, 1),
                     distance_matrix(sample_noisy_circle(300, 0.0, 2))):
-            assert np.array_equal(build_filtration(mat).order, stable_sort_order(mat))
+            assert np.array_equal(order_of(build_filtration(mat)), stable_sort_order(mat))
 
-    def test_order_is_int64(self):
-        f = build_filtration(sample_gaussian_symmetric(200, 3))
-        assert f.order.dtype == np.int64
-        assert f.order.shape == (200 * 199 // 2, 2)
+    def test_rank_matrix_is_int32(self):
+        n = 200
+        f = build_filtration(sample_gaussian_symmetric(n, 3))
+        total = n * (n - 1) // 2
+        assert f.rank.dtype == np.int32
+        assert f.rank.shape == (n, n)
+        assert not f.rank.flags.writeable
+        assert np.array_equal(f.rank, f.rank.T)
+        assert (np.diag(f.rank) == total).all()
+        upper = np.sort(f.rank[np.triu_indices(n, k=1)])
+        assert np.array_equal(upper, np.arange(total))
 
 
 class TestGraphAtDensity:
@@ -160,8 +166,8 @@ class TestGraphAtDensity:
         full = graph_at_density(f, 1.0)
         assert empty.edge_count == 0
         assert full.edge_count == 45
-        assert count_components(empty) == 10
-        assert count_components(full) == 1
+        assert components_by_bfs(10, edges_of(empty)) == 10
+        assert components_by_bfs(10, edges_of(full)) == 1
 
     def test_half_density_on_four_vertices(self):
         mat = sample_gaussian_symmetric(4, 3)
@@ -169,7 +175,7 @@ class TestGraphAtDensity:
         g = graph_at_density(f, 0.5)
         assert g.edge_count == 3
         smallest = oracles.sorted_pairs_by_entry(mat.dense)[:3]
-        assert g.edge_set() == set(smallest)
+        assert set(edges_of(g)) == set(smallest)
 
     def test_rounding_is_half_up(self):
         # C(4,2) = 6, so p = 1/12 maps to 0.5 edges and rounds to 1
@@ -183,11 +189,12 @@ class TestGraphAtDensity:
             with pytest.raises(ValueError):
                 graph_at_density(f, p)
 
-    def test_snapshot_is_read_only_view_of_order(self):
+    def test_snapshot_is_read_only_threshold_of_rank(self):
         f = build_filtration(sample_gaussian_symmetric(10, 2))
         for g in (graph_at_density(f, 0.3), *stream_prefixes(f, [0, 13, 45])):
-            assert np.shares_memory(g.edge_array, f.order) or g.edge_count == 0
-            assert not g.edge_array.flags.writeable
+            assert np.array_equal(g.adjacency, f.rank < g.edge_count)
+            assert np.count_nonzero(g.adjacency) == 2 * g.edge_count
+            assert not g.adjacency.flags.writeable
             assert not g.degrees.flags.writeable
 
     def test_realized_density_recorded(self):
@@ -212,10 +219,11 @@ class TestGraphValidation:
     def test_degree_consistency(self):
         f = build_filtration(sample_gaussian_symmetric(15, 8))
         for m in (0, 10, 50, 105):
-            g = Graph(15, f.order[:m])
+            g = Graph(15, order_of(f)[:m])
             assert g.degrees.sum() == 2 * g.edge_count
+            assert sorted(edges_of(g)) == sorted(map(tuple, order_of(f)[:m].tolist()))
             recomputed = np.zeros(15, dtype=int)
-            for i, j in g.edge_array.tolist():
+            for i, j in edges_of(g):
                 recomputed[i] += 1
                 recomputed[j] += 1
             assert np.array_equal(g.degrees, recomputed)
@@ -251,7 +259,7 @@ class TestStreamPrefixes:
         f = build_filtration(sample_gaussian_symmetric(10, 12))
         previous = set()
         for g in stream_prefixes(f, [0, 3, 9, 20, 45]):
-            current = g.edge_set()
+            current = set(edges_of(g))
             assert previous <= current
             previous = current
 
@@ -263,9 +271,10 @@ class TestStreamPrefixes:
             streamed = list(stream_prefixes(f, list(range(total + 1))))
             for m, g in enumerate(streamed):
                 direct = graph_at_density(f, m / total)
-                checked = Graph(n, f.order[:m])
+                checked = Graph(n, order_of(f)[:m])
                 for other in (direct, checked):
-                    assert g.edge_set() == other.edge_set()
+                    assert other.edge_count == g.edge_count == m
+                    assert np.array_equal(g.adjacency, other.adjacency)
                     assert np.array_equal(g.degrees, other.degrees)
 
     def test_rejects_bad_checkpoints(self):
@@ -276,53 +285,81 @@ class TestStreamPrefixes:
             list(stream_prefixes(f, [0, 11]))
         with pytest.raises(ValueError):
             list(stream_prefixes(f, [0.5]))
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                stream_prefixes(f, [0, bad])
 
 
 class TestCountComponents:
+    """The breadth-first component count that the other tests compare to."""
+
     def test_edgeless(self):
-        assert count_components(Graph(7, [])) == 7
+        assert components_by_bfs(7, edges_of(Graph(7, []))) == 7
 
     def test_complete(self):
         n = 6
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert count_components(Graph(n, edges)) == 1
+        assert components_by_bfs(n, edges_of(Graph(n, edges))) == 1
 
     def test_two_triangles(self):
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-        assert count_components(Graph(6, edges)) == 2
+        assert components_by_bfs(6, edges_of(Graph(6, edges))) == 2
 
     def test_matches_bfs_oracle_on_random_snapshots(self):
+        # against the multiplicity of the raw Laplacian eigenvalue 0
         rng = np.random.default_rng(9)
         for seed in range(10):
             n = int(rng.integers(4, 20))
             f = build_filtration(sample_gaussian_symmetric(n, seed))
             m = int(rng.integers(0, f.total_pairs + 1))
-            g = Graph(n, f.order[:m])
-            assert count_components(g) == oracles.components_by_bfs(
-                n, g.edge_array.tolist()
-            )
+            g = next(stream_prefixes(f, [m]))
+            spectrum = eigenvalues(raw_laplacian(g), RAW)
+            assert zero_multiplicity(spectrum) == components_by_bfs(n, edges_of(g))
+
+
+def all_equal_matrix(n, seed):
+    return SymmetricMatrix(np.ones((n, n)))
+
+
+def two_level_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    return symmetric_from_upper_values(
+        rng.integers(0, 2, n * (n - 1) // 2).astype(float), n)
+
+
+ENSEMBLES = [
+    pytest.param(lambda n, s: sample_gaussian_symmetric(n, s), id="gaussian"),
+    pytest.param(lambda n, s: sample_wishart_rank_one(n, s), id="wishart-rank1"),
+    pytest.param(lambda n, s: distance_matrix(sample_noisy_circle(n, 0.1, s)),
+                 id="circle"),
+    pytest.param(all_equal_matrix, id="all-equal"),
+    pytest.param(two_level_matrix, id="two-level"),
+]
 
 
 class TestConnectivityIndex:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda n, s: sample_gaussian_symmetric(n, s),
-            lambda n, s: sample_wishart_rank_one(n, s),
-            lambda n, s: distance_matrix(sample_noisy_circle(n, 0.1, s)),
-        ],
-        ids=["gaussian", "wishart-rank1", "circle"],
-    )
+    @pytest.mark.parametrize("make", ENSEMBLES)
     def test_matches_bfs_oracle_on_every_prefix(self, make):
         for n in range(2, 9):
             for seed in range(3):
                 f = build_filtration(make(n, seed))
-                order = f.order.tolist()
+                order = order_of(f).tolist()
                 first = next(m for m in range(f.total_pairs + 1)
-                             if oracles.components_by_bfs(n, order[:m]) == 1)
+                             if components_by_bfs(n, order[:m]) == 1)
                 for limit in range(f.total_pairs + 1):
                     expected = first if first <= limit else None
                     assert connectivity_index(f, limit) == expected
+
+    @pytest.mark.parametrize("n", [50, 300])
+    @pytest.mark.parametrize("make", ENSEMBLES)
+    def test_matches_bfs_oracle_at_the_index(self, make, n):
+        for seed in range(3):
+            f = build_filtration(make(n, seed))
+            index = connectivity_index(f, f.total_pairs)
+            order = order_of(f).tolist()
+            assert components_by_bfs(n, order[:index]) == 1
+            assert components_by_bfs(n, order[:index - 1]) > 1
+            assert connectivity_index(f, index - 1) is None
 
     def test_two_vertices(self):
         f = EdgeFiltration(2, [(0, 1)])
@@ -361,35 +398,33 @@ def random_tree_edges(n, seed):
 
 
 class TestCheckBipartite:
+    """The breadth-first two-colouring that c05 relies on."""
+
     def test_trees_are_bipartite(self):
         for seed in range(5):
-            g = Graph(12, random_tree_edges(12, seed))
-            result = check_bipartite(g)
-            assert result.bipartite
-            side = result.side
-            assert (side != UNASSIGNED).all()
-            for i, j in g.edge_array.tolist():
+            edges = random_tree_edges(12, seed)
+            bipartite, side = two_colouring(12, edges)
+            assert bipartite
+            assert -1 not in side
+            for i, j in edges:
                 assert side[i] != side[j]
 
     def test_triangle_is_not(self):
-        result = check_bipartite(Graph(3, [(0, 1), (0, 2), (1, 2)]))
-        assert not result.bipartite
+        bipartite, _ = two_colouring(3, [(0, 1), (0, 2), (1, 2)])
+        assert not bipartite
 
     def test_even_cycle_is(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert check_bipartite(g).bipartite
+        bipartite, _ = two_colouring(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert bipartite
 
     def test_completed_components_keep_labels_on_conflict(self):
         # component {0,1} completes before the triangle {2,3,4} conflicts
-        g = Graph(6, [(0, 1), (2, 3), (2, 4), (3, 4)])
-        result = check_bipartite(g)
-        assert not result.bipartite
-        assert result.side[0] in (SIDE_A, SIDE_B)
-        assert result.side[1] in (SIDE_A, SIDE_B)
-        assert result.side[0] != result.side[1]
-        assert result.side[2] == UNASSIGNED
-        assert result.side[3] == UNASSIGNED
-        assert result.side[4] == UNASSIGNED
+        bipartite, side = two_colouring(6, [(0, 1), (2, 3), (2, 4), (3, 4)])
+        assert not bipartite
+        assert side[0] in (0, 1)
+        assert side[1] in (0, 1)
+        assert side[0] != side[1]
+        assert side[2] == side[3] == side[4] == -1
 
     def test_wishart_bipartite_stage_matches_sign_classes(self):
         n = 50
@@ -397,25 +432,24 @@ class TestCheckBipartite:
         k = int((mat.v < 0).sum())
         stage = k * (n - k)
         f = build_filtration(mat)
-        g = Graph(n, f.order[:stage])
-        result = check_bipartite(g)
-        assert result.bipartite
+        g = next(stream_prefixes(f, [stage]))
+        bipartite, side = two_colouring(n, edges_of(g))
+        assert bipartite
         negatives = frozenset(np.flatnonzero(mat.v < 0).tolist())
         positives = frozenset(np.flatnonzero(mat.v >= 0).tolist())
-        side_a = frozenset(result.vertices_on(SIDE_A).tolist())
-        side_b = frozenset(result.vertices_on(SIDE_B).tolist())
-        assert {side_a, side_b} == {negatives, positives}
+        sides = {frozenset(v for v in range(n) if side[v] == label) for label in (0, 1)}
+        assert sides == {negatives, positives}
         # the bipartite stage is exactly the complete bipartite graph
         expected_edges = {
             (min(i, j), max(i, j)) for i in negatives for j in positives
         }
-        assert g.edge_set() == expected_edges
+        assert set(edges_of(g)) == expected_edges
 
     def test_matches_parity_oracle_along_random_filtrations(self):
         for seed in range(5):
             f = build_filtration(sample_gaussian_symmetric(12, 100 + seed))
-            first_odd = oracles.first_odd_cycle_index(f.order)
+            order = order_of(f)
+            first_odd = oracles.first_odd_cycle_index(order)
             for m in range(f.total_pairs + 1):
                 expected = m < first_odd
-                g = Graph(12, f.order[:m])
-                assert check_bipartite(g).bipartite == expected
+                assert two_colouring(12, order[:m].tolist())[0] == expected

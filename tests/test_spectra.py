@@ -7,11 +7,13 @@ import pytest
 
 from specfilt.ensembles import (
     SymmetricMatrix,
+    distance_matrix,
     sample_gaussian_symmetric,
+    sample_noisy_circle,
     sample_positive_rank_one,
     sample_wishart_rank_one,
 )
-from specfilt.filtration import Graph, build_filtration, count_components, stream_prefixes
+from specfilt.filtration import Graph, build_filtration, stream_prefixes
 from specfilt.spectra import (
     NORMALIZED,
     RAW,
@@ -29,6 +31,7 @@ from specfilt.spectra import (
 )
 
 import oracles
+from oracles import components_by_bfs, edges_of, order_of
 
 
 def complete_graph(n):
@@ -81,6 +84,69 @@ class TestNormalizedLaplacian:
         assert np.array_equal(mat.dense[:, 2], np.zeros(3))
 
 
+def same_bits(a, b):
+    """Equal as float64 bit patterns, so that -0.0 differs from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_matches_edge_scatter(graph, edges):
+    raw = raw_laplacian(graph).dense
+    norm = normalized_laplacian(graph).dense
+    assert same_bits(raw, oracles.raw_laplacian_scatter(graph.n, edges))
+    assert same_bits(norm, oracles.normalized_laplacian_scatter(graph.n, edges))
+    assert not raw.flags.writeable and not norm.flags.writeable
+
+
+FILTERED_ENSEMBLES = [
+    pytest.param(lambda n, s: sample_gaussian_symmetric(n, s), id="gaussian"),
+    pytest.param(lambda n, s: sample_wishart_rank_one(n, s), id="wishart-rank1"),
+    pytest.param(lambda n, s: distance_matrix(sample_noisy_circle(n, 0.1, s)),
+                 id="circle"),
+]
+
+
+class TestLaplacianBits:
+    """Laplacians from the adjacency equal, bit for bit, the ones scattered
+    from the edge list."""
+
+    @pytest.mark.parametrize("make", FILTERED_ENSEMBLES)
+    def test_every_prefix_of_small_filtrations(self, make):
+        for n in range(2, 9):
+            for seed in range(3):
+                f = build_filtration(make(n, seed))
+                order = order_of(f)
+                for m, g in enumerate(stream_prefixes(f, range(f.total_pairs + 1))):
+                    assert_matches_edge_scatter(g, order[:m])
+
+    @pytest.mark.parametrize("make", FILTERED_ENSEMBLES)
+    def test_sampled_prefixes_at_n_200(self, make):
+        n = 200
+        f = build_filtration(make(n, 5))
+        order = order_of(f)
+        total = f.total_pairs
+        counts = [0, 1, 2, n, 3 * n, 2000, total // 2, total - n, total - 1, total]
+        for m, g in zip(counts, stream_prefixes(f, counts)):
+            assert_matches_edge_scatter(g, order[:m])
+
+    def test_graphs_with_isolated_vertices(self):
+        cases = [
+            (5, [(0, 1), (0, 2), (1, 2)]),
+            (4, [(0, 1), (1, 2)]),
+            (6, [(1, 4)]),
+            (7, [(0, 6), (2, 6), (3, 6), (2, 3)]),
+        ]
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n = int(rng.integers(3, 30))
+            pairs = [(i, j) for i in range(n - 2) for j in range(i + 1, n - 2)]
+            keep = rng.random(len(pairs)) < 0.3
+            cases.append((n, [pair for pair, k in zip(pairs, keep) if k]))
+        for n, edges in cases:
+            g = Graph(n, edges)
+            assert (g.degrees == 0).any()
+            assert_matches_edge_scatter(g, edges)
+
+
 class TestEigenvalues:
     def test_complete_graph_raw(self):
         spec = eigenvalues(raw_laplacian(complete_graph(4)), RAW)
@@ -95,7 +161,7 @@ class TestEigenvalues:
     def test_matches_charpoly_oracle_on_random_graphs(self):
         for seed in range(5):
             f = build_filtration(sample_gaussian_symmetric(8, 300 + seed))
-            g = Graph(8, f.order[: 7 + 2 * seed])
+            g = Graph(8, order_of(f)[: 7 + 2 * seed])
             raw = eigenvalues(raw_laplacian(g), RAW).values
             np.testing.assert_allclose(
                 raw,
@@ -115,7 +181,7 @@ class TestEigenvalues:
         # for every eigenvalue there is a unit vector with a tiny residual
         f = build_filtration(sample_gaussian_symmetric(40, 15))
         for m in (0, 80, 300, 780):
-            g = Graph(40, f.order[:m])
+            g = Graph(40, order_of(f)[:m])
             for kind in (RAW, NORMALIZED):
                 mat = laplacian(g, kind)
                 w, vecs = np.linalg.eigh(mat.dense)
@@ -148,7 +214,7 @@ class TestEigenvalues:
             n = 20
             f = build_filtration(sample_gaussian_symmetric(n, 40 + seed))
             for m in (0, 5, 40, 120, 190):
-                g = Graph(n, f.order[:m])
+                g = Graph(n, order_of(f)[:m])
                 raw = eigenvalues(raw_laplacian(g), RAW)
                 assert abs(raw.values.sum() - 2 * m) <= max(1e-8 * n * m, 1e-12)
                 norm = eigenvalues(normalized_laplacian(g), NORMALIZED)
@@ -160,8 +226,8 @@ class TestEigenvalues:
             n = 16
             f = build_filtration(sample_gaussian_symmetric(n, 60 + seed))
             for m in (0, 6, 18, 40, 120):
-                g = Graph(n, f.order[:m])
-                expected = count_components(g)
+                g = Graph(n, order_of(f)[:m])
+                expected = components_by_bfs(n, edges_of(g))
                 for kind in (RAW, NORMALIZED):
                     spec = eigenvalues(laplacian(g, kind), kind)
                     assert zero_multiplicity(spec) == expected
@@ -206,7 +272,7 @@ class TestSpectrumHistogram:
         for seed in range(3):
             n = 14
             f = build_filtration(sample_gaussian_symmetric(n, seed))
-            g = Graph(n, f.order[:30])
+            g = Graph(n, order_of(f)[:30])
             for kind in (RAW, NORMALIZED):
                 spec = eigenvalues(laplacian(g, kind), kind)
                 hist = spectrum_histogram(spec, bins=17)
