@@ -41,7 +41,6 @@ from .filtration import (
     EdgeFiltration,
     Graph,
     build_filtration,
-    connectivity_index,
     edge_count_at_density,
     graph_at_density,
     stream_prefixes,
@@ -88,7 +87,6 @@ __all__ = [
     "SymmetricMatrix",
     "average_series",
     "build_filtration",
-    "connectivity_index",
     "density_snapshot",
     "distance_matrix",
     "edge_count_at_density",

@@ -239,16 +239,19 @@ def _resolve_grid(config: RunConfig, n: int) -> DensityGrid:
     head, _, tail = spec.partition(":")
     if head == "uniform":
         return DensityGrid.uniform(int(tail))
+    try:
+        lines = Path(tail).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"--grid file: {exc}") from exc
     points = []
-    with open(tail, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                points.append(float(line))
-            except ValueError as exc:
-                raise UsageError(f"--grid file: unparsable density {line!r}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            points.append(float(line))
+        except ValueError as exc:
+            raise UsageError(f"--grid file: unparsable density {line!r}") from exc
     try:
         return DensityGrid(points)
     except ValueError as exc:

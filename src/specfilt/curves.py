@@ -7,17 +7,19 @@ stream, computing one scalar per snapshot.  The result is a
 output.
 
 The filtration is built on the first call for a matrix and kept with
-it, so every curve and snapshot of one matrix shares one sort.  Its
-connectivity index is kept with it too, so both kinds of gap curve share
-one spanning tree.
+it, so every curve and snapshot of one matrix shares one sort, and both
+kinds of gap curve share the one spanning tree that gives the
+filtration's connectivity index.  Filtrations and snapshots come only
+from :mod:`specfilt.filtration`'s builders, never from pair lists.
 
 The gap curve runs one dense eigensolve per connected snapshot; below the
 connectivity index (one more than the largest rank in the minimum
 spanning tree of the rank matrix,
-:func:`specfilt.filtration.connectivity_index`) the gap is exactly 0 and
-nothing is solved.  The width (std) curve runs no eigensolve at all: its
-value comes from the traces of the Laplacian, which depend only on the
-snapshot's degrees and adjacency (:func:`specfilt.spectra.laplacian_std`).
+:attr:`specfilt.filtration.EdgeFiltration.connectivity_index`) the gap
+is exactly 0 and nothing is solved.  The width (std) curve runs no
+eigensolve at all: its value comes from the traces of the Laplacian,
+which depend only on the snapshot's degrees and adjacency
+(:func:`specfilt.spectra.laplacian_std`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .ensembles import SymmetricMatrix
 from .filtration import (
     EdgeFiltration,
     build_filtration,
-    connectivity_index,
     edge_count_at_density,
     graph_at_density,
     stream_prefixes,
@@ -39,6 +40,7 @@ from .spectra import (
     DEFAULT_BINS,
     Histogram,
     NumericalError,
+    _check_kind,
     eigenvalues,
     laplacian,
     laplacian_std,
@@ -155,16 +157,6 @@ def _filtration(matrix: SymmetricMatrix) -> EdgeFiltration:
     return filtration
 
 
-def _connected_at(matrix: SymmetricMatrix) -> int:
-    # found on first use and kept with the matrix, like its filtration
-    connected_at = getattr(matrix, "_connected_at", None)
-    if connected_at is None:
-        filtration = _filtration(matrix)
-        connected_at = matrix._connected_at = connectivity_index(
-            filtration, filtration.total_pairs)
-    return connected_at
-
-
 def _sweep(matrix, grid, kind, statistic: str, stat_fn) -> CurveSeries:
     # stat_fn maps each snapshot Graph to the statistic's value
     counts, densities = _checkpoints(grid, matrix.n)
@@ -192,7 +184,8 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
     is solved.  At p = 1 it is n for the raw kind and n/(n - 1) for the
     normalized kind (the complete-graph values).
     """
-    connected_at = _connected_at(matrix)
+    _check_kind(kind)
+    connected_at = _filtration(matrix).connectivity_index
 
     def gap(graph):
         if graph.edge_count < connected_at:

@@ -18,12 +18,12 @@ A filtration is held as its rank matrix R, the inverse of that sort:
 the diagonal holds C(n, 2), past every position.  The snapshot after m
 edges is the graph with adjacency ``R < m``.  The connectivity index,
 the fewest edges after which the snapshot is connected, is one more than
-the largest rank in the minimum spanning tree of R (see
-:func:`connectivity_index`).
+the largest rank in the minimum spanning tree of R; the filtration finds
+it on first use and keeps it (:attr:`EdgeFiltration.connectivity_index`).
 
-Vertex pairs are checked where they enter, in the :class:`EdgeFiltration`
-and :class:`Graph` constructors; the snapshots of a filtration are not
-checked again.
+Filtrations and snapshots are built only here, by :func:`build_filtration`
+and by thresholding its rank matrix, so their constructors take what the
+library computes and check nothing.
 
 All arithmetic on edge counts is integer arithmetic; converting a target
 density p to an edge count rounds half up (see
@@ -32,6 +32,7 @@ density p to an edge count rounds half up (see
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -44,7 +45,6 @@ __all__ = [
     "edge_count_at_density",
     "graph_at_density",
     "stream_prefixes",
-    "connectivity_index",
 ]
 
 
@@ -53,24 +53,11 @@ class EdgeFiltration:
 
     ``rank`` is the read-only int32 rank matrix: ``rank[i, j]`` and
     ``rank[j, i]`` hold k when the pair (i, j) is inserted at step k + 1,
-    and the diagonal holds C(n, 2).  The constructor takes the order as a
-    sequence of pairs (i, j), i < j, and checks that it lists every pair
-    exactly once.
+    and the diagonal holds C(n, 2).  The constructor takes ownership of
+    ``rank`` and makes it read-only.
     """
 
-    def __init__(self, n: int, order):
-        n = int(n)
-        i, j = _checked_pairs(n, order)
-        total = n * (n - 1) // 2
-        rank = np.full((n, n), total, dtype=np.int32)
-        if i.size == total:
-            rank[i, j] = rank[j, i] = np.arange(total, dtype=np.int32)
-        # a repeated pair leaves another one unset
-        if np.count_nonzero(rank < total) != 2 * total:
-            raise ValueError("order must list every unordered pair exactly once")
-        self._hold(rank)
-
-    def _hold(self, rank: np.ndarray) -> None:
+    def __init__(self, rank: np.ndarray):
         rank.setflags(write=False)
         self.n = rank.shape[0]
         self.rank = rank
@@ -79,6 +66,31 @@ class EdgeFiltration:
     def total_pairs(self) -> int:
         return self.n * (self.n - 1) // 2
 
+    @functools.cached_property
+    def connectivity_index(self) -> int:
+        """Smallest edge count m whose prefix graph is connected.
+
+        The prefix of m edges is connected exactly when every edge of the
+        minimum spanning tree of the rank matrix has rank below m, so the
+        index is one more than the largest tree rank; the complete graph
+        is connected, so there always is one.  The tree is grown by Prim's
+        algorithm in n - 1 vectorised steps, O(n^2) in all, on first use.
+        """
+        total = self.total_pairs
+        # reach[v]: the lowest rank of a pair joining v to the tree; the tree's
+        # own vertices keep C(n, 2), above every rank, so argmin never picks one
+        reach = self.rank[0].copy()
+        outside = np.ones(self.n, dtype=bool)
+        outside[0] = False
+        largest = 0
+        for _ in range(self.n - 1):
+            v = int(np.argmin(reach))
+            largest = max(largest, int(reach[v]))
+            reach[v] = total
+            outside[v] = False
+            np.minimum(reach, self.rank[v], out=reach, where=outside)
+        return largest + 1
+
     def __repr__(self) -> str:
         return f"EdgeFiltration(n={self.n}, pairs={self.total_pairs})"
 
@@ -86,29 +98,20 @@ class EdgeFiltration:
 class Graph:
     """Immutable snapshot of a filtration prefix: n vertices, m edges.
 
-    Stores the read-only boolean adjacency matrix (symmetric, False on the
-    diagonal), its read-only degree vector and the edge count.  The
-    constructor checks ``edges``, a sequence of distinct pairs (i, j),
-    i < j; snapshots of a filtration are thresholds of its rank matrix.
+    Holds the read-only boolean adjacency matrix (symmetric, False on the
+    diagonal), its read-only degree vector and the edge count, half the
+    degree sum.  The constructor takes ownership of ``adjacency`` and
+    makes it read-only.
     """
 
-    def __init__(self, n: int, edges):
-        n = int(n)
-        i, j = _checked_pairs(n, edges)
-        adjacency = np.zeros((n, n), dtype=bool)
-        adjacency[i, j] = adjacency[j, i] = True
-        if np.count_nonzero(adjacency) != 2 * i.size:
-            raise ValueError("duplicate pair")
-        self._hold(adjacency, i.size)
-
-    def _hold(self, adjacency: np.ndarray, edge_count: int) -> None:
+    def __init__(self, adjacency: np.ndarray):
         degrees = np.count_nonzero(adjacency, axis=1)
         adjacency.setflags(write=False)
         degrees.setflags(write=False)
         self.n = adjacency.shape[0]
         self.adjacency = adjacency
         self.degrees = degrees
-        self.edge_count = edge_count
+        self.edge_count = int(degrees.sum()) // 2
 
     @property
     def density(self) -> float:
@@ -116,25 +119,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count}, density={self.density:.4g})"
-
-
-def _checked_pairs(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex arrays i, j of ``pairs`` if every pair has 0 <= i < j < n
-    and n >= 2; raises ``ValueError`` otherwise."""
-    if n < 2:
-        raise ValueError("a graph needs at least 2 vertices")
-    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    i, j = pairs[:, 0], pairs[:, 1]
-    if pairs.size and (i.min() < 0 or j.max() >= n or not (i < j).all()):
-        raise ValueError("pairs must be stored as (i, j) with 0 <= i < j < n")
-    return i, j
-
-
-def _snapshot(filtration: EdgeFiltration, m: int) -> Graph:
-    # the rank matrix was checked, or built from a sort, with the filtration
-    graph = Graph.__new__(Graph)
-    graph._hold(filtration.rank < m, m)
-    return graph
 
 
 def build_filtration(matrix) -> EdgeFiltration:
@@ -160,9 +144,7 @@ def build_filtration(matrix) -> EdgeFiltration:
     rank[upper] = positions
     rank.T[upper] = positions
     np.fill_diagonal(rank, by_position.size)
-    filtration = EdgeFiltration.__new__(EdgeFiltration)
-    filtration._hold(rank)
-    return filtration
+    return EdgeFiltration(rank)
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
@@ -203,7 +185,7 @@ def edge_count_at_density(n: int, density: float) -> int:
 
 def graph_at_density(filtration: EdgeFiltration, density: float) -> Graph:
     """Snapshot on the first ``round(p * C(n, 2))`` filtration edges."""
-    return _snapshot(filtration, edge_count_at_density(filtration.n, density))
+    return Graph(filtration.rank < edge_count_at_density(filtration.n, density))
 
 
 def stream_prefixes(filtration: EdgeFiltration, checkpoints):
@@ -226,33 +208,5 @@ def stream_prefixes(filtration: EdgeFiltration, checkpoints):
         raise ValueError("checkpoints must be sorted")
     if counts and (counts[0] < 0 or counts[-1] > total):
         raise ValueError(f"checkpoints must lie in [0, {total}]")
-    return (_snapshot(filtration, m) for m in counts)
+    return (Graph(filtration.rank < m) for m in counts)
 
-
-def connectivity_index(filtration: EdgeFiltration, limit: int) -> int | None:
-    """Smallest edge count m <= ``limit`` whose prefix graph is connected.
-
-    The prefix of m edges is connected exactly when every edge of the
-    minimum spanning tree of the rank matrix has rank below m, so the
-    index is one more than the largest tree rank.  The tree is grown by
-    Prim's algorithm in n - 1 vectorised steps, O(n^2) in all.  Returns
-    ``None`` when the prefix of ``limit`` edges is still disconnected.
-    ``limit`` must lie in [0, C(n, 2)].
-    """
-    total = filtration.total_pairs
-    if not 0 <= limit <= total:
-        raise ValueError(f"limit must lie in [0, {total}]")
-    rank = filtration.rank
-    # reach[v]: the lowest rank of a pair joining v to the tree; the tree's
-    # own vertices keep C(n, 2), above every rank, so argmin never picks one
-    reach = rank[0].copy()
-    outside = np.ones(filtration.n, dtype=bool)
-    outside[0] = False
-    largest = 0
-    for _ in range(filtration.n - 1):
-        v = int(np.argmin(reach))
-        largest = max(largest, int(reach[v]))
-        reach[v] = total
-        outside[v] = False
-        np.minimum(reach, rank[v], out=reach, where=outside)
-    return largest + 1 if largest < limit else None

@@ -7,7 +7,9 @@ then high-precision root finding with mpmath on the simple-root factors.
 Graph quantities (components, two-colouring, bipartite prefix) use their
 own independent algorithms.  The Laplacians are also scattered from an
 edge list, a bit-for-bit reference for the library's assembly from the
-adjacency matrix.
+adjacency matrix.  Hand-built filtrations and graphs come from pair
+lists through :func:`filtration_from_order` and :func:`graph_from_edges`,
+which check the pairs before handing the library its own inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+
+from specfilt.filtration import EdgeFiltration, Graph
 
 # ---------------------------------------------------------------------------
 # exact polynomial helpers (dense coefficient lists, highest degree first)
@@ -186,6 +190,44 @@ def normalized_similar_fractions(graph):
 # ---------------------------------------------------------------------------
 
 
+def _edge_array(edges) -> np.ndarray:
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _checked_pairs(n, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex arrays i, j of ``pairs``; raises ``ValueError`` unless n >= 2
+    and the pairs are distinct with 0 <= i < j < n."""
+    if n < 2:
+        raise ValueError("a graph needs at least 2 vertices")
+    pairs = _edge_array(pairs)
+    i, j = pairs[:, 0], pairs[:, 1]
+    if pairs.size and (i.min() < 0 or j.max() >= n or not (i < j).all()):
+        raise ValueError("pairs must be stored as (i, j) with 0 <= i < j < n")
+    if len(set(zip(i.tolist(), j.tolist()))) != i.size:
+        raise ValueError("repeated pair")
+    return i, j
+
+
+def filtration_from_order(n, order) -> EdgeFiltration:
+    """The filtration inserting ``order``, all C(n, 2) pairs (i, j), i < j,
+    each once, in the given sequence."""
+    i, j = _checked_pairs(n, order)
+    total = n * (n - 1) // 2
+    if i.size != total:
+        raise ValueError("order must list every unordered pair exactly once")
+    rank = np.full((n, n), total, dtype=np.int32)
+    rank[i, j] = rank[j, i] = np.arange(total, dtype=np.int32)
+    return EdgeFiltration(rank)
+
+
+def graph_from_edges(n, edges) -> Graph:
+    """The n-vertex graph on ``edges``, distinct pairs (i, j), i < j."""
+    i, j = _checked_pairs(n, edges)
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[i, j] = adjacency[j, i] = True
+    return Graph(adjacency)
+
+
 def order_of(filtration) -> np.ndarray:
     """The (C(n, 2), 2) array of pairs (i, j), i < j, in filtration order."""
     i, j = np.triu_indices(filtration.n, k=1)
@@ -197,10 +239,6 @@ def edges_of(graph) -> list[tuple[int, int]]:
     """The edges (i, j), i < j, of a Graph, read from its adjacency."""
     i, j = np.nonzero(np.triu(graph.adjacency))
     return list(zip(i.tolist(), j.tolist()))
-
-
-def _edge_array(edges) -> np.ndarray:
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def raw_laplacian_scatter(n, edges) -> np.ndarray:

@@ -279,9 +279,7 @@ def test_c11_small_instance_charpoly_oracle():
         n = sizes[fid % len(sizes)]
         matrix = sf.sample_gaussian_symmetric(n, 1000 + fid)
         filtration = sf.build_filtration(matrix)
-        order = oracles.order_of(filtration)
-        for m in range(filtration.total_pairs + 1):
-            graph = sf.Graph(n, order[:m])
+        for graph in sf.stream_prefixes(filtration, range(filtration.total_pairs + 1)):
             raw = sf.eigenvalues(sf.raw_laplacian(graph), sf.RAW).values
             raw_oracle = oracles.charpoly_eigenvalues(
                 oracles.raw_laplacian_fractions(graph)

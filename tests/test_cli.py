@@ -13,6 +13,7 @@ import specfilt.cli as cli
 import specfilt.curves as curves
 from specfilt.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_args, run
 from specfilt.ensembles import sample_wishart_rank_one
+from specfilt.filtration import EdgeFiltration
 from specfilt.output import read_curve_csv, write_matrix_csv
 from specfilt.spectra import NumericalError
 
@@ -247,6 +248,18 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "--grid" in capsys.readouterr().err
 
+    def test_grid_file_not_utf8_is_usage_error(self, tmp_path, capsys):
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_bytes(b"\xff0.5\n")
+        code = main(
+            ["gap-curve", "--ensemble", "gaussian", "--n", "10", "--seed", "1",
+             "--grid", f"file:{grid_path}", "--output", str(tmp_path)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("specfilt: error: --grid file: ")
+        assert err.count("\n") == 1
+
     def test_missing_grid_file_is_io_error(self, tmp_path):
         code = main(
             ["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
@@ -349,7 +362,9 @@ class TestOneFiltrationPerMatrix:
         assert len(calls) == builds
 
     def test_gap_curve_both_kinds_one_connectivity_pass(self, tmp_path, monkeypatch):
-        passes = self.count_calls(monkeypatch, curves, "connectivity_index")
+        # the library's own cached property, counting the trees it grows
+        tree = EdgeFiltration.connectivity_index
+        passes = self.count_calls(monkeypatch, tree, "func")
         code = main(["gap-curve", "--ensemble", "wishart-rank1", "--n", "30",
                      "--kind", "both", "--grid", "uniform:20", "--output", str(tmp_path)])
         assert code == EXIT_OK

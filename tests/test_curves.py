@@ -25,7 +25,6 @@ from specfilt.ensembles import (
 )
 from specfilt.filtration import (
     build_filtration,
-    connectivity_index,
     edge_count_at_density,
     graph_at_density,
     stream_prefixes,
@@ -138,6 +137,12 @@ class TestGapCurve:
             gap_curve(mat, DensityGrid([0.4]), RAW)
         assert info.value.density == 0.4
 
+    def test_rejects_unknown_kind_on_disconnected_grid(self):
+        # no snapshot of this grid is connected, so none builds a Laplacian
+        mat = sample_gaussian_symmetric(30, 0)
+        with pytest.raises(ValueError, match="kind"):
+            gap_curve(mat, DensityGrid([0.0, 0.01]), "weighted")
+
 
 @pytest.mark.parametrize(
     "make",
@@ -190,8 +195,7 @@ def test_gap_solves_only_from_the_connectivity_index(monkeypatch):
     monkeypatch.setattr(curves_mod, "eigenvalues", counting_eigenvalues)
     n = 40
     mat = sample_wishart_rank_one(n, 3)
-    filtration = build_filtration(mat)
-    index = connectivity_index(filtration, filtration.total_pairs)
+    index = build_filtration(mat).connectivity_index
     grid = DensityGrid.uniform(40)
     counts = [edge_count_at_density(n, float(p)) for p in grid.points]
     for kind in (RAW, NORMALIZED):

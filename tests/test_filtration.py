@@ -1,5 +1,6 @@
 """Filtration order and rank matrix, snapshots, connectivity index, and the
-component and two-colouring oracles the other tests rely on."""
+checked pair-list builders, component count and two-colouring oracles the
+other tests rely on."""
 
 import types
 
@@ -15,10 +16,7 @@ from specfilt.ensembles import (
     sample_wishart_rank_one,
 )
 from specfilt.filtration import (
-    EdgeFiltration,
-    Graph,
     build_filtration,
-    connectivity_index,
     edge_count_at_density,
     graph_at_density,
     stream_prefixes,
@@ -26,7 +24,14 @@ from specfilt.filtration import (
 from specfilt.spectra import RAW, eigenvalues, raw_laplacian, zero_multiplicity
 
 import oracles
-from oracles import components_by_bfs, edges_of, order_of, two_colouring
+from oracles import (
+    components_by_bfs,
+    edges_of,
+    filtration_from_order,
+    graph_from_edges,
+    order_of,
+    two_colouring,
+)
 
 
 def symmetric_from_offdiagonal(values_by_pair, n):
@@ -42,7 +47,7 @@ class TestBuildFiltration:
         f = build_filtration(mat)
         assert order_of(f).tolist() == [[0, 2], [1, 2], [0, 1]]
         assert f.rank.tolist() == [[3, 2, 0], [2, 3, 1], [0, 1, 3]]
-        checked = EdgeFiltration(3, [(0, 2), (1, 2), (0, 1)])
+        checked = filtration_from_order(3, [(0, 2), (1, 2), (0, 1)])
         assert np.array_equal(checked.rank, f.rank)
 
     def test_all_ties_fall_back_to_lexicographic(self):
@@ -204,22 +209,24 @@ class TestGraphAtDensity:
 
 
 class TestGraphValidation:
+    """The checked edge-list builder that hand-built test graphs go through."""
+
     def test_rejects_duplicate_edges(self):
         with pytest.raises(ValueError):
-            Graph(4, [(0, 1), (0, 1)])
+            graph_from_edges(4, [(0, 1), (0, 1)])
 
     def test_rejects_unordered_pair(self):
         with pytest.raises(ValueError):
-            Graph(4, [(1, 0)])
+            graph_from_edges(4, [(1, 0)])
 
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError):
-            Graph(4, [(0, 4)])
+            graph_from_edges(4, [(0, 4)])
 
     def test_degree_consistency(self):
         f = build_filtration(sample_gaussian_symmetric(15, 8))
         for m in (0, 10, 50, 105):
-            g = Graph(15, order_of(f)[:m])
+            g = graph_from_edges(15, order_of(f)[:m])
             assert g.degrees.sum() == 2 * g.edge_count
             assert sorted(edges_of(g)) == sorted(map(tuple, order_of(f)[:m].tolist()))
             recomputed = np.zeros(15, dtype=int)
@@ -230,22 +237,24 @@ class TestGraphValidation:
 
 
 class TestEdgeFiltrationValidation:
-    # every pair of 3 vertices once is [(0, 1), (0, 2), (1, 2)]
+    """The checked pair-order builder that hand-built test filtrations go
+    through; every pair of 3 vertices once is [(0, 1), (0, 2), (1, 2)]."""
+
     def test_rejects_duplicate_pair(self):
         with pytest.raises(ValueError):
-            EdgeFiltration(3, [(0, 1)] * 3)
+            filtration_from_order(3, [(0, 1)] * 3)
 
     def test_rejects_reversed_pair(self):
         with pytest.raises(ValueError):
-            EdgeFiltration(3, [(0, 1), (0, 2), (2, 1)])
+            filtration_from_order(3, [(0, 1), (0, 2), (2, 1)])
 
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(ValueError):
-            EdgeFiltration(3, [(0, 1), (0, 2), (1, 3)])
+            filtration_from_order(3, [(0, 1), (0, 2), (1, 3)])
 
     def test_rejects_wrong_pair_count(self):
         with pytest.raises(ValueError):
-            EdgeFiltration(3, [(0, 1), (0, 2)])
+            filtration_from_order(3, [(0, 1), (0, 2)])
 
 
 class TestStreamPrefixes:
@@ -271,7 +280,7 @@ class TestStreamPrefixes:
             streamed = list(stream_prefixes(f, list(range(total + 1))))
             for m, g in enumerate(streamed):
                 direct = graph_at_density(f, m / total)
-                checked = Graph(n, order_of(f)[:m])
+                checked = graph_from_edges(n, order_of(f)[:m])
                 for other in (direct, checked):
                     assert other.edge_count == g.edge_count == m
                     assert np.array_equal(g.adjacency, other.adjacency)
@@ -294,16 +303,16 @@ class TestCountComponents:
     """The breadth-first component count that the other tests compare to."""
 
     def test_edgeless(self):
-        assert components_by_bfs(7, edges_of(Graph(7, []))) == 7
+        assert components_by_bfs(7, edges_of(graph_from_edges(7, []))) == 7
 
     def test_complete(self):
         n = 6
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        assert components_by_bfs(n, edges_of(Graph(n, edges))) == 1
+        assert components_by_bfs(n, edges_of(graph_from_edges(n, edges))) == 1
 
     def test_two_triangles(self):
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-        assert components_by_bfs(6, edges_of(Graph(6, edges))) == 2
+        assert components_by_bfs(6, edges_of(graph_from_edges(6, edges))) == 2
 
     def test_matches_bfs_oracle_on_random_snapshots(self):
         # against the multiplicity of the raw Laplacian eigenvalue 0
@@ -343,49 +352,42 @@ class TestConnectivityIndex:
         for n in range(2, 9):
             for seed in range(3):
                 f = build_filtration(make(n, seed))
+                index = f.connectivity_index
+                assert type(index) is int
                 order = order_of(f).tolist()
-                first = next(m for m in range(f.total_pairs + 1)
-                             if components_by_bfs(n, order[:m]) == 1)
-                for limit in range(f.total_pairs + 1):
-                    expected = first if first <= limit else None
-                    assert connectivity_index(f, limit) == expected
+                for m in range(f.total_pairs + 1):
+                    assert (index > m) == (components_by_bfs(n, order[:m]) > 1)
 
     @pytest.mark.parametrize("n", [50, 300])
     @pytest.mark.parametrize("make", ENSEMBLES)
     def test_matches_bfs_oracle_at_the_index(self, make, n):
         for seed in range(3):
             f = build_filtration(make(n, seed))
-            index = connectivity_index(f, f.total_pairs)
+            index = f.connectivity_index
             order = order_of(f).tolist()
             assert components_by_bfs(n, order[:index]) == 1
             assert components_by_bfs(n, order[:index - 1]) > 1
-            assert connectivity_index(f, index - 1) is None
 
     def test_two_vertices(self):
-        f = EdgeFiltration(2, [(0, 1)])
-        assert connectivity_index(f, 1) == 1
-        assert connectivity_index(f, 0) is None
+        f = filtration_from_order(2, [(0, 1)])
+        assert f.connectivity_index == 1
+        assert components_by_bfs(2, []) == 2
 
     def test_not_connected_by_limit(self):
         # a triangle on 0, 1, 2 comes first; vertex 3 joins at edge 4
-        f = EdgeFiltration(4, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 3)])
-        assert connectivity_index(f, 3) is None
-        assert connectivity_index(f, 4) == 4
-        assert connectivity_index(f, 6) == 4
+        order = [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 3)]
+        f = filtration_from_order(4, order)
+        assert f.connectivity_index == 4
+        assert components_by_bfs(4, order[:3]) == 2
 
     def test_index_past_the_first_block(self):
         # vertex 29 is reached only after the 406 pairs among 0..28
         n = 30
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        f = EdgeFiltration(n, sorted(pairs, key=lambda pair: pair[1] == n - 1))
-        assert connectivity_index(f, f.total_pairs) == 407
-        assert connectivity_index(f, 406) is None
-
-    def test_limit_out_of_range(self):
-        f = EdgeFiltration(3, [(0, 1), (0, 2), (1, 2)])
-        for limit in (-1, 4):
-            with pytest.raises(ValueError):
-                connectivity_index(f, limit)
+        order = sorted(pairs, key=lambda pair: pair[1] == n - 1)
+        f = filtration_from_order(n, order)
+        assert f.connectivity_index == 407
+        assert components_by_bfs(n, order[:406]) == 2
 
 
 def random_tree_edges(n, seed):

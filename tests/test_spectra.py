@@ -13,7 +13,7 @@ from specfilt.ensembles import (
     sample_positive_rank_one,
     sample_wishart_rank_one,
 )
-from specfilt.filtration import Graph, build_filtration, stream_prefixes
+from specfilt.filtration import build_filtration, stream_prefixes
 from specfilt.spectra import (
     NORMALIZED,
     RAW,
@@ -31,26 +31,26 @@ from specfilt.spectra import (
 )
 
 import oracles
-from oracles import components_by_bfs, edges_of, order_of
+from oracles import components_by_bfs, edges_of, graph_from_edges, order_of
 
 
 def complete_graph(n):
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return graph_from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(m, n):
     left = range(m)
     right = range(m, m + n)
-    return Graph(m + n, [(i, j) for i in left for j in right])
+    return graph_from_edges(m + n, [(i, j) for i in left for j in right])
 
 
 class TestRawLaplacian:
     def test_single_edge(self):
-        mat = raw_laplacian(Graph(2, [(0, 1)]))
+        mat = raw_laplacian(graph_from_edges(2, [(0, 1)]))
         assert np.array_equal(mat.dense, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_edgeless(self):
-        mat = raw_laplacian(Graph(4, []))
+        mat = raw_laplacian(graph_from_edges(4, []))
         assert np.array_equal(mat.dense, np.zeros((4, 4)))
 
     def test_triangle(self):
@@ -61,7 +61,7 @@ class TestRawLaplacian:
 
 class TestNormalizedLaplacian:
     def test_single_edge(self):
-        mat = normalized_laplacian(Graph(2, [(0, 1)]))
+        mat = normalized_laplacian(graph_from_edges(2, [(0, 1)]))
         assert np.array_equal(mat.dense, np.array([[1.0, -1.0], [-1.0, 1.0]]))
         spec = eigenvalues(mat, NORMALIZED)
         np.testing.assert_allclose(spec.values, [0.0, 2.0], atol=1e-12)
@@ -73,13 +73,13 @@ class TestNormalizedLaplacian:
             np.testing.assert_allclose(spec.values, expected, atol=1e-12)
 
     def test_edgeless_is_zero_matrix(self):
-        mat = normalized_laplacian(Graph(5, []))
+        mat = normalized_laplacian(graph_from_edges(5, []))
         assert np.array_equal(mat.dense, np.zeros((5, 5)))
         spec = eigenvalues(mat, NORMALIZED)
         assert np.array_equal(spec.values, np.zeros(5))
 
     def test_isolated_vertex_row_is_zero(self):
-        mat = normalized_laplacian(Graph(3, [(0, 1)]))
+        mat = normalized_laplacian(graph_from_edges(3, [(0, 1)]))
         assert np.array_equal(mat.dense[2], np.zeros(3))
         assert np.array_equal(mat.dense[:, 2], np.zeros(3))
 
@@ -142,7 +142,7 @@ class TestLaplacianBits:
             keep = rng.random(len(pairs)) < 0.3
             cases.append((n, [pair for pair, k in zip(pairs, keep) if k]))
         for n, edges in cases:
-            g = Graph(n, edges)
+            g = graph_from_edges(n, edges)
             assert (g.degrees == 0).any()
             assert_matches_edge_scatter(g, edges)
 
@@ -161,7 +161,7 @@ class TestEigenvalues:
     def test_matches_charpoly_oracle_on_random_graphs(self):
         for seed in range(5):
             f = build_filtration(sample_gaussian_symmetric(8, 300 + seed))
-            g = Graph(8, order_of(f)[: 7 + 2 * seed])
+            g = graph_from_edges(8, order_of(f)[: 7 + 2 * seed])
             raw = eigenvalues(raw_laplacian(g), RAW).values
             np.testing.assert_allclose(
                 raw,
@@ -181,7 +181,7 @@ class TestEigenvalues:
         # for every eigenvalue there is a unit vector with a tiny residual
         f = build_filtration(sample_gaussian_symmetric(40, 15))
         for m in (0, 80, 300, 780):
-            g = Graph(40, order_of(f)[:m])
+            g = graph_from_edges(40, order_of(f)[:m])
             for kind in (RAW, NORMALIZED):
                 mat = laplacian(g, kind)
                 w, vecs = np.linalg.eigh(mat.dense)
@@ -191,7 +191,7 @@ class TestEigenvalues:
 
     def test_rejects_invalid_kind(self):
         with pytest.raises(ValueError):
-            eigenvalues(raw_laplacian(Graph(2, [])), "weighted")
+            eigenvalues(raw_laplacian(graph_from_edges(2, [])), "weighted")
 
     def test_out_of_range_matrix_raises_numerical_error(self):
         mat = SymmetricMatrix(-5.0 * np.eye(3))
@@ -214,7 +214,7 @@ class TestEigenvalues:
             n = 20
             f = build_filtration(sample_gaussian_symmetric(n, 40 + seed))
             for m in (0, 5, 40, 120, 190):
-                g = Graph(n, order_of(f)[:m])
+                g = graph_from_edges(n, order_of(f)[:m])
                 raw = eigenvalues(raw_laplacian(g), RAW)
                 assert abs(raw.values.sum() - 2 * m) <= max(1e-8 * n * m, 1e-12)
                 norm = eigenvalues(normalized_laplacian(g), NORMALIZED)
@@ -226,7 +226,7 @@ class TestEigenvalues:
             n = 16
             f = build_filtration(sample_gaussian_symmetric(n, 60 + seed))
             for m in (0, 6, 18, 40, 120):
-                g = Graph(n, order_of(f)[:m])
+                g = graph_from_edges(n, order_of(f)[:m])
                 expected = components_by_bfs(n, edges_of(g))
                 for kind in (RAW, NORMALIZED):
                     spec = eigenvalues(laplacian(g, kind), kind)
@@ -240,7 +240,7 @@ class TestSpectralGap:
             assert abs(spectral_gap(spec) - n) <= 1e-9 * n
 
     def test_disconnected_graph_is_zero(self):
-        spec = eigenvalues(raw_laplacian(Graph(5, [(0, 1), (2, 3)])), RAW)
+        spec = eigenvalues(raw_laplacian(graph_from_edges(5, [(0, 1), (2, 3)])), RAW)
         assert spectral_gap(spec) == 0.0
 
     @pytest.mark.parametrize("m,n", [(2, 5), (3, 4), (5, 5)])
@@ -253,13 +253,13 @@ class TestSpectralGap:
         full = eigenvalues(raw_laplacian(complete_graph(n)), RAW)
         assert abs(spectral_gap(full) - n) <= 1e-9 * n
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)][:-1]
-        almost = eigenvalues(raw_laplacian(Graph(n, edges)), RAW)
+        almost = eigenvalues(raw_laplacian(graph_from_edges(n, edges)), RAW)
         assert spectral_gap(almost) < n - 1e-6
 
 
 class TestSpectrumHistogram:
     def test_two_point_spectrum_boundary(self):
-        spec = eigenvalues(normalized_laplacian(Graph(2, [(0, 1)])), NORMALIZED)
+        spec = eigenvalues(normalized_laplacian(graph_from_edges(2, [(0, 1)])), NORMALIZED)
         hist = spectrum_histogram(spec, bins=2, lo=0.0, hi=2.0)
         assert hist.counts.tolist() == [1, 1]
 
@@ -272,7 +272,7 @@ class TestSpectrumHistogram:
         for seed in range(3):
             n = 14
             f = build_filtration(sample_gaussian_symmetric(n, seed))
-            g = Graph(n, order_of(f)[:30])
+            g = graph_from_edges(n, order_of(f)[:30])
             for kind in (RAW, NORMALIZED):
                 spec = eigenvalues(laplacian(g, kind), kind)
                 hist = spectrum_histogram(spec, bins=17)
@@ -312,11 +312,11 @@ class TestSpectrumHistogram:
 
 class TestSpectrumStd:
     def test_constant_spectrum(self):
-        spec = eigenvalues(raw_laplacian(Graph(3, [])), RAW)
+        spec = eigenvalues(raw_laplacian(graph_from_edges(3, [])), RAW)
         assert spectrum_std(spec) == 0.0
 
     def test_two_point_spectrum(self):
-        spec = eigenvalues(normalized_laplacian(Graph(2, [(0, 1)])), NORMALIZED)
+        spec = eigenvalues(normalized_laplacian(graph_from_edges(2, [(0, 1)])), NORMALIZED)
         assert abs(spectrum_std(spec) - 1.0) <= 1e-12
 
     def test_complete_graph_normalized(self):
@@ -341,7 +341,7 @@ class TestLaplacianStd:
 
     def test_empty_graph(self):
         for kind in (RAW, NORMALIZED):
-            assert laplacian_std(Graph(5, []), kind) == 0.0
+            assert laplacian_std(graph_from_edges(5, []), kind) == 0.0
 
     def test_complete_graph(self):
         for n in range(2, 12):
@@ -353,15 +353,15 @@ class TestLaplacianStd:
     def test_isolated_vertices(self):
         # a triangle plus 2 isolated vertices: raw {0, 0, 0, 3, 3},
         # normalized {0, 0, 0, 3/2, 3/2}
-        g = Graph(5, [(0, 1), (0, 2), (1, 2)])
+        g = graph_from_edges(5, [(0, 1), (0, 2), (1, 2)])
         assert math.isclose(laplacian_std(g, RAW), math.sqrt(54) / 5, rel_tol=1e-15)
         assert math.isclose(laplacian_std(g, NORMALIZED), math.sqrt(27 / 50),
                             rel_tol=1e-15)
         # a path on 3 vertices plus 1 isolated vertex: normalized {0, 0, 1, 2}
-        g = Graph(4, [(0, 1), (1, 2)])
+        g = graph_from_edges(4, [(0, 1), (1, 2)])
         assert math.isclose(laplacian_std(g, NORMALIZED), math.sqrt(11) / 4,
                             rel_tol=1e-15)
 
     def test_rejects_invalid_kind(self):
         with pytest.raises(ValueError):
-            laplacian_std(Graph(3, [(0, 1)]), "signless")
+            laplacian_std(graph_from_edges(3, [(0, 1)]), "signless")
