@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,7 @@ from .ensembles import (
 from .output import read_matrix_csv, write_csv, write_svg
 from .spectra import NORMALIZED, RAW, Histogram, NumericalError
 
-__all__ = ["RunConfig", "UsageError", "parse_args", "run", "main",
+__all__ = ["UsageError", "parse_args", "run", "main",
            "EXIT_OK", "EXIT_USAGE", "EXIT_IO", "EXIT_NUMERICAL"]
 
 EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERICAL = 0, 1, 2, 3
@@ -57,6 +56,10 @@ MAX_BINS = 10**6
 # uniform:K grids with larger K would allocate K + 1 densities before the
 # sweep drops the ones that round to the same edge count
 MAX_GRID_STEPS = 10**6
+# far more draws than an average needs; every draw's curve or histogram is
+# kept until the end, and at this limit the smallest run (n = 2, both kinds)
+# already takes about a minute
+MAX_REPEATS = 10**5
 
 EXPERIMENTS = ("gap-curve", "std-curve", "density", "sqrt-gap")
 ENSEMBLES = ("gaussian", "positive-rank1", "wishart-rank1", "circle", "torus",
@@ -65,24 +68,6 @@ ENSEMBLES = ("gaussian", "positive-rank1", "wishart-rank1", "circle", "torus",
 
 class UsageError(ValueError):
     """Invalid configuration detected after argument parsing."""
-
-
-@dataclass
-class RunConfig:
-    experiment: str
-    ensemble: str
-    n: int | None
-    seed: int
-    kind: str
-    p: float | None
-    bins: int
-    grid: str | None  # grid spec string; resolved against n at run time
-    output: str
-    repeats: int
-    sigma: float
-    major: float
-    minor: float
-    matrix: str | None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,7 +102,8 @@ def _build_parser() -> _Parser:
                              "(default uniform:50, with extra points near 0 "
                              "for std-curve)")
     parser.add_argument("--repeats", type=int, default=1,
-                        help="independent draws to average (default 1)")
+                        help=f"independent draws to average, 1 to {MAX_REPEATS} "
+                             "(default 1)")
     parser.add_argument("--output", default=".",
                         help="output directory (default .)")
     parser.add_argument("--matrix", default=None,
@@ -132,15 +118,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse and validate arguments; usage problems exit with status 1."""
+def parse_args(argv) -> argparse.Namespace:
+    """Parse and validate arguments; usage problems exit with status 1.
+
+    The namespace holds one attribute per flag; ``output`` is taken from
+    ``SPECFILT_OUTPUT`` when that is set.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
 
     if args.ensemble == "matrix-file":
         if args.matrix is None:
             parser.error("--matrix is required when --ensemble is matrix-file")
+        if args.n is not None:
+            parser.error("--n is not a matrix-file flag: the size is read from --matrix")
+        if args.repeats > 1:
+            parser.error("--repeats is not a matrix-file flag: one matrix is read")
     else:
+        if args.matrix is not None:
+            parser.error(f"--matrix is not a {args.ensemble} flag")
         if args.n is None:
             parser.error(f"--n is required for the {args.ensemble} ensemble")
         if args.n < 2:
@@ -152,12 +148,14 @@ def parse_args(argv) -> RunConfig:
             parser.error("--p is required for the density experiment")
         if not 0.0 <= args.p <= 1.0:
             parser.error("--p must lie in [0, 1]")
+        if args.grid is not None:
+            parser.error("--grid is not a density flag")
     elif args.p is not None:
         parser.error(f"--p is not a {args.experiment} flag")
     if not 1 <= args.bins <= MAX_BINS:
         parser.error(f"--bins must lie in [1, {MAX_BINS}]")
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
+    if not 1 <= args.repeats <= MAX_REPEATS:
+        parser.error(f"--repeats must lie in [1, {MAX_REPEATS}]")
     if not 0 <= args.sigma < np.inf:
         parser.error("--sigma must be finite and nonnegative")
     if args.ensemble == "torus" and not np.inf > args.major > args.minor > 0:
@@ -177,32 +175,16 @@ def parse_args(argv) -> RunConfig:
         else:
             parser.error("--grid must be uniform:K or file:PATH")
 
-    output = os.environ.get("SPECFILT_OUTPUT") or args.output
-    return RunConfig(
-        experiment=args.experiment,
-        ensemble=args.ensemble,
-        n=args.n,
-        seed=args.seed,
-        kind=args.kind,
-        p=args.p,
-        bins=args.bins,
-        grid=args.grid,
-        output=output,
-        repeats=args.repeats,
-        sigma=args.sigma,
-        major=args.major,
-        minor=args.minor,
-        matrix=args.matrix,
-    )
+    args.output = os.environ.get("SPECFILT_OUTPUT") or args.output
+    return args
 
 
-def _seeds(config: RunConfig) -> list[int]:
-    if config.ensemble == "matrix-file":
-        return [config.seed]  # one matrix, read once; --repeats does not apply
-    return [(config.seed + k) % SEED_MAX for k in range(config.repeats)]
+def _seeds(config: argparse.Namespace):
+    # a matrix-file run has one repeat, so it reads its matrix once
+    return ((config.seed + k) % SEED_MAX for k in range(config.repeats))
 
 
-def _draw(config: RunConfig, seed: int):
+def _draw(config: argparse.Namespace, seed: int):
     if config.ensemble == "matrix-file":
         try:
             return read_matrix_csv(config.matrix)
@@ -215,7 +197,7 @@ def _draw(config: RunConfig, seed: int):
         raise UsageError(f"{config.ensemble} ensemble: {exc}") from exc
 
 
-def _sample(config: RunConfig, seed: int):
+def _sample(config: argparse.Namespace, seed: int):
     if config.ensemble == "gaussian":
         return sample_gaussian_symmetric(config.n, seed)
     if config.ensemble == "positive-rank1":
@@ -230,7 +212,7 @@ def _sample(config: RunConfig, seed: int):
     raise UsageError(f"unknown ensemble {config.ensemble!r}")
 
 
-def _resolve_grid(config: RunConfig, n: int) -> DensityGrid:
+def _resolve_grid(config: argparse.Namespace, n: int) -> DensityGrid:
     spec = config.grid
     if spec is None:
         if config.experiment == "std-curve":
@@ -258,7 +240,8 @@ def _resolve_grid(config: RunConfig, n: int) -> DensityGrid:
         raise UsageError(f"--grid file: {exc}") from exc
 
 
-def _compute(matrix, grid: DensityGrid | None, config: RunConfig, kind: str):
+def _compute(matrix, grid: DensityGrid | None, config: argparse.Namespace,
+             kind: str):
     if config.experiment == "density":
         return density_snapshot(matrix, config.p, kind, bins=config.bins)
     if config.experiment == "std-curve":
@@ -266,19 +249,18 @@ def _compute(matrix, grid: DensityGrid | None, config: RunConfig, kind: str):
     return gap_curve(matrix, grid, kind)
 
 
-def _combine(parts: list, config: RunConfig):
+def _combine(parts: list, config: argparse.Namespace):
     # one result per matrix drawn: histograms pool, curves average
     if config.experiment == "density":
         counts = np.sum([h.counts for h in parts], axis=0)
-        return Histogram(bin_edges=parts[0].bin_edges, counts=counts,
-                         total=int(counts.sum()))
+        return Histogram(bin_edges=parts[0].bin_edges, counts=counts)
     curve = average_series(parts) if len(parts) > 1 else parts[0]
     if config.experiment == "sqrt-gap":
         curve = sqrt_curve(curve)
     return curve
 
 
-def _summary(config: RunConfig, kind: str, result) -> str:
+def _summary(config: argparse.Namespace, kind: str, result) -> str:
     tag = f"{config.experiment} {config.ensemble} {kind}"
     if isinstance(result, Histogram):
         top = int(np.argmax(result.counts))
@@ -292,7 +274,7 @@ def _summary(config: RunConfig, kind: str, result) -> str:
     return f"{tag}: value {result.ys[-1]:.6g} at p={result.xs[-1]:g}"
 
 
-def _title(config: RunConfig, kind: str, n: int) -> str:
+def _title(config: argparse.Namespace, kind: str, n: int) -> str:
     if config.experiment == "density":
         name = f"{kind} spectral density at p={config.p:g}"
     elif config.experiment == "std-curve":
@@ -304,7 +286,7 @@ def _title(config: RunConfig, kind: str, n: int) -> str:
     return f"{name} ({config.ensemble}, n={n})"
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute one experiment; returns the process exit status.
 
     Matrices are drawn one at a time: every kind is computed from a matrix,

@@ -24,7 +24,7 @@ which depend only on the snapshot's degrees and adjacency
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,17 +90,18 @@ class DensityGrid:
         return cls(np.arange(steps + 1) / steps)
 
     @classmethod
-    def with_zero_refinement(cls, n: int, steps: int = 50, levels: int = 8) -> "DensityGrid":
-        """Uniform grid plus points (10/n) * 2**-j, j = 0..levels-1.
+    def with_zero_refinement(cls, n: int) -> "DensityGrid":
+        """Grid k/50 for k = 0..50 plus the points (10/n) * 2**-j, j = 0..7,
+        that do not exceed 1.
 
         The extra log-spaced points resolve structure near density 1/n
         that a uniform grid of this coarseness would miss entirely.
         """
         if n < 2:
             raise ValueError("n must be at least 2")
-        refinement = (10.0 / n) * 0.5 ** np.arange(levels)
+        refinement = (10.0 / n) * 0.5 ** np.arange(8)
         refinement = refinement[refinement <= 1.0]
-        return cls(np.concatenate([np.arange(steps + 1) / steps, refinement]))
+        return cls(np.concatenate([np.arange(51) / 50, refinement]))
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,6 @@ class CurveSeries:
     kind: str
     xs: np.ndarray
     ys: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         xs = np.array(self.xs, dtype=float)
@@ -145,10 +145,6 @@ def _checkpoints(grid: DensityGrid, n: int) -> tuple[list[int], list[float]]:
     return counts, densities
 
 
-def _series_meta(matrix: SymmetricMatrix) -> dict:
-    return {"ensemble": matrix.ensemble, "n": matrix.n, "seed": matrix.seed}
-
-
 def _filtration(matrix: SymmetricMatrix) -> EdgeFiltration:
     # built on first use and kept with the matrix, whose entries are read-only
     filtration = getattr(matrix, "_filtration", None)
@@ -172,7 +168,6 @@ def _sweep(matrix, grid, kind, statistic: str, stat_fn) -> CurveSeries:
         kind=kind,
         xs=np.array(densities),
         ys=np.array(ys),
-        meta=_series_meta(matrix),
     )
 
 
@@ -213,7 +208,6 @@ def sqrt_curve(series: CurveSeries) -> CurveSeries:
         kind=series.kind,
         xs=series.xs,
         ys=np.sqrt(series.ys),
-        meta=dict(series.meta),
     )
 
 
@@ -244,10 +238,7 @@ def average_series(series: list[CurveSeries]) -> CurveSeries:
         if not np.array_equal(other.xs, first.xs):
             raise ValueError("cannot average curves over different grids")
     ys = np.mean([s.ys for s in series], axis=0)
-    meta = dict(first.meta)
-    meta["repeats"] = len(series)
-    return CurveSeries(statistic=first.statistic, kind=first.kind,
-                       xs=first.xs, ys=ys, meta=meta)
+    return CurveSeries(statistic=first.statistic, kind=first.kind, xs=first.xs, ys=ys)
 
 
 def linear_fit(xs, ys) -> tuple[float, float, float]:

@@ -81,12 +81,10 @@ class SymmetricMatrix:
         Square array of shape (n, n) with n >= 2, finite entries, and
         ``dense[i, j] == dense[j, i]`` holding exactly.
     ensemble : str, optional
-        Name of the generating model, carried into curve metadata.
-    seed : int, optional
-        Seed used to generate the matrix, if any.
+        Name of the generating model, shown in the repr.
     """
 
-    def __init__(self, dense, ensemble: str | None = None, seed: int | None = None):
+    def __init__(self, dense, ensemble: str | None = None):
         dense = np.array(dense, dtype=float)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
             raise ValueError("expected a square matrix")
@@ -99,7 +97,6 @@ class SymmetricMatrix:
         dense.setflags(write=False)
         self.dense = dense
         self.ensemble = ensemble
-        self.seed = seed
 
     @classmethod
     def _trusted(cls, dense: np.ndarray) -> "SymmetricMatrix":
@@ -110,7 +107,6 @@ class SymmetricMatrix:
         dense.setflags(write=False)
         matrix.dense = dense
         matrix.ensemble = None
-        matrix.seed = None
         return matrix
 
     @property
@@ -134,14 +130,14 @@ class RankOneMatrix(SymmetricMatrix):
     classes and the complete bipartite stage, are checked against it.
     """
 
-    def __init__(self, dense, v, ensemble: str | None = None, seed: int | None = None):
-        super().__init__(dense, ensemble=ensemble, seed=seed)
+    def __init__(self, dense, v, ensemble: str | None = None):
+        super().__init__(dense, ensemble=ensemble)
         v = np.array(v, dtype=float)
         v.setflags(write=False)
         self.v = v
 
 
-def rank_one_matrix(v, ensemble: str | None = None, seed: int | None = None) -> RankOneMatrix:
+def rank_one_matrix(v, ensemble: str | None = None) -> RankOneMatrix:
     """Build the rank-one matrix ``M[i, j] = v[i] * v[j]`` (zero diagonal)."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 2:
@@ -150,17 +146,17 @@ def rank_one_matrix(v, ensemble: str | None = None, seed: int | None = None) -> 
         raise ValueError("v must have finite entries")
     dense = np.outer(v, v)
     np.fill_diagonal(dense, 0.0)
-    return RankOneMatrix(dense, v, ensemble=ensemble, seed=seed)
+    return RankOneMatrix(dense, v, ensemble=ensemble)
 
 
-def _symmetric_from_upper(n, upper, ensemble, seed) -> SymmetricMatrix:
+def _symmetric_from_upper(n, upper, ensemble) -> SymmetricMatrix:
     # upper is ordered as np.triu_indices(n, k=1); mirroring the same
     # values keeps the two triangles bitwise identical.
     dense = np.zeros((n, n))
     i, j = np.triu_indices(n, k=1)
     dense[i, j] = upper
     dense[j, i] = upper
-    return SymmetricMatrix(dense, ensemble=ensemble, seed=seed)
+    return SymmetricMatrix(dense, ensemble=ensemble)
 
 
 def sample_gaussian_symmetric(n: int, seed: int) -> SymmetricMatrix:
@@ -183,7 +179,7 @@ def sample_gaussian_symmetric(n: int, seed: int) -> SymmetricMatrix:
     n = _check_count(n)
     rng = _checked_rng(seed)
     upper = _standard_normals(rng, n * (n - 1) // 2)
-    return _symmetric_from_upper(n, upper, "gaussian", int(seed))
+    return _symmetric_from_upper(n, upper, "gaussian")
 
 
 def sample_positive_rank_one(n: int, seed: int) -> RankOneMatrix:
@@ -191,7 +187,7 @@ def sample_positive_rank_one(n: int, seed: int) -> RankOneMatrix:
     n = _check_count(n)
     rng = _checked_rng(seed)
     v = rng.random(n)
-    return rank_one_matrix(v, ensemble="positive-rank1", seed=int(seed))
+    return rank_one_matrix(v, ensemble="positive-rank1")
 
 
 def sample_wishart_rank_one(n: int, seed: int) -> RankOneMatrix:
@@ -199,13 +195,17 @@ def sample_wishart_rank_one(n: int, seed: int) -> RankOneMatrix:
     n = _check_count(n)
     rng = _checked_rng(seed)
     v = _standard_normals(rng, n)
-    return rank_one_matrix(v, ensemble="wishart-rank1", seed=int(seed))
+    return rank_one_matrix(v, ensemble="wishart-rank1")
 
 
 class PointCloud:
-    """Finite point set in the plane or in 3-space; rows are points."""
+    """Finite point set in the plane or in 3-space; rows are points.
 
-    def __init__(self, points, ensemble: str | None = None, seed: int | None = None):
+    ``ensemble`` names the generating model, passed on by
+    :func:`distance_matrix` to the matrix.
+    """
+
+    def __init__(self, points, ensemble: str | None = None):
         points = np.array(points, dtype=float)
         if points.ndim != 2 or points.shape[1] not in (2, 3):
             raise ValueError("points must have shape (n, 2) or (n, 3)")
@@ -216,7 +216,6 @@ class PointCloud:
         points.setflags(write=False)
         self.points = points
         self.ensemble = ensemble
-        self.seed = seed
 
     @property
     def n(self) -> int:
@@ -244,7 +243,7 @@ def sample_noisy_circle(n: int, sigma: float = 0.1, seed: int = 0) -> PointCloud
     points = np.column_stack([np.cos(angle), np.sin(angle)])
     with np.errstate(over="ignore"):  # PointCloud rejects what overflows
         points = points + sigma * _standard_normals(rng, 2 * n).reshape(n, 2)
-    return PointCloud(points, ensemble="circle", seed=int(seed))
+    return PointCloud(points, ensemble="circle")
 
 
 def sample_noisy_torus(
@@ -275,7 +274,7 @@ def sample_noisy_torus(
     )
     with np.errstate(over="ignore"):  # PointCloud rejects what overflows
         points = points + sigma * _standard_normals(rng, 3 * n).reshape(n, 3)
-    return PointCloud(points, ensemble="torus", seed=int(seed))
+    return PointCloud(points, ensemble="torus")
 
 
 def distance_matrix(cloud: PointCloud) -> SymmetricMatrix:
@@ -299,4 +298,4 @@ def distance_matrix(cloud: PointCloud) -> SymmetricMatrix:
             dense += term
         del term
         np.sqrt(dense, out=dense)
-    return SymmetricMatrix(dense, ensemble=cloud.ensemble, seed=cloud.seed)
+    return SymmetricMatrix(dense, ensemble=cloud.ensemble)

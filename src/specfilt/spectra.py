@@ -74,15 +74,12 @@ DEFAULT_BINS = 100
 class NumericalError(RuntimeError):
     """Eigensolver failure, or a spectrum outside its theoretical range.
 
-    ``residual`` carries the magnitude of the violation when known;
-    ``density`` is attached by curve sweeps to locate the offending
-    snapshot.
+    The message states the magnitude of a range violation; ``density``
+    is attached by curve sweeps to locate the offending snapshot.
     """
 
-    def __init__(self, message: str, residual: float | None = None,
-                 density: float | None = None):
+    def __init__(self, message: str, density: float | None = None):
         super().__init__(message)
-        self.residual = residual
         self.density = density
 
 
@@ -127,7 +124,7 @@ def laplacian(graph: Graph, kind: str) -> SymmetricMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All n eigenvalues of one Laplacian, ascending.
+    """All eigenvalues of one Laplacian, ascending; ``n`` is their count.
 
     ``values`` are clamped into the theoretical range of their kind;
     ``pre_clamp_min`` / ``pre_clamp_max`` record the extreme eigenvalues
@@ -136,19 +133,22 @@ class Spectrum:
 
     kind: str
     values: np.ndarray
-    n: int
     pre_clamp_min: float
     pre_clamp_max: float
 
     def __post_init__(self):
         _check_kind(self.kind)
         values = np.array(self.values, dtype=float)
-        if values.ndim != 1 or values.size != self.n:
-            raise ValueError("a spectrum holds exactly n eigenvalues")
+        if values.ndim != 1:
+            raise ValueError("eigenvalues must form a vector")
         if np.any(np.diff(values) < 0):
             raise ValueError("eigenvalues must be ascending")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
 
 def eigenvalues(matrix: SymmetricMatrix, kind: str) -> Spectrum:
@@ -171,19 +171,14 @@ def eigenvalues(matrix: SymmetricMatrix, kind: str) -> Spectrum:
     violation = max(lo - values[0], values[-1] - hi, 0.0)
     if violation > band:
         raise NumericalError(
-            f"{kind} eigenvalues leave [{lo:g}, {hi:g}] by {violation:.3e}",
-            residual=float(violation),
-        )
+            f"{kind} eigenvalues leave [{lo:g}, {hi:g}] by {violation:.3e}")
     if kind == RAW and values[0] > band:
         raise NumericalError(
-            "smallest raw Laplacian eigenvalue must be 0",
-            residual=float(values[0]),
-        )
+            f"smallest raw Laplacian eigenvalue must be 0, not {values[0]:.3e}")
     clamped = np.clip(values, lo, hi)
     return Spectrum(
         kind=kind,
         values=clamped,
-        n=n,
         pre_clamp_min=float(values[0]),
         pre_clamp_max=float(values[-1]),
     )
@@ -203,11 +198,10 @@ def spectral_gap(spectrum: Spectrum) -> float:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Counts of eigenvalues over uniform bins."""
+    """Counts of eigenvalues over uniform bins; ``total`` is their sum."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    total: int
 
     def __post_init__(self):
         edges = np.array(self.bin_edges, dtype=float)
@@ -220,8 +214,6 @@ class Histogram:
             raise ValueError("bin edges must be strictly ascending")
         if (counts < 0).any():
             raise ValueError("counts must be nonnegative")
-        if int(counts.sum()) != self.total:
-            raise ValueError("counts must sum to total")
         edges.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "bin_edges", edges)
@@ -231,6 +223,10 @@ class Histogram:
     def bins(self) -> int:
         return self.counts.size
 
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
     def bin_of(self, value: float) -> int:
         """Index of the bin containing ``value`` (the last bin is closed)."""
         edges = self.bin_edges
@@ -238,30 +234,20 @@ class Histogram:
         return min(max(idx, 0), self.bins - 1)
 
 
-def spectrum_histogram(
-    spectrum: Spectrum,
-    bins: int = DEFAULT_BINS,
-    lo: float | None = None,
-    hi: float | None = None,
-) -> Histogram:
-    """Histogram of a spectrum over uniform bins on [lo, hi].
+def spectrum_histogram(spectrum: Spectrum, bins: int = DEFAULT_BINS) -> Histogram:
+    """Histogram of a spectrum over uniform bins on its theoretical range.
 
-    Defaults to [0, n] for raw spectra and [0, 2] for normalized ones.
-    Values outside the range (possible only within the clamp tolerance)
-    are counted in the extreme bins; every eigenvalue lands in exactly
-    one bin, so the counts sum to n.
+    The range is [0, n] for raw spectra and [0, 2] for normalized ones.
+    Values outside it (possible only within the clamp tolerance) are
+    counted in the extreme bins; every eigenvalue lands in exactly one
+    bin, so the counts sum to n.
     """
     if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
         raise ValueError("bins must be a positive integer")
-    if lo is None:
-        lo = 0.0
-    if hi is None:
-        hi = float(spectrum.n) if spectrum.kind == RAW else 2.0
-    if not (np.isfinite(lo) and np.isfinite(hi)) or not lo < hi:
-        raise ValueError("need finite bounds with lo < hi")
-    clipped = np.clip(spectrum.values, lo, hi)
-    counts, edges = np.histogram(clipped, bins=int(bins), range=(float(lo), float(hi)))
-    return Histogram(bin_edges=edges, counts=counts, total=int(counts.sum()))
+    hi = float(spectrum.n) if spectrum.kind == RAW else 2.0
+    clipped = np.clip(spectrum.values, 0.0, hi)
+    counts, edges = np.histogram(clipped, bins=int(bins), range=(0.0, hi))
+    return Histogram(bin_edges=edges, counts=counts)
 
 
 def spectrum_std(spectrum: Spectrum) -> float:

@@ -41,3 +41,11 @@ def test_traced_results_carry_their_counts(child):
     assert snapshot_count((filtration, 0.5), graph) == {"edges": 33}
     for m, graph in zip([0, 7, 66], curves.stream_prefixes(filtration, [0, 7, 66])):
         assert snapshot_count((filtration, [0, 7, 66]), graph) == {"edges": m}
+    eigensolve_count = child.COUNTS["spectra.eigensolve"]
+    connected_at = filtration.connectivity_index
+    for m, disconnected in ((connected_at, 0), (connected_at - 1, 1)):
+        graph = next(curves.stream_prefixes(filtration, [m]))
+        laplacian = curves.laplacian(graph, "raw")
+        spectrum = curves.eigenvalues(laplacian, "raw")
+        assert eigensolve_count((laplacian, "raw"), spectrum) == {
+            "n": n, "disconnected": disconnected}

@@ -1,10 +1,12 @@
 """Command-line contract: parsing, run outputs, exit codes, determinism."""
 
 import hashlib
+import os
 import subprocess
 import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +86,36 @@ class TestParseArgs:
         with pytest.raises(SystemExit):
             parse_args(["--help"])
         assert f"K from 1 to {limit}" in " ".join(capsys.readouterr().out.split())
+
+    def test_repeats_bounded(self, capsys):
+        base = ["gap-curve", "--ensemble", "gaussian", "--n", "10", "--repeats"]
+        limit = cli.MAX_REPEATS
+        assert parse_args(base + [str(limit)]).repeats == limit
+        for repeats in ("0", str(limit + 1), "1000000000000"):
+            with pytest.raises(SystemExit) as info:
+                parse_args(base + [repeats])
+            assert info.value.code == EXIT_USAGE
+        with pytest.raises(SystemExit):
+            parse_args(["--help"])
+        assert f"1 to {limit}" in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--ensemble", "gaussian", "--n", "10", "--p", "0.5",
+         "--grid", "uniform:10"],
+        ["gap-curve", "--ensemble", "gaussian", "--n", "10", "--matrix", "/nonexistent"],
+        ["gap-curve", "--ensemble", "matrix-file", "--matrix", "m.csv", "--n", "10"],
+        ["gap-curve", "--ensemble", "matrix-file", "--matrix", "m.csv", "--repeats", "2"],
+    ], ids=["grid-density", "matrix-gaussian", "n-matrix-file", "repeats-matrix-file"])
+    def test_flags_the_run_ignores_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            parse_args(argv)
+        assert info.value.code == EXIT_USAGE
+        assert f"error: {argv[-2]} is not a" in capsys.readouterr().err
+
+    def test_matrix_file_takes_the_defaulted_flags(self):
+        args = parse_args(["density", "--ensemble", "matrix-file", "--matrix", "m.csv",
+                           "--p", "0.5", "--seed", "3", "--repeats", "1", "--bins", "7"])
+        assert (args.n, args.seed, args.repeats, args.bins) == (None, 3, 1, 7)
 
     def test_density_requires_p(self):
         with pytest.raises(SystemExit) as info:
@@ -428,7 +460,9 @@ class TestReproducibility:
         argv = [sys.executable, "-m", "specfilt", "gap-curve", "--ensemble",
                 "gaussian", "--n", "12", "--seed", "3", "--kind", "raw",
                 "--grid", "uniform:4", "--output", str(tmp_path)]
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        # the child imports specfilt from where this process did
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert proc.returncode == EXIT_OK
         assert (tmp_path / "gap-curve-gaussian-raw.csv").exists()
         assert "gap-curve gaussian raw" in proc.stdout

@@ -107,11 +107,6 @@ class TestGapCurve:
         assert np.array_equal(a.ys, b.ys)
         assert np.array_equal(a.xs, b.xs)
 
-    def test_meta_carries_provenance(self):
-        mat = sample_gaussian_symmetric(12, 3)
-        series = gap_curve(mat, DensityGrid([0.0, 1.0]), RAW)
-        assert series.meta == {"ensemble": "gaussian", "n": 12, "seed": 3}
-
     def test_wishart_bipartite_stage_gap(self):
         n = 60
         mat = sample_wishart_rank_one(n, 19)
@@ -229,7 +224,7 @@ class TestStdCurve:
 
         mat = sample_gaussian_symmetric(15, 4)
         filtration = build_filtration(mat)
-        grid = DensityGrid.with_zero_refinement(15, steps=10)
+        grid = DensityGrid.with_zero_refinement(15)
         monkeypatch.setattr(curves_mod, "eigenvalues", forbidden)
         monkeypatch.setattr(curves_mod, "laplacian", forbidden)
         for kind in (RAW, NORMALIZED):
@@ -281,7 +276,6 @@ class TestAverageSeries:
         b = CurveSeries("gap", RAW, xs, np.array([1.0, 4.0]))
         merged = average_series([a, b])
         assert merged.ys.tolist() == [0.5, 3.0]
-        assert merged.meta["repeats"] == 2
 
     def test_rejects_mismatched_series(self):
         xs = np.array([0.0, 1.0])

@@ -249,4 +249,3 @@ class TestDistanceMatrix:
         assert np.array_equal(mat.dense, mat.dense.T)
         assert (mat.offdiagonal_upper() >= 0).all()
         assert mat.ensemble == "torus"
-        assert mat.seed == 3

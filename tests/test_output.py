@@ -67,7 +67,6 @@ class TestHistogramCsv:
         hist = Histogram(
             bin_edges=np.array([0.0, 0.5, 1.0]),
             counts=np.array([2, 3]),
-            total=5,
         )
         path = tmp_path / "hist.csv"
         write_csv(hist, path)
@@ -75,7 +74,7 @@ class TestHistogramCsv:
 
     def test_zero_bin_histogram_is_rejected(self):
         with pytest.raises(ValueError):
-            Histogram(bin_edges=np.array([0.0]), counts=np.array([], dtype=int), total=0)
+            Histogram(bin_edges=np.array([0.0]), counts=np.array([], dtype=int))
 
 
 class TestSvg:
@@ -92,7 +91,7 @@ class TestSvg:
         edges = np.linspace(0.0, 2.0, 101)
         counts = np.zeros(100, dtype=int)
         counts[50] = 7
-        hist = Histogram(bin_edges=edges, counts=counts, total=7)
+        hist = Histogram(bin_edges=edges, counts=counts)
         path = tmp_path / "hist.svg"
         write_svg(hist, path, "hundred bins")
         text = path.read_text()
