@@ -17,7 +17,6 @@ for the exact randomness contract.  The ``specfilt`` command-line tool
 from .curves import (
     CurveSeries,
     DensityGrid,
-    average_series,
     density_snapshot,
     gap_curve,
     growth_fits,
@@ -46,7 +45,6 @@ from .filtration import (
     stream_prefixes,
 )
 from .output import (
-    read_curve_csv,
     read_matrix_csv,
     write_csv,
     write_matrix_csv,
@@ -85,7 +83,6 @@ __all__ = [
     "RankOneMatrix",
     "Spectrum",
     "SymmetricMatrix",
-    "average_series",
     "build_filtration",
     "density_snapshot",
     "distance_matrix",
@@ -100,7 +97,6 @@ __all__ = [
     "normalized_laplacian",
     "rank_one_matrix",
     "raw_laplacian",
-    "read_curve_csv",
     "read_matrix_csv",
     "sample_gaussian_symmetric",
     "sample_noisy_circle",

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .curves import (
+    CurveSeries,
     DensityGrid,
-    average_series,
     density_snapshot,
     gap_curve,
     sqrt_curve,
@@ -56,9 +56,9 @@ MAX_BINS = 10**6
 # uniform:K grids with larger K would allocate K + 1 densities before the
 # sweep drops the ones that round to the same edge count
 MAX_GRID_STEPS = 10**6
-# far more draws than an average needs; every draw's curve or histogram is
-# kept until the end, and at this limit the smallest run (n = 2, both kinds)
-# already takes about a minute
+# far more draws than an average needs: memory does not grow with the
+# draws, but at this limit the smallest run (n = 2, both kinds) already
+# takes about a minute
 MAX_REPEATS = 10**5
 
 EXPERIMENTS = ("gap-curve", "std-curve", "density", "sqrt-gap")
@@ -249,12 +249,12 @@ def _compute(matrix, grid: DensityGrid | None, config: argparse.Namespace,
     return gap_curve(matrix, grid, kind)
 
 
-def _combine(parts: list, config: argparse.Namespace):
-    # one result per matrix drawn: histograms pool, curves average
+def _pooled(first, total, config: argparse.Namespace):
+    # the one result of a kind: the first draw's bins or grid, with the
+    # summed counts, or the summed values divided by the number of draws
     if config.experiment == "density":
-        counts = np.sum([h.counts for h in parts], axis=0)
-        return Histogram(bin_edges=parts[0].bin_edges, counts=counts)
-    curve = average_series(parts) if len(parts) > 1 else parts[0]
+        return Histogram(bin_edges=first.bin_edges, counts=total)
+    curve = CurveSeries(first.statistic, first.kind, first.xs, total / config.repeats)
     if config.experiment == "sqrt-gap":
         curve = sqrt_curve(curve)
     return curve
@@ -291,11 +291,14 @@ def run(config: argparse.Namespace) -> int:
 
     Matrices are drawn one at a time: every kind is computed from a matrix,
     sharing its filtration, and the matrix is dropped before the next one
-    is drawn.  Files are written once every matrix has been processed.
+    is drawn.  Each result is added to one running total per kind as soon
+    as it is computed (histogram counts are summed, curves are averaged),
+    so memory does not grow with ``--repeats``.  Files are written once
+    every matrix has been processed.
     """
     try:
         kinds = (RAW, NORMALIZED) if config.kind == "both" else (config.kind,)
-        parts = {kind: [] for kind in kinds}
+        firsts, totals = {}, {}  # per kind: first draw's result, running total
         n = grid = None
         for seed in _seeds(config):
             matrix = _draw(config, seed)
@@ -306,10 +309,16 @@ def run(config: argparse.Namespace) -> int:
                 if config.experiment != "density":
                     grid = _resolve_grid(config, n)
             for kind in kinds:
-                parts[kind].append(_compute(matrix, grid, config, kind))
-            del matrix  # and its filtration, before the next draw
+                result = _compute(matrix, grid, config, kind)
+                values = result.counts if config.experiment == "density" else result.ys
+                if kind in totals:
+                    totals[kind] += values
+                else:
+                    # a writable copy: a result's arrays are read-only
+                    firsts[kind], totals[kind] = result, values.copy()
+            del matrix, result, values  # only the first results and totals outlive a draw
         for kind in kinds:
-            result = _combine(parts[kind], config)
+            result = _pooled(firsts[kind], totals[kind], config)
             stem = f"{config.experiment}-{config.ensemble}-{kind}"
             write_csv(result, out_dir / f"{stem}.csv")
             write_svg(result, out_dir / f"{stem}.svg", _title(config, kind, n))

@@ -56,7 +56,6 @@ __all__ = [
     "std_curve",
     "sqrt_curve",
     "density_snapshot",
-    "average_series",
     "linear_fit",
     "growth_fits",
 ]
@@ -225,20 +224,6 @@ def density_snapshot(
         exc.density = float(density)
         raise
     return spectrum_histogram(spectrum, bins=bins)
-
-
-def average_series(series: list[CurveSeries]) -> CurveSeries:
-    """Pointwise mean of curves sharing a grid, statistic, and kind."""
-    if not series:
-        raise ValueError("nothing to average")
-    first = series[0]
-    for other in series[1:]:
-        if other.statistic != first.statistic or other.kind != first.kind:
-            raise ValueError("cannot average curves of different statistics")
-        if not np.array_equal(other.xs, first.xs):
-            raise ValueError("cannot average curves over different grids")
-    ys = np.mean([s.ys for s in series], axis=0)
-    return CurveSeries(statistic=first.statistic, kind=first.kind, xs=first.xs, ys=ys)
 
 
 def linear_fit(xs, ys) -> tuple[float, float, float]:

@@ -25,7 +25,6 @@ from .svg import bar_chart, line_chart
 __all__ = [
     "format_real",
     "write_csv",
-    "read_curve_csv",
     "write_svg",
     "write_matrix_csv",
     "read_matrix_csv",
@@ -64,23 +63,6 @@ def write_csv(data, path) -> None:
         fh.write(text)
 
 
-def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a curve CSV written by :func:`write_csv` back into arrays."""
-    xs, ys = [], []
-    with open(Path(path), "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "p,value":
-            raise ValueError(f"unexpected curve CSV header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            x_text, y_text = line.split(",")
-            xs.append(float(x_text))
-            ys.append(float(y_text))
-    return np.array(xs), np.array(ys)
-
-
 def write_svg(data, path, title: str) -> None:
     """Write a CurveSeries or Histogram as a self-contained SVG plot."""
     if isinstance(data, CurveSeries):
@@ -108,34 +90,37 @@ def read_matrix_csv(path) -> SymmetricMatrix:
     relative to the largest magnitude) is accepted; the upper triangle
     wins and is mirrored so the stored matrix is exactly symmetric.
     """
-    dense = None
-    k = 0
+    rows = []
     with open(Path(path), "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
-            if dense is None:
-                # the first row fixes n; every row is parsed straight into
-                # the n x n array (numpy parses each cell as float() does)
-                dense = np.empty((len(cells), len(cells)))
-            if k == dense.shape[0] or len(cells) != dense.shape[0]:
+            # the first row fixes n; each row is parsed on its own (numpy
+            # parses each cell as float() does), so a short file of long
+            # rows allocates only what it holds
+            if rows and (len(rows) == rows[0].size or len(cells) != rows[0].size):
                 raise ValueError("matrix file must be square")
-            dense[k] = cells
-            k += 1
-    if dense is None:
+            rows.append(np.array(cells, dtype=float))
+    if not rows:
         raise ValueError("matrix file is empty")
-    if k != dense.shape[0]:
+    if len(rows) != rows[0].size:
         raise ValueError("matrix file must be square")
+    dense = np.stack(rows)
+    del rows  # from here on, at most one n x n temporary besides dense
     if not np.isfinite(dense).all():
         raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(dense).max()))
-    if float(np.abs(dense - dense.T).max()) > 1e-9 * scale:
+    with np.errstate(over="ignore"):  # an overflowing difference is inf: asymmetric
+        asymmetry = dense - dense.T
+    np.abs(asymmetry, out=asymmetry)
+    if float(asymmetry.max()) > 1e-9 * scale:
         raise ValueError("matrix file is not symmetric")
-    upper = np.triu(dense)
-    exact = upper + np.triu(dense, k=1).T
-    return SymmetricMatrix(exact, ensemble="matrix-file")
+    del asymmetry
+    dense = np.triu(dense)
+    dense += np.triu(dense, k=1).T
+    return SymmetricMatrix(dense, ensemble="matrix-file")
 
 
 def write_points_csv(cloud: PointCloud, path) -> None:

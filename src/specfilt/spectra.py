@@ -220,18 +220,8 @@ class Histogram:
         object.__setattr__(self, "counts", counts)
 
     @property
-    def bins(self) -> int:
-        return self.counts.size
-
-    @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def bin_of(self, value: float) -> int:
-        """Index of the bin containing ``value`` (the last bin is closed)."""
-        edges = self.bin_edges
-        idx = int(np.searchsorted(edges, value, side="right")) - 1
-        return min(max(idx, 0), self.bins - 1)
 
 
 def spectrum_histogram(spectrum: Spectrum, bins: int = DEFAULT_BINS) -> Histogram:

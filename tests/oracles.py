@@ -10,12 +10,14 @@ edge list, a bit-for-bit reference for the library's assembly from the
 adjacency matrix.  Hand-built filtrations and graphs come from pair
 lists through :func:`filtration_from_order` and :func:`graph_from_edges`,
 which check the pairs before handing the library its own inputs.
+Written curves are read back and histogram bins looked up here too.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -379,3 +381,33 @@ def sorted_pairs_by_entry(dense) -> list[tuple[int, int]]:
     ]
     triples.sort()
     return [(i, j) for _, i, j in triples]
+
+
+# ---------------------------------------------------------------------------
+# reading written curves, locating histogram bins
+# ---------------------------------------------------------------------------
+
+
+def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a curve CSV written by ``specfilt.output.write_csv`` back
+    into arrays."""
+    xs, ys = [], []
+    with open(Path(path), "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "p,value":
+            raise ValueError(f"unexpected curve CSV header: {header!r}")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            x_text, y_text = line.split(",")
+            xs.append(float(x_text))
+            ys.append(float(y_text))
+    return np.array(xs), np.array(ys)
+
+
+def bin_of(histogram, value: float) -> int:
+    """Index of the histogram bin containing ``value`` (the last bin is
+    closed)."""
+    idx = int(np.searchsorted(histogram.bin_edges, value, side="right")) - 1
+    return min(max(idx, 0), histogram.counts.size - 1)

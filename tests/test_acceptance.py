@@ -95,7 +95,7 @@ def gaussian_baseline_500():
 
 
 def _bin_fraction(histogram, value):
-    return histogram.counts[histogram.bin_of(value)] / histogram.total
+    return histogram.counts[oracles.bin_of(histogram, value)] / histogram.total
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,9 @@ def test_c04_positive_rank_one_sqrt_gap_fit():
         sf.gap_curve(sf.sample_positive_rank_one(n, seed), grid, sf.RAW)
         for seed in range(5)
     ]
-    sqrt_series = sf.sqrt_curve(sf.average_series(series))
+    mean = sf.CurveSeries("gap", sf.RAW, series[0].xs,
+                          np.mean([s.ys for s in series], axis=0))
+    sqrt_series = sf.sqrt_curve(mean)
     _, _, r2 = sf.linear_fit(sqrt_series.xs, sqrt_series.ys)
     _report(4, "positive rank-1 sqrt(raw gap) linear on [0.1, 0.9] with R^2 >= 0.98",
             r2 >= 0.98, f"R^2 = {r2:.5f}")

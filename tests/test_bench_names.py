@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import specfilt.cli as cli
 from specfilt import curves
-from specfilt.ensembles import sample_gaussian_symmetric
+from specfilt.ensembles import distance_matrix, sample_gaussian_symmetric, sample_noisy_circle
+from specfilt.output import write_matrix_csv
 
 CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
 
@@ -28,6 +30,52 @@ def test_every_traced_name_resolves(child):
     for module, table in child.PATCHES.items():
         for name in table:
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+WRITERS = {"write_csv", "write_svg"}
+SNAPSHOT = {"density_snapshot", "build_filtration", "graph_at_density", "laplacian",
+            "eigenvalues", "spectrum_histogram"} | WRITERS
+
+# the command shape of each benchmark workload (bench/run.py), at n = 40,
+# and every traced name it must reach
+WORKLOADS = {
+    "gap-sweep": (
+        ["gap-curve", "--ensemble", "wishart-rank1", "--n", "40", "--kind", "both",
+         "--grid", "uniform:50"],
+        {"sample_wishart_rank_one", "gap_curve", "build_filtration", "stream_prefixes",
+         "laplacian", "eigenvalues", "spectral_gap"} | WRITERS),
+    "std-refined": (
+        ["std-curve", "--ensemble", "gaussian", "--n", "40", "--kind", "both"],
+        {"sample_gaussian_symmetric", "std_curve", "build_filtration",
+         "stream_prefixes"} | WRITERS),
+    "snapshot-large": (
+        ["density", "--ensemble", "torus", "--n", "40", "--p", "0.2", "--kind", "both"],
+        {"sample_noisy_torus", "distance_matrix"} | SNAPSHOT),
+    "matrix-ingest": (
+        ["density", "--ensemble", "matrix-file", "--matrix", "{matrix}", "--p", "0.05",
+         "--kind", "raw"],
+        {"read_matrix_csv"} | SNAPSHOT),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_workloads_reach_their_traced_names(child, workload, tmp_path, monkeypatch):
+    # the names are looked up in their caller's namespace when called, so
+    # a wrapper installed after import sees every call
+    argv, expected = WORKLOADS[workload]
+    matrix = tmp_path / "matrix.csv"
+    write_matrix_csv(distance_matrix(sample_noisy_circle(40, 0.1, 5)), matrix)
+    reached = set()
+    for module, table in child.PATCHES.items():
+        for name in table:
+            def counting(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                reached.add(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+    argv = [arg.format(matrix=matrix) for arg in argv]
+    assert cli.main(argv + ["--seed", "3", "--output", str(tmp_path)]) == cli.EXIT_OK
+    assert reached == expected
 
 
 def test_traced_results_carry_their_counts(child):

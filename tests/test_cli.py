@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -14,10 +15,13 @@ import pytest
 import specfilt.cli as cli
 import specfilt.curves as curves
 from specfilt.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_args, run
-from specfilt.ensembles import sample_wishart_rank_one
+from specfilt.curves import CurveSeries, DensityGrid, gap_curve
+from specfilt.ensembles import sample_gaussian_symmetric, sample_wishart_rank_one
 from specfilt.filtration import EdgeFiltration
-from specfilt.output import read_curve_csv, write_matrix_csv
+from specfilt.output import write_csv, write_matrix_csv
 from specfilt.spectra import NumericalError
+
+from oracles import read_curve_csv
 
 
 def file_digest(path):
@@ -428,6 +432,89 @@ class TestOneFiltrationPerMatrix:
         err = capsys.readouterr().err
         assert err.startswith("specfilt: error: --matrix: could not convert")
         assert err.count("\n") == 1
+
+
+class TestPooledRepeats:
+    """Each draw is added to one running total per kind as it arrives."""
+
+    @staticmethod
+    def traced_peak(argv):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_repeats(self, tmp_path, monkeypatch, capsys):
+        # the CSV text of 100000 bins sets the peak, whatever the draws;
+        # keeping every draw's histogram would add 1.6 MB per draw and kind.
+        # The SVG, as large, is left out: tracing its strings takes seconds
+        monkeypatch.setattr(cli, "write_svg", lambda *args: None)
+        argv = ["density", "--ensemble", "gaussian", "--n", "2", "--p", "0.5",
+                "--bins", "100000", "--output", str(tmp_path)]
+        code, single = self.traced_peak(argv + ["--repeats", "1"])
+        assert code == EXIT_OK
+        code, pooled = self.traced_peak(argv + ["--repeats", "20"])
+        assert code == EXIT_OK
+        assert pooled <= 1.1 * single, (single, pooled)
+        pooled_summaries = capsys.readouterr().out.splitlines()[-2:]
+        assert all(line.endswith(" of 40 eigenvalues") for line in pooled_summaries)
+
+    def test_repeated_curve_is_the_mean_of_single_draws(self, tmp_path):
+        seed, repeats, grid = 11, 3, DensityGrid.uniform(10)
+        code = main(["gap-curve", "--ensemble", "gaussian", "--n", "20",
+                     "--seed", str(seed), "--repeats", str(repeats), "--kind", "both",
+                     "--grid", "uniform:10", "--output", str(tmp_path / "cli")])
+        assert code == EXIT_OK
+        for kind in ("raw", "normalized"):
+            draws = [gap_curve(sample_gaussian_symmetric(20, seed + k), grid, kind)
+                     for k in range(repeats)]
+            mean = CurveSeries("gap", kind, draws[0].xs,
+                               np.mean([d.ys for d in draws], axis=0))
+            expected = tmp_path / f"{kind}.csv"
+            write_csv(mean, expected)
+            written = tmp_path / "cli" / f"gap-curve-gaussian-{kind}.csv"
+            assert written.read_bytes() == expected.read_bytes()
+
+
+class TestMatrixFile:
+    @staticmethod
+    def run_matrix(tmp_path, text):
+        path = tmp_path / "matrix.csv"
+        path.write_text(text)
+        return main(["density", "--ensemble", "matrix-file", "--matrix", str(path),
+                     "--p", "0.5", "--output", str(tmp_path)])
+
+    def test_one_wide_row_is_not_square(self, tmp_path, capsys):
+        # the first row's width must not size an n x n array (75 GiB here)
+        code = self.run_matrix(tmp_path, ",".join(["0"] * 100_000) + "\n")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "specfilt: error: --matrix: matrix file must be square\n")
+
+    def test_overflowing_asymmetry_warns_nothing(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self.run_matrix(tmp_path, "0,1.7e308\n-1.7e308,0\n")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "specfilt: error: --matrix: matrix file is not symmetric\n")
+
+    def test_matrix_from_stdin(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(sample_wishart_rank_one(15, 3), path)
+        argv = ["gap-curve", "--ensemble", "matrix-file", "--kind", "raw",
+                "--grid", "uniform:6"]
+        assert main(argv + ["--matrix", str(path), "--output", str(tmp_path / "file")]) == EXIT_OK
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "specfilt", *argv, "--matrix", "/dev/stdin",
+             "--output", str(tmp_path / "stdin")],
+            input=path.read_text(), capture_output=True, text=True, env=env)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        name = "gap-curve-matrix-file-raw.csv"
+        assert (tmp_path / "stdin" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 class TestReproducibility:

@@ -7,7 +7,6 @@ import specfilt.curves as curves_mod
 from specfilt.curves import (
     CurveSeries,
     DensityGrid,
-    average_series,
     density_snapshot,
     gap_curve,
     growth_fits,
@@ -38,7 +37,7 @@ from specfilt.spectra import (
     spectrum_std,
 )
 
-from oracles import components_by_bfs, edges_of
+from oracles import bin_of, components_by_bfs, edges_of
 
 
 class TestDensityGrid:
@@ -259,7 +258,7 @@ class TestDensitySnapshot:
     def test_zero_density_mass_at_zero(self):
         mat = sample_gaussian_symmetric(20, 8)
         hist = density_snapshot(mat, 0.0, NORMALIZED, bins=10)
-        assert hist.counts[hist.bin_of(0.0)] == 20
+        assert hist.counts[bin_of(hist, 0.0)] == 20
         assert hist.total == 20
 
     def test_total_conservation(self):
@@ -267,25 +266,6 @@ class TestDensitySnapshot:
         for kind in (RAW, NORMALIZED):
             hist = density_snapshot(mat, 0.35, kind, bins=40)
             assert hist.total == 30
-
-
-class TestAverageSeries:
-    def test_pointwise_mean(self):
-        xs = np.array([0.0, 1.0])
-        a = CurveSeries("gap", RAW, xs, np.array([0.0, 2.0]))
-        b = CurveSeries("gap", RAW, xs, np.array([1.0, 4.0]))
-        merged = average_series([a, b])
-        assert merged.ys.tolist() == [0.5, 3.0]
-
-    def test_rejects_mismatched_series(self):
-        xs = np.array([0.0, 1.0])
-        a = CurveSeries("gap", RAW, xs, np.array([0.0, 2.0]))
-        b = CurveSeries("std", RAW, xs, np.array([1.0, 4.0]))
-        with pytest.raises(ValueError):
-            average_series([a, b])
-        c = CurveSeries("gap", RAW, np.array([0.0, 0.5]), np.array([1.0, 4.0]))
-        with pytest.raises(ValueError):
-            average_series([a, c])
 
 
 class TestFits:

@@ -7,7 +7,6 @@ from specfilt.curves import CurveSeries, DensityGrid, gap_curve
 from specfilt.ensembles import sample_gaussian_symmetric, sample_noisy_circle, distance_matrix
 from specfilt.output import (
     format_real,
-    read_curve_csv,
     read_matrix_csv,
     write_csv,
     write_matrix_csv,
@@ -15,6 +14,8 @@ from specfilt.output import (
     write_svg,
 )
 from specfilt.spectra import RAW, Histogram
+
+from oracles import read_curve_csv
 
 
 class TestFormatReal:

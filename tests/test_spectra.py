@@ -297,9 +297,9 @@ class TestSpectrumHistogram:
     def test_bin_of(self):
         spec = eigenvalues(raw_laplacian(complete_graph(4)), RAW)
         hist = spectrum_histogram(spec, bins=4)
-        assert hist.bin_of(0.0) == 0
-        assert hist.bin_of(3.9) == 3
-        assert hist.bin_of(4.0) == 3
+        assert oracles.bin_of(hist, 0.0) == 0
+        assert oracles.bin_of(hist, 3.9) == 3
+        assert oracles.bin_of(hist, 4.0) == 3
 
     def test_rejects_bad_parameters(self):
         spec = eigenvalues(raw_laplacian(complete_graph(3)), RAW)
