@@ -99,14 +99,14 @@ class SymmetricMatrix:
         self.ensemble = ensemble
 
     @classmethod
-    def _trusted(cls, dense: np.ndarray) -> "SymmetricMatrix":
-        """Wrap a float64 array that is square, finite and exactly
-        symmetric by construction, without the constructor's copy and
-        scans; the array becomes read-only."""
+    def _trusted(cls, dense: np.ndarray, ensemble: str | None = None) -> "SymmetricMatrix":
+        """Wrap a float64 array that is square (n >= 2), finite and exactly
+        symmetric by construction or by an earlier check, without the
+        constructor's copy and scans; the array becomes read-only."""
         matrix = cls.__new__(cls)
         dense.setflags(write=False)
         matrix.dense = dense
-        matrix.ensemble = None
+        matrix.ensemble = ensemble
         return matrix
 
     @property

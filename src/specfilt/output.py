@@ -9,10 +9,14 @@ round trip, the shortest exact representation is used instead, so parsing
 a written file always recovers the series to 1e-12.  That widening is
 common for eigenvalues, so their last bits reach the file: the bytes are
 the same for one numpy/BLAS build and BLAS thread count.
+
+Every writer checks its payload, then streams the file line by line, so
+memory does not grow with the size of the file.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,46 +45,43 @@ def format_real(value: float) -> str:
     return repr(value)
 
 
-def _csv_text(data) -> str:
-    if isinstance(data, CurveSeries):
-        lines = ["p,value"]
-        lines += [f"{format_real(x)},{format_real(y)}" for x, y in zip(data.xs, data.ys)]
-    elif isinstance(data, Histogram):
-        lines = ["bin_lo,bin_hi,count"]
-        lines += [
-            f"{format_real(lo)},{format_real(hi)},{int(c)}"
-            for lo, hi, c in zip(data.bin_edges[:-1], data.bin_edges[1:], data.counts)
-        ]
-    else:
-        raise TypeError(f"cannot serialize {type(data).__name__} to CSV")
-    return "\n".join(lines) + "\n"
+def _write_lines(path, lines) -> None:
+    """Write each line and a newline to a fresh UTF-8 file, one at a time."""
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def write_csv(data, path) -> None:
     """Write a CurveSeries or Histogram as CSV."""
-    text = _csv_text(data)
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    if isinstance(data, CurveSeries):
+        header = "p,value"
+        rows = (f"{format_real(x)},{format_real(y)}" for x, y in zip(data.xs, data.ys))
+    elif isinstance(data, Histogram):
+        header = "bin_lo,bin_hi,count"
+        rows = (f"{format_real(lo)},{format_real(hi)},{int(c)}"
+                for lo, hi, c in zip(data.bin_edges[:-1], data.bin_edges[1:], data.counts))
+    else:
+        raise TypeError(f"cannot serialize {type(data).__name__} to CSV")
+    _write_lines(path, chain([header], rows))
 
 
 def write_svg(data, path, title: str) -> None:
     """Write a CurveSeries or Histogram as a self-contained SVG plot."""
     if isinstance(data, CurveSeries):
-        text = line_chart(data.xs, data.ys, title, x_label="p", y_label=data.statistic)
+        lines = line_chart(data.xs, data.ys, title, x_label="p", y_label=data.statistic)
     elif isinstance(data, Histogram):
-        text = bar_chart(data.bin_edges, data.counts, title,
-                         x_label="eigenvalue", y_label="count")
+        lines = bar_chart(data.bin_edges, data.counts, title,
+                          x_label="eigenvalue", y_label="count")
     else:
         raise TypeError(f"cannot plot {type(data).__name__}")
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_lines(path, lines)
 
 
 def write_matrix_csv(matrix: SymmetricMatrix, path) -> None:
     """Write the full dense matrix, one CSV row per matrix row, no header."""
-    lines = [",".join(format_real(v) for v in row) for row in matrix.dense]
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, (",".join(map(format_real, row)) for row in matrix.dense))
 
 
 def read_matrix_csv(path) -> SymmetricMatrix:
@@ -118,15 +119,15 @@ def read_matrix_csv(path) -> SymmetricMatrix:
     if float(asymmetry.max()) > 1e-9 * scale:
         raise ValueError("matrix file is not symmetric")
     del asymmetry
+    if dense.shape[0] < 2:
+        raise ValueError("matrix size must be at least 2")
     dense = np.triu(dense)
     dense += np.triu(dense, k=1).T
-    return SymmetricMatrix(dense, ensemble="matrix-file")
+    return SymmetricMatrix._trusted(dense, ensemble="matrix-file")
 
 
 def write_points_csv(cloud: PointCloud, path) -> None:
     """Write point coordinates with an x,y[,z] header row."""
     header = "x,y" if cloud.dim == 2 else "x,y,z"
-    lines = [header]
-    lines += [",".join(format_real(v) for v in pt) for pt in cloud.points]
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (",".join(map(format_real, pt)) for pt in cloud.points)
+    _write_lines(path, chain([header], rows))

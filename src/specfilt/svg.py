@@ -1,8 +1,10 @@
 """Self-contained SVG charts: line plots for curves, bars for histograms.
 
-Output is a pure function of the data, so identical inputs give
-byte-identical files.  A curve is a single ``polyline``; a histogram is
-one ``rect`` per bin; axes and tick marks use ``line`` elements only.
+Each chart is a generator of lines (without newlines), so a caller can
+write it out without holding the whole document.  Output is a pure
+function of the data, so identical inputs give byte-identical files.
+A curve is a single ``polyline``; a histogram is one ``rect`` per bin;
+axes and tick marks use ``line`` elements only.
 No external resources, scripts, or fonts are referenced.
 """
 
@@ -54,43 +56,30 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
-def _header(title: str) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<text x="{_W / 2:.2f}" y="24" {_TITLE}>{_escape(title)}</text>',
-    ]
+def _header(title: str):
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+           f'viewBox="0 0 {_W} {_H}">')
+    yield f'<text x="{_W / 2:.2f}" y="24" {_TITLE}>{_escape(title)}</text>'
 
 
-def _axes_and_ticks(px, py, xlo, xhi, ylo, yhi, x_label, y_label) -> list[str]:
+def _axes_and_ticks(px, py, xlo, xhi, ylo, yhi, x_label, y_label):
     x0, x1 = px(xlo), px(xhi)
     y0, y1 = py(ylo), py(yhi)
-    parts = [
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y0:.2f}" {_AXIS}/>',
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" {_AXIS}/>',
-    ]
+    yield f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y0:.2f}" {_AXIS}/>'
+    yield f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" {_AXIS}/>'
     for t in _ticks(xlo, xhi):
         x = px(t)
-        parts.append(f'<line x1="{x:.2f}" y1="{y0:.2f}" x2="{x:.2f}" y2="{y0 + 5:.2f}" {_TICK}/>')
-        parts.append(
-            f'<text x="{x:.2f}" y="{y0 + 18:.2f}" text-anchor="middle" {_TEXT}>{t:.6g}</text>'
-        )
+        yield f'<line x1="{x:.2f}" y1="{y0:.2f}" x2="{x:.2f}" y2="{y0 + 5:.2f}" {_TICK}/>'
+        yield f'<text x="{x:.2f}" y="{y0 + 18:.2f}" text-anchor="middle" {_TEXT}>{t:.6g}</text>'
     for t in _ticks(ylo, yhi):
         y = py(t)
-        parts.append(f'<line x1="{x0 - 5:.2f}" y1="{y:.2f}" x2="{x0:.2f}" y2="{y:.2f}" {_TICK}/>')
-        parts.append(
-            f'<text x="{x0 - 8:.2f}" y="{y + 4:.2f}" text-anchor="end" {_TEXT}>{t:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.2f}" y="{_H - 12}" text-anchor="middle" {_TEXT}>'
-        f"{_escape(x_label)}</text>"
-    )
-    parts.append(
-        f'<text x="14" y="{(y0 + y1) / 2:.2f}" {_TEXT} '
-        f'transform="rotate(-90 14 {(y0 + y1) / 2:.2f})" text-anchor="middle">'
-        f"{_escape(y_label)}</text>"
-    )
-    return parts
+        yield f'<line x1="{x0 - 5:.2f}" y1="{y:.2f}" x2="{x0:.2f}" y2="{y:.2f}" {_TICK}/>'
+        yield f'<text x="{x0 - 8:.2f}" y="{y + 4:.2f}" text-anchor="end" {_TEXT}>{t:.6g}</text>'
+    yield (f'<text x="{(x0 + x1) / 2:.2f}" y="{_H - 12}" text-anchor="middle" {_TEXT}>'
+           f"{_escape(x_label)}</text>")
+    yield (f'<text x="14" y="{(y0 + y1) / 2:.2f}" {_TEXT} '
+           f'transform="rotate(-90 14 {(y0 + y1) / 2:.2f})" text-anchor="middle">'
+           f"{_escape(y_label)}</text>")
 
 
 def _scales(xlo, xhi, ylo, yhi):
@@ -103,39 +92,37 @@ def _scales(xlo, xhi, ylo, yhi):
     return px, py
 
 
-def line_chart(xs, ys, title: str, x_label: str = "p", y_label: str = "value") -> str:
-    """One polyline through all (x, y) points, with axes and ticks."""
+def line_chart(xs, ys, title: str, x_label: str = "p", y_label: str = "value"):
+    """Yield the lines of an SVG with one polyline through all (x, y)
+    points, axes and ticks."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     xlo, xhi = _padded(float(xs.min()), float(xs.max()))
     ylo, yhi = _padded(min(0.0, float(ys.min())), float(ys.max()))
     px, py = _scales(xlo, xhi, ylo, yhi)
+    yield from _header(title)
+    yield from _axes_and_ticks(px, py, xlo, xhi, ylo, yhi, x_label, y_label)
     points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-    parts = _header(title)
-    parts += _axes_and_ticks(px, py, xlo, xhi, ylo, yhi, x_label, y_label)
-    parts.append(f'<polyline points="{points}" {_CURVE}/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield f'<polyline points="{points}" {_CURVE}/>'
+    yield "</svg>"
 
 
 def bar_chart(bin_edges, counts, title: str, x_label: str = "value",
-              y_label: str = "count") -> str:
-    """One rect per bin (zero-count bins give zero-height rects)."""
+              y_label: str = "count"):
+    """Yield the lines of an SVG with one rect per bin (zero-count bins
+    give zero-height rects), axes and ticks."""
     edges = np.asarray(bin_edges, dtype=float)
     counts = np.asarray(counts, dtype=float)
     xlo, xhi = _padded(float(edges[0]), float(edges[-1]))
     ylo, yhi = _padded(0.0, float(max(counts.max(), 1.0)))
     px, py = _scales(xlo, xhi, ylo, yhi)
-    parts = _header(title)
-    parts += _axes_and_ticks(px, py, xlo, xhi, ylo, yhi, x_label, y_label)
+    yield from _header(title)
+    yield from _axes_and_ticks(px, py, xlo, xhi, ylo, yhi, x_label, y_label)
     base = py(0.0)
     for k in range(counts.size):
         left = px(edges[k])
         width = px(edges[k + 1]) - left
         top = py(counts[k])
-        parts.append(
-            f'<rect x="{left:.2f}" y="{top:.2f}" width="{width:.2f}" '
-            f'height="{base - top:.2f}" {_BAR}/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        yield (f'<rect x="{left:.2f}" y="{top:.2f}" width="{width:.2f}" '
+               f'height="{base - top:.2f}" {_BAR}/>')
+    yield "</svg>"

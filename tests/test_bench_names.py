@@ -13,7 +13,7 @@ import pytest
 import specfilt.cli as cli
 from specfilt import curves
 from specfilt.ensembles import distance_matrix, sample_gaussian_symmetric, sample_noisy_circle
-from specfilt.output import write_matrix_csv
+from specfilt.output import write_csv, write_matrix_csv, write_svg
 
 CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
 
@@ -78,7 +78,7 @@ def test_workloads_reach_their_traced_names(child, workload, tmp_path, monkeypat
     assert reached == expected
 
 
-def test_traced_results_carry_their_counts(child):
+def test_traced_results_carry_their_counts(child, tmp_path):
     n = 12
     matrix = sample_gaussian_symmetric(n, 1)
     filtration = curves.build_filtration(matrix)
@@ -97,3 +97,11 @@ def test_traced_results_carry_their_counts(child):
         spectrum = curves.eigenvalues(laplacian, "raw")
         assert eigensolve_count((laplacian, "raw"), spectrum) == {
             "n": n, "disconnected": disconnected}
+    # a writer's byte count is read as soon as it returns, so its file
+    # must be complete and closed by then
+    tracer = child.Tracer()
+    histogram = curves.density_snapshot(matrix, 0.5, "raw", bins=50)
+    for name, fn, args in (("write_csv", write_csv, (histogram, tmp_path / "h.csv")),
+                           ("write_svg", write_svg, (histogram, tmp_path / "h.svg", "t"))):
+        tracer.wrap("output.write", name, fn, child.COUNTS["output.write"])(*args)
+        assert tracer.spans[-1][6] == {"bytes": len(args[1].read_bytes())}

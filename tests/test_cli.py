@@ -447,13 +447,15 @@ class TestPooledRepeats:
             tracemalloc.stop()
 
     def test_peak_memory_does_not_grow_with_repeats(self, tmp_path, monkeypatch, capsys):
-        # the CSV text of 100000 bins sets the peak, whatever the draws;
-        # keeping every draw's histogram would add 1.6 MB per draw and kind.
-        # The SVG, as large, is left out: tracing its strings takes seconds
+        # from the second draw on, the peak is one draw's histogram of
+        # 100000 bins held while it is added to the running totals, whatever
+        # the number of draws; keeping every draw's histogram would add
+        # 1.6 MB per draw and kind. The SVG is left out: tracing its
+        # strings takes seconds
         monkeypatch.setattr(cli, "write_svg", lambda *args: None)
         argv = ["density", "--ensemble", "gaussian", "--n", "2", "--p", "0.5",
                 "--bins", "100000", "--output", str(tmp_path)]
-        code, single = self.traced_peak(argv + ["--repeats", "1"])
+        code, single = self.traced_peak(argv + ["--repeats", "2"])
         assert code == EXIT_OK
         code, pooled = self.traced_peak(argv + ["--repeats", "20"])
         assert code == EXIT_OK
@@ -492,6 +494,12 @@ class TestMatrixFile:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
             "specfilt: error: --matrix: matrix file must be square\n")
+
+    def test_one_cell_file_is_too_small(self, tmp_path, capsys):
+        code = self.run_matrix(tmp_path, "0\n")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "specfilt: error: --matrix: matrix size must be at least 2\n")
 
     def test_overflowing_asymmetry_warns_nothing(self, tmp_path, capsys):
         with warnings.catch_warnings():
