@@ -87,29 +87,29 @@ def write_matrix_csv(matrix: SymmetricMatrix, path) -> None:
 def read_matrix_csv(path) -> SymmetricMatrix:
     """Read a full symmetric matrix from CSV (as written by write_matrix_csv).
 
-    Near-symmetric input (entries matching across the diagonal to 1e-9,
-    relative to the largest magnitude) is accepted; the upper triangle
-    wins and is mirrored so the stored matrix is exactly symmetric.
+    Blank lines are skipped and every cell is parsed by ``numpy.loadtxt``
+    (no ``#`` comments, no ``_`` digit separators).  Near-symmetric input
+    (entries matching across the diagonal to 1e-9, relative to the
+    largest magnitude) is accepted; the upper triangle wins and is
+    mirrored so the stored matrix is exactly symmetric.
     """
-    rows = []
     with open(Path(path), "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            # the first row fixes n; each row is parsed on its own (numpy
-            # parses each cell as float() does), so a short file of long
-            # rows allocates only what it holds
-            if rows and (len(rows) == rows[0].size or len(cells) != rows[0].size):
-                raise ValueError("matrix file must be square")
-            rows.append(np.array(cells, dtype=float))
-    if not rows:
-        raise ValueError("matrix file is empty")
-    if len(rows) != rows[0].size:
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        if first is None:  # before numpy, which would warn "input contained no data"
+            raise ValueError("matrix file is empty")
+        try:
+            # numpy.loadtxt parses every cell; comments=None keeps "#" an
+            # unparsable character, not the start of a comment
+            dense = np.loadtxt(chain([first], lines), delimiter=",", ndmin=2,
+                               comments=None)
+        except ValueError as exc:
+            if isinstance(exc, UnicodeDecodeError) or "could not convert" in str(exc):
+                raise
+            raise ValueError("matrix file must be square") from exc  # ragged rows
+    if dense.shape[0] != dense.shape[1]:
         raise ValueError("matrix file must be square")
-    dense = np.stack(rows)
-    del rows  # from here on, at most one n x n temporary besides dense
+    # from here on, at most one n x n temporary besides dense
     if not np.isfinite(dense).all():
         raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(dense).max()))

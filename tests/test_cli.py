@@ -501,6 +501,13 @@ class TestMatrixFile:
         assert capsys.readouterr().err == (
             "specfilt: error: --matrix: matrix size must be at least 2\n")
 
+    def test_blank_only_file_is_empty(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = self.run_matrix(tmp_path, "\n \n\n")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "specfilt: error: --matrix: matrix file is empty\n"
+
     def test_overflowing_asymmetry_warns_nothing(self, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,6 +1,7 @@
 """CSV and SVG serialization: exact formats, round trips, determinism."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -156,8 +157,10 @@ class TestMatrixCsv:
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("")
-        with pytest.raises(ValueError):
-            read_matrix_csv(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty"):
+                read_matrix_csv(path)
 
     def test_repr_values_round_trip_bit_exactly(self, tmp_path):
         dense = distance_matrix(sample_noisy_circle(30, seed=8)).dense
@@ -180,7 +183,8 @@ class TestMatrixCsv:
         with pytest.raises(ValueError, match="must be square"):
             read_matrix_csv(path)
 
-    @pytest.mark.parametrize("cell", ["abc", "0x10", "", "1 2"])
+    # "1_0" is a float() literal; "0 # x" would read as 0 if "#" began a comment
+    @pytest.mark.parametrize("cell", ["abc", "0x10", "", "1 2", "1_0", "0 # x"])
     def test_unparsable_cell(self, tmp_path, cell):
         path = tmp_path / "bad.csv"
         path.write_text(f"0,1\n1,{cell}\n")
@@ -190,8 +194,31 @@ class TestMatrixCsv:
     def test_blank_only_file_is_empty(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("\n  \n\r\n")
-        with pytest.raises(ValueError, match="empty"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty"):
+                read_matrix_csv(path)
+
+    def test_undecodable_byte_is_not_a_shape_error(self, tmp_path):
+        # the bad byte lies past the first decoded chunk, so it is met while
+        # numpy is reading lines, not while the first line is looked for
+        path = tmp_path / "bad.csv"
+        rows = [",".join(["0"] * 100)] * 100
+        path.write_bytes("\n".join(rows).encode() + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError):
             read_matrix_csv(path)
+
+    def test_peak_memory_is_at_most_one_temporary_besides_the_matrix(self, tmp_path):
+        dense = distance_matrix(sample_noisy_circle(400, seed=4)).dense
+        path = tmp_path / "matrix.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in dense.tolist()))
+        tracemalloc.start()
+        try:
+            read_matrix_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * dense.nbytes, (peak, dense.nbytes)
 
 
 @pytest.mark.parametrize("writer", ["csv", "svg", "matrix"])
