@@ -57,6 +57,7 @@ from .spectra import (
     Histogram,
     NumericalError,
     Spectrum,
+    TwinQuotient,
     eigenvalues,
     laplacian,
     laplacian_std,
@@ -83,6 +84,7 @@ __all__ = [
     "RankOneMatrix",
     "Spectrum",
     "SymmetricMatrix",
+    "TwinQuotient",
     "build_filtration",
     "density_snapshot",
     "distance_matrix",

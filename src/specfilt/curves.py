@@ -12,8 +12,10 @@ kinds of gap curve share the one spanning tree that gives the
 filtration's connectivity index.  Filtrations and snapshots come only
 from :mod:`specfilt.filtration`'s builders, never from pair lists.
 
-The gap curve runs one dense eigensolve per connected snapshot; below the
-connectivity index (one more than the largest rank in the minimum
+The gap curve and the density histogram run one eigensolve per
+connected snapshot, of its twin quotient (:func:`specfilt.spectra.laplacian`
+finds the classes and :func:`specfilt.spectra.eigenvalues` solves it); below
+the connectivity index (one more than the largest rank in the minimum
 spanning tree of the rank matrix,
 :attr:`specfilt.filtration.EdgeFiltration.connectivity_index`) the gap
 is exactly 0 and nothing is solved.  The width (std) curve runs no
@@ -175,8 +177,9 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
 
     The gap is exactly 0.0 at every snapshot below the connectivity index
     (the disconnected ones), with no eigensolve; each connected snapshot
-    is solved.  At p = 1 it is n for the raw kind and n/(n - 1) for the
-    normalized kind (the complete-graph values).
+    is solved over its twin classes.  At p = 1 the complete graph is one
+    class of true twins, so the gap is exactly n for the raw kind and
+    n/(n - 1) for the normalized kind.
     """
     _check_kind(kind)
     connected_at = _filtration(matrix).connectivity_index

@@ -16,6 +16,7 @@ memory does not grow with the size of the file.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -88,13 +89,23 @@ def read_matrix_csv(path) -> SymmetricMatrix:
     """Read a full symmetric matrix from CSV (as written by write_matrix_csv).
 
     Blank lines are skipped and every cell is parsed by ``numpy.loadtxt``
-    (no ``#`` comments, no ``_`` digit separators).  Near-symmetric input
+    (no ``#`` comments, no ``_`` digit separators); an unparsable cell is
+    named by its file line and column, both from 1.  Near-symmetric input
     (entries matching across the diagonal to 1e-9, relative to the
     largest magnitude) is accepted; the upper triangle wins and is
     mirrored so the stored matrix is exactly symmetric.
     """
     with open(Path(path), "r", encoding="utf-8") as fh:
-        lines = (line for line in fh if line.strip())
+        line = 0  # the file line (from 1) of the last row handed to numpy
+
+        def rows():
+            nonlocal line
+            for number, text in enumerate(fh, 1):
+                if text.strip():
+                    line = number
+                    yield text
+
+        lines = rows()
         first = next(lines, None)
         if first is None:  # before numpy, which would warn "input contained no data"
             raise ValueError("matrix file is empty")
@@ -104,8 +115,14 @@ def read_matrix_csv(path) -> SymmetricMatrix:
             dense = np.loadtxt(chain([first], lines), delimiter=",", ndmin=2,
                                comments=None)
         except ValueError as exc:
-            if isinstance(exc, UnicodeDecodeError) or "could not convert" in str(exc):
+            if isinstance(exc, UnicodeDecodeError):
                 raise
+            message = str(exc)
+            if "could not convert" in message:
+                # numpy pulls one row at a time and stops at the bad one, but
+                # counts rows from 0 among the non-blank lines only
+                raise ValueError(re.sub(r" at row \d+, column (\d+)\.$",
+                                        rf" on line {line}, column \1", message)) from None
             raise ValueError("matrix file must be square") from exc  # ragged rows
     if dense.shape[0] != dense.shape[1]:
         raise ValueError("matrix file must be square")

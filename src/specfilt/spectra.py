@@ -21,11 +21,17 @@ traces instead, by :func:`laplacian_std`: ``tr L`` and ``tr L^2`` depend
 only on the degrees and adjacency, so no Laplacian is built and nothing
 is solved.  :func:`spectrum_std` computes the same width from eigenvalues.
 
-Eigenvalues come from a full dense symmetric decomposition
+A snapshot's spectrum is solved over its twin classes (:func:`laplacian`):
+vertices with equal open neighbourhoods (false twins) or equal closed
+ones (true twins).  Each class of size s gives s - 1 eigenvalues exactly,
+and the rest come from a dense symmetric decomposition
 (``numpy.linalg.eigvalsh``, LAPACK's tridiagonalization plus implicitly
-shifted iteration).  Results are validated against the theoretical range
-of their kind and then clamped into it; violations beyond the tolerance
-band raise :class:`NumericalError`.
+shifted iteration) of the q x q quotient over the q classes.  A graph
+without twins is solved as the full n x n Laplacian.  :func:`raw_laplacian`
+and :func:`normalized_laplacian` remain the full dense matrices.  Results
+are validated against the theoretical range of their kind and then
+clamped into it; violations beyond the tolerance band raise
+:class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ __all__ = [
     "Histogram",
     "raw_laplacian",
     "normalized_laplacian",
+    "TwinQuotient",
     "laplacian",
     "eigenvalues",
     "spectral_gap",
@@ -116,10 +123,95 @@ def normalized_laplacian(graph: Graph) -> SymmetricMatrix:
     return SymmetricMatrix._trusted(mat)
 
 
-def laplacian(graph: Graph, kind: str) -> SymmetricMatrix:
-    """Dispatch to :func:`raw_laplacian` or :func:`normalized_laplacian`."""
+def _twin_classes(graph: Graph):
+    """Twin classes of a snapshot, exactly.
+
+    Vertices are false twins when their open neighbourhoods are equal and
+    true twins when their closed ones are.  A vertex with a false twin has
+    no true twin (a true twin w of u would be a neighbour of u's false
+    twin v, so v would lie in N[w] = N[u]), so each vertex belongs to one
+    class: its open class if that has another member, its closed class
+    otherwise.  Rows are compared as packed bits, by ``np.unique`` over
+    void rows, so no n x n copy is made and no hash can collide.
+
+    Returns ``(label, first, size, true_twin)``: the class of each vertex,
+    and for each of the q classes its first vertex, its size and whether
+    its members are true twins.
+    """
+    n = graph.n
+    packed = np.packbits(graph.adjacency, axis=1)
+    row = np.dtype((np.void, packed.shape[1]))
+    _, open_class, open_size = np.unique(
+        packed.view(row).ravel(), return_inverse=True, return_counts=True)
+    vertex = np.arange(n)
+    packed[vertex, vertex >> 3] |= (0x80 >> (vertex & 7)).astype(np.uint8)
+    _, closed_class = np.unique(packed.view(row).ravel(), return_inverse=True)
+    false_twin = open_size[open_class] > 1
+    _, first, label, size = np.unique(
+        np.where(false_twin, open_class, n + closed_class),
+        return_index=True, return_inverse=True, return_counts=True)
+    return label, first, size, ~false_twin[first]
+
+
+@dataclass(frozen=True)
+class TwinQuotient:
+    """A Laplacian reduced over the twin classes of its graph.
+
+    ``dense`` is the read-only symmetric q x q quotient over the q
+    classes, whose eigenvalues are the rest of the spectrum; ``exact``
+    holds the n - q eigenvalues the classes give exactly.  With no twins
+    (q = n), ``dense`` is the full Laplacian and ``exact`` is empty.
+    """
+
+    dense: np.ndarray
+    exact: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.dense.shape[0] + self.exact.size
+
+
+def laplacian(graph: Graph, kind: str) -> TwinQuotient:
+    """Laplacian of the given kind, reduced over the graph's twin classes.
+
+    Between two twin classes the edges are all present or all absent, and
+    the degree d is constant on a class, so a class of size s gives s - 1
+    eigenvalues exactly, on vectors that sum to 0 over it: d for false
+    twins and d + 1 for true twins (raw); 1 and (d + 1) / d, one division
+    (normalized); 0 for isolated vertices (both).  The rest of the
+    spectrum is that of the symmetric quotient ``diag(d) - B``, with
+    ``B_ij = sqrt(s_i s_j)`` for joined classes i != j and ``B_ii = s_i - 1``
+    for a true-twin class (0 otherwise), scaled by ``1 / sqrt(d)`` on both
+    sides for the normalized kind (Brouwer and Haemers, *Spectra of
+    Graphs*, on equitable partitions).  A graph without twins gets the
+    full :func:`raw_laplacian` or :func:`normalized_laplacian`.
+    """
     _check_kind(kind)
-    return raw_laplacian(graph) if kind == RAW else normalized_laplacian(graph)
+    _, first, size, true_twin = _twin_classes(graph)
+    if first.size == graph.n:
+        full = raw_laplacian(graph) if kind == RAW else normalized_laplacian(graph)
+        return TwinQuotient(full.dense, np.zeros(0))
+    degree = graph.degrees[first]
+    twin_value = (degree + true_twin).astype(float)
+    weight = size.astype(float)
+    diagonal = (degree - (size - 1) * true_twin).astype(float)
+    if kind == NORMALIZED:
+        # an isolated class has no edges, so the 1 standing in for its
+        # degree only scales zeros
+        scale = np.maximum(degree, 1)
+        weight /= scale
+        diagonal /= scale
+        np.divide(twin_value, degree, out=twin_value, where=degree > 0)
+    root = np.sqrt(weight)
+    # 0.0 - 1.0 on the joins and 0.0 - 0.0 elsewhere, so no entry is -0.0
+    mat = np.subtract(0.0, graph.adjacency.take(first, 0).take(first, 1), dtype=float)
+    mat *= root[:, None]
+    mat *= root
+    np.fill_diagonal(mat, diagonal)
+    mat.setflags(write=False)
+    exact = np.repeat(twin_value, size - 1)
+    exact.setflags(write=False)
+    return TwinQuotient(mat, exact)
 
 
 @dataclass(frozen=True)
@@ -151,14 +243,16 @@ class Spectrum:
         return self.values.size
 
 
-def eigenvalues(matrix: SymmetricMatrix, kind: str) -> Spectrum:
-    """Full spectrum of a Laplacian matrix of the given kind.
+def eigenvalues(matrix: SymmetricMatrix | TwinQuotient, kind: str) -> Spectrum:
+    """Full spectrum of a Laplacian of the given kind.
 
-    The returned eigenvalues are ascending and clamped into [0, n] for
-    the raw kind, [0, 2] for the normalized kind.  Values outside the
-    range by more than ``CLAMP_TOL_FACTOR * n``, and raw spectra whose
-    smallest eigenvalue is not 0 within the same band, raise
-    :class:`NumericalError`.
+    ``matrix`` is a dense Laplacian, or a :class:`TwinQuotient` whose
+    quotient is solved and whose exact eigenvalues are merged in; either
+    way all n eigenvalues are returned.  They are ascending and clamped
+    into [0, n] for the raw kind, [0, 2] for the normalized kind.  Values
+    outside the range by more than ``CLAMP_TOL_FACTOR * n``, and raw
+    spectra whose smallest eigenvalue is not 0 within the same band,
+    raise :class:`NumericalError`.
     """
     _check_kind(kind)
     n = matrix.n
@@ -166,6 +260,8 @@ def eigenvalues(matrix: SymmetricMatrix, kind: str) -> Spectrum:
         values = np.linalg.eigvalsh(matrix.dense)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    if isinstance(matrix, TwinQuotient) and matrix.exact.size:
+        values = np.sort(np.concatenate([values, matrix.exact]))
     lo, hi = (0.0, float(n)) if kind == RAW else (0.0, 2.0)
     band = CLAMP_TOL_FACTOR * n
     violation = max(lo - values[0], values[-1] - hi, 0.0)

@@ -4,12 +4,13 @@ Nothing here touches the library's eigensolver path.  Eigenvalues are
 recomputed from scratch: exact characteristic polynomial over rationals
 (Faddeev-LeVerrier), exact square-free factorization (Yun's algorithm),
 then high-precision root finding with mpmath on the simple-root factors.
-Graph quantities (components, two-colouring, bipartite prefix) use their
-own independent algorithms.  The Laplacians are also scattered from an
-edge list, a bit-for-bit reference for the library's assembly from the
-adjacency matrix.  Hand-built filtrations and graphs come from pair
-lists through :func:`filtration_from_order` and :func:`graph_from_edges`,
-which check the pairs before handing the library its own inputs.
+Graph quantities (components, two-colouring, bipartite prefix, twin
+classes) use their own independent algorithms.  The Laplacians are also
+scattered from an edge list, a bit-for-bit reference for the library's
+assembly from the adjacency matrix.  Hand-built filtrations and graphs
+come from pair lists through :func:`filtration_from_order` and
+:func:`graph_from_edges`, which check the pairs before handing the
+library its own inputs.
 Written curves are read back and histogram bins looked up here too.
 """
 
@@ -297,6 +298,32 @@ def components_by_bfs(n, edges) -> int:
                     seen[w] = True
                     stack.append(w)
     return count
+
+
+def twin_classes(n, edges) -> tuple[set[frozenset], set[frozenset]]:
+    """Twin classes by comparing the neighbourhoods of every vertex pair.
+
+    Vertices are twins when their open neighbourhoods are equal (false
+    twins) or their closed ones are (true twins).  Returns the set of
+    classes, which is a partition exactly when no vertex has twins of
+    both kinds, and the set of classes of two or more true twins.
+    """
+    around = [{v} for v in range(n)]  # closed neighbourhoods
+    for i, j in edges:
+        around[i].add(j)
+        around[j].add(i)
+
+    def false_twins(u, v):
+        return around[u] - {u} == around[v] - {v}
+
+    def true_twins(u, v):
+        return around[u] == around[v]
+
+    classes = {frozenset(v for v in range(n) if false_twins(u, v) or true_twins(u, v))
+               for u in range(n)}
+    true = {c for c in classes if len(c) > 1
+            and all(true_twins(u, v) for u in c for v in c)}
+    return classes, true
 
 
 def two_colouring(n, edges) -> tuple[bool, list[int]]:

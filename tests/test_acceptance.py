@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per numbered criterion.
+"""Acceptance suite: one test per numbered criterion, plus a check of the
+twin quotient behind every spectrum against the full dense solve.
 
 Each test prints one ``[criterion NN] PASS/FAIL`` line (visible with
 ``pytest -s``) and then asserts, so a failure shows up both in the
@@ -19,6 +20,7 @@ import pytest
 
 import specfilt as sf
 from specfilt.cli import main
+from specfilt.spectra import _twin_classes as twin_classes
 
 import oracles
 
@@ -218,6 +220,40 @@ def test_c06_zero_multiplicity_counts_components(snapshot_battery):
                 )
     _report(6, "zero-eigenvalue multiplicity equals component count (both kinds)",
             not failures, "; ".join(failures[:3]) or "100 snapshots x 2 kinds")
+
+
+def _labelled_graphs(max_n):
+    """Every graph on the vertex sets {0, ..., n - 1}, 2 <= n <= max_n."""
+    for n in range(2, max_n + 1):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for mask in range(1 << len(pairs)):
+            yield oracles.graph_from_edges(
+                n, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
+
+
+def test_twin_quotient_matches_dense_solve(snapshot_battery):
+    # not a numbered criterion: the spectra every criterion reads come from
+    # the twin quotient, so they are checked against the full dense solve
+    graphs = [*_labelled_graphs(5), *(graph for _, graph, _, _ in snapshot_battery)]
+    failures = []
+    reduced = 0
+    for graph in graphs:
+        n = graph.n
+        label, first, size, true_twin = twin_classes(graph)
+        members = [frozenset(np.flatnonzero(label == c).tolist()) for c in range(first.size)]
+        true = {cls for cls, s, t in zip(members, size, true_twin) if s > 1 and t}
+        if ((set(members), true) != oracles.twin_classes(n, oracles.edges_of(graph))
+                or list(map(len, members)) != size.tolist()
+                or (label[first] != np.arange(first.size)).any()):
+            failures.append(f"n={n} m={graph.edge_count}: twin classes differ")
+        reduced += first.size < n
+        for kind, dense in ((sf.RAW, sf.raw_laplacian), (sf.NORMALIZED, sf.normalized_laplacian)):
+            values = sf.eigenvalues(sf.laplacian(graph, kind), kind).values
+            err = np.abs(values - np.linalg.eigvalsh(dense(graph).dense)).max()
+            if err > 1e-9 * n:
+                failures.append(f"n={n} m={graph.edge_count} {kind}: error {err:.2e}")
+    assert not failures, "; ".join(failures[:3])
+    assert reduced > len(graphs) // 2
 
 
 def test_c07_normalized_spectrum_invariants(snapshot_battery):

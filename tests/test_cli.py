@@ -516,6 +516,17 @@ class TestMatrixFile:
         assert capsys.readouterr().err == (
             "specfilt: error: --matrix: matrix file is not symmetric\n")
 
+    @pytest.mark.parametrize("text,line,column", [
+        ("\n\n0,1\n1,abc\n", 4, 2),
+        ("abc,1\n1,0\n", 1, 1),
+        ("0,1,2\n \n\n1,0,3\n\n2,3,abc\n", 6, 3),
+    ])
+    def test_unparsable_cell_is_named_by_file_line(self, tmp_path, capsys, text, line, column):
+        assert self.run_matrix(tmp_path, text) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "specfilt: error: --matrix: could not convert string 'abc' to float64 "
+            f"on line {line}, column {column}\n")
+
     def test_matrix_from_stdin(self, tmp_path):
         path = tmp_path / "matrix.csv"
         write_matrix_csv(sample_wishart_rank_one(15, 3), path)
@@ -568,3 +579,31 @@ class TestReproducibility:
         assert proc.returncode == EXIT_OK
         assert (tmp_path / "gap-curve-gaussian-raw.csv").exists()
         assert "gap-curve gaussian raw" in proc.stdout
+
+    def test_complete_graph_gap_is_written_exactly(self, tmp_path):
+        n = 500
+        argv = ["gap-curve", "--ensemble", "gaussian", "--n", str(n), "--grid", "uniform:1",
+                "--output", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        for kind, gap in (("raw", n), ("normalized", n / (n - 1))):
+            xs, ys = read_curve_csv(tmp_path / f"gap-curve-gaussian-{kind}.csv")
+            assert xs[-1] == 1.0 and ys[-1] == gap
+
+    def test_rank_one_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # the rank-one snapshots are full of twins: whatever size of quotient
+        # their spectra come from, the thread count must not move a byte
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        written = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            for ensemble in ("wishart-rank1", "positive-rank1"):
+                for experiment in (["gap-curve"], ["density", "--p", "0.3"]):
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "specfilt", *experiment, "--ensemble", ensemble,
+                         "--n", "60", "--seed", "5", "--kind", "raw", "--output", str(out)],
+                        capture_output=True, text=True, env=env)
+                    assert proc.returncode == EXIT_OK, proc.stderr
+            written[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(written["1"]) == 8
+        assert written["1"] == written["2"]

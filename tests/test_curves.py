@@ -180,12 +180,18 @@ def test_gap_positive_exactly_when_connected():
 
 
 def test_gap_solves_only_from_the_connectivity_index(monkeypatch):
-    solved = []
+    built = []  # (edge count, Laplacian) per assembly
+    solved = []  # edge count of the snapshot behind each solve
+
+    def counting_laplacian(graph, kind):
+        built.append((graph.edge_count, laplacian(graph, kind)))
+        return built[-1][1]
 
     def counting_eigenvalues(matrix, kind):
-        solved.append(int(np.count_nonzero(matrix.dense)))
+        solved.extend(m for m, built_matrix in built if built_matrix is matrix)
         return eigenvalues(matrix, kind)
 
+    monkeypatch.setattr(curves_mod, "laplacian", counting_laplacian)
     monkeypatch.setattr(curves_mod, "eigenvalues", counting_eigenvalues)
     n = 40
     mat = sample_wishart_rank_one(n, 3)
@@ -193,12 +199,13 @@ def test_gap_solves_only_from_the_connectivity_index(monkeypatch):
     grid = DensityGrid.uniform(40)
     counts = [edge_count_at_density(n, float(p)) for p in grid.points]
     for kind in (RAW, NORMALIZED):
+        built.clear()
         solved.clear()
         gap_curve(mat, grid, kind)
         connected = [m for m in counts if m >= index]
         assert 0 < len(connected) < len(counts)
-        # a Laplacian with m edges and no isolated vertex has n + 2m nonzeros
-        assert solved == [n + 2 * m for m in connected]
+        assert [m for m, _ in built] == connected
+        assert solved == connected
 
 
 class TestStdCurve:

@@ -237,6 +237,36 @@ class TestEigenvalues:
                     assert zero_multiplicity(spec) == expected
 
 
+class TestTwinQuotient:
+    """Twin classes give their eigenvalues exactly; the quotient the rest."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 500])
+    def test_complete_graph_is_exact(self, n):
+        # one class of n true twins: the quotient is the 1 x 1 zero matrix
+        g = complete_graph(n)
+        raw = eigenvalues(laplacian(g, RAW), RAW)
+        assert raw.values.tolist() == [0.0] + [float(n)] * (n - 1)
+        norm = eigenvalues(laplacian(g, NORMALIZED), NORMALIZED)
+        assert norm.values.tolist() == [0.0] + [n / (n - 1)] * (n - 1)
+
+    @pytest.mark.parametrize("k,n", [(1, 5), (2, 7), (3, 10), (10, 40)])
+    def test_complete_bipartite_twin_values_are_exact(self, k, n):
+        # two classes of false twins, of sizes k and n - k
+        g = complete_bipartite(k, n - k)
+        raw = eigenvalues(laplacian(g, RAW), RAW).values
+        assert np.count_nonzero(raw == k) == n - k - 1
+        assert np.count_nonzero(raw == n - k) == k - 1
+        norm = eigenvalues(laplacian(g, NORMALIZED), NORMALIZED).values
+        assert np.count_nonzero(norm == 1.0) == n - 2
+
+    def test_twin_free_graph_gets_the_full_laplacian(self):
+        g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])  # a path
+        for kind, dense in ((RAW, raw_laplacian), (NORMALIZED, normalized_laplacian)):
+            quotient = laplacian(g, kind)
+            assert quotient.exact.size == 0
+            assert same_bits(quotient.dense, dense(g).dense)
+
+
 class TestSpectralGap:
     def test_complete_graph_value(self):
         for n in (3, 6, 10):
