@@ -61,8 +61,6 @@ from .spectra import (
     eigenvalues,
     laplacian,
     laplacian_std,
-    normalized_laplacian,
-    raw_laplacian,
     spectral_gap,
     spectrum_histogram,
     spectrum_std,
@@ -96,9 +94,7 @@ __all__ = [
     "laplacian",
     "laplacian_std",
     "linear_fit",
-    "normalized_laplacian",
     "rank_one_matrix",
-    "raw_laplacian",
     "read_matrix_csv",
     "sample_gaussian_symmetric",
     "sample_noisy_circle",

@@ -13,10 +13,11 @@ filtration's connectivity index.  Filtrations and snapshots come only
 from :mod:`specfilt.filtration`'s builders, never from pair lists.
 
 The gap curve and the density histogram run one eigensolve per
-connected snapshot, of its twin quotient (:func:`specfilt.spectra.laplacian`
-finds the classes and :func:`specfilt.spectra.eigenvalues` solves it); below
-the connectivity index (one more than the largest rank in the minimum
-spanning tree of the rank matrix,
+connected snapshot, of its twin quotient: :func:`specfilt.spectra.laplacian`
+finds the classes and assembles the quotient (for a snapshot without
+twins, its full Laplacian), and :func:`specfilt.spectra.eigenvalues`
+solves it.  Below the connectivity index (one more than the largest rank
+in the minimum spanning tree of the rank matrix,
 :attr:`specfilt.filtration.EdgeFiltration.connectivity_index`) the gap
 is exactly 0 and nothing is solved.  The width (std) curve runs no
 eigensolve at all: its value comes from the traces of the Laplacian,
@@ -133,14 +134,13 @@ class CurveSeries:
 
 
 def _checkpoints(grid: DensityGrid, n: int) -> tuple[list[int], list[float]]:
-    # distinct edge counts with the first density that produced each
+    # distinct edge counts with the first density that produced each; the
+    # points ascend and the count does not decrease, so a repeat is the last
     counts: list[int] = []
     densities: list[float] = []
-    seen: set[int] = set()
     for p in grid.points:
         m = edge_count_at_density(n, float(p))
-        if m not in seen:
-            seen.add(m)
+        if not counts or m != counts[-1]:
             counts.append(m)
             densities.append(float(p))
     return counts, densities

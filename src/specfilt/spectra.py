@@ -11,27 +11,23 @@ eigenvalue.  With that convention the multiplicity of the eigenvalue 0
 equals the number of connected components for both kinds, throughout the
 whole filtration.
 
-Both are built in one n x n array from the snapshot's boolean adjacency
-and degree vector, symmetric by construction, so they are neither copied
-nor scanned again; each normalized entry is one rounding of
-``-1 / sqrt(d_i * d_j)``.
-
 The width of a spectrum (its population standard deviation) comes from
-traces instead, by :func:`laplacian_std`: ``tr L`` and ``tr L^2`` depend
+traces, by :func:`laplacian_std`: ``tr L`` and ``tr L^2`` depend
 only on the degrees and adjacency, so no Laplacian is built and nothing
 is solved.  :func:`spectrum_std` computes the same width from eigenvalues.
 
-A snapshot's spectrum is solved over its twin classes (:func:`laplacian`):
-vertices with equal open neighbourhoods (false twins) or equal closed
-ones (true twins).  Each class of size s gives s - 1 eigenvalues exactly,
-and the rest come from a dense symmetric decomposition
-(``numpy.linalg.eigvalsh``, LAPACK's tridiagonalization plus implicitly
-shifted iteration) of the q x q quotient over the q classes.  A graph
-without twins is solved as the full n x n Laplacian.  :func:`raw_laplacian`
-and :func:`normalized_laplacian` remain the full dense matrices.  Results
-are validated against the theoretical range of their kind and then
-clamped into it; violations beyond the tolerance band raise
-:class:`NumericalError`.
+Every snapshot's spectrum is solved over its twin classes
+(:func:`laplacian`): vertices with equal open neighbourhoods (false twins)
+or equal closed ones (true twins).  Each class of size s gives s - 1
+eigenvalues exactly, and the rest come from a dense symmetric
+decomposition (``numpy.linalg.eigvalsh``, LAPACK's tridiagonalization
+plus implicitly shifted iteration) of the q x q quotient over the q
+classes, assembled in one array from the snapshot's boolean adjacency
+and degree vector.  A graph without twins is the case q = n: its
+quotient is the full Laplacian, each normalized entry one rounding of
+``-1 / sqrt(d_i * d_j)``.  Results are validated against the theoretical
+range of their kind and then clamped into it; violations beyond the
+tolerance band raise :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import SymmetricMatrix
 from .filtration import Graph
 
 __all__ = [
@@ -54,8 +49,6 @@ __all__ = [
     "NumericalError",
     "Spectrum",
     "Histogram",
-    "raw_laplacian",
-    "normalized_laplacian",
     "TwinQuotient",
     "laplacian",
     "eigenvalues",
@@ -96,35 +89,9 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def raw_laplacian(graph: Graph) -> SymmetricMatrix:
-    """Degree matrix minus adjacency matrix."""
-    # 0.0 - 1.0 on the edges and 0.0 - 0.0 elsewhere, so no entry is -0.0
-    mat = np.subtract(0.0, graph.adjacency, dtype=float)
-    np.fill_diagonal(mat, graph.degrees)
-    return SymmetricMatrix._trusted(mat)
-
-
-def normalized_laplacian(graph: Graph) -> SymmetricMatrix:
-    """Symmetric normalized Laplacian with zero rows for isolated vertices.
-
-    Entries are 1 on the diagonal for vertices of positive degree,
-    ``-1 / sqrt(deg(i) * deg(j))`` on edges, and 0 elsewhere.
-    """
-    degrees = graph.degrees.astype(float)
-    # an isolated vertex has no edges, so the 1 standing in for its degree
-    # is masked away with the other non-edges
-    scale = np.maximum(degrees, 1.0)
-    mat = np.multiply.outer(scale, scale)
-    np.sqrt(mat, out=mat)
-    np.divide(-1.0, mat, out=mat)
-    mat *= graph.adjacency
-    mat += 0.0  # the masked entries are -0.0
-    np.fill_diagonal(mat, degrees > 0)
-    return SymmetricMatrix._trusted(mat)
-
-
 def _twin_classes(graph: Graph):
-    """Twin classes of a snapshot, exactly.
+    """Twin classes of a snapshot, exactly, in the order of their first
+    vertices.
 
     Vertices are false twins when their open neighbourhoods are equal and
     true twins when their closed ones are.  A vertex with a false twin has
@@ -135,21 +102,24 @@ def _twin_classes(graph: Graph):
     void rows, so no n x n copy is made and no hash can collide.
 
     Returns ``(label, first, size, true_twin)``: the class of each vertex,
-    and for each of the q classes its first vertex, its size and whether
-    its members are true twins.
+    and for each of the q classes its first vertex (ascending, so a graph
+    without twins has ``first = arange(n)``), its size and whether its
+    members are true twins.
     """
     n = graph.n
     packed = np.packbits(graph.adjacency, axis=1)
     row = np.dtype((np.void, packed.shape[1]))
-    _, open_class, open_size = np.unique(
-        packed.view(row).ravel(), return_inverse=True, return_counts=True)
+    _, open_first, open_class, open_size = np.unique(
+        packed.view(row).ravel(),
+        return_index=True, return_inverse=True, return_counts=True)
     vertex = np.arange(n)
     packed[vertex, vertex >> 3] |= (0x80 >> (vertex & 7)).astype(np.uint8)
-    _, closed_class = np.unique(packed.view(row).ravel(), return_inverse=True)
+    _, closed_first, closed_class = np.unique(
+        packed.view(row).ravel(), return_index=True, return_inverse=True)
     false_twin = open_size[open_class] > 1
-    _, first, label, size = np.unique(
-        np.where(false_twin, open_class, n + closed_class),
-        return_index=True, return_inverse=True, return_counts=True)
+    # each vertex names its class by the class's first vertex
+    leader = np.where(false_twin, open_first[open_class], closed_first[closed_class])
+    first, label, size = np.unique(leader, return_inverse=True, return_counts=True)
     return label, first, size, ~false_twin[first]
 
 
@@ -160,7 +130,8 @@ class TwinQuotient:
     ``dense`` is the read-only symmetric q x q quotient over the q
     classes, whose eigenvalues are the rest of the spectrum; ``exact``
     holds the n - q eigenvalues the classes give exactly.  With no twins
-    (q = n), ``dense`` is the full Laplacian and ``exact`` is empty.
+    (q = n), ``dense`` is the full Laplacian in vertex order and ``exact``
+    is empty.
     """
 
     dense: np.ndarray
@@ -183,28 +154,36 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
     ``B_ij = sqrt(s_i s_j)`` for joined classes i != j and ``B_ii = s_i - 1``
     for a true-twin class (0 otherwise), scaled by ``1 / sqrt(d)`` on both
     sides for the normalized kind (Brouwer and Haemers, *Spectra of
-    Graphs*, on equitable partitions).  A graph without twins gets the
-    full :func:`raw_laplacian` or :func:`normalized_laplacian`.
+    Graphs*, on equitable partitions).
+
+    Off the diagonal the quotient is the Laplacian's entry between the
+    classes' first vertices, -1 (raw) or one rounding of
+    ``-1 / sqrt(d_i d_j)`` (normalized), times ``sqrt(s_i)`` and then
+    ``sqrt(s_j)``.  Both factors are exactly 1.0 for classes of one
+    vertex, so a graph without twins gets its full Laplacian in vertex
+    order, bit for bit.
     """
     _check_kind(kind)
     _, first, size, true_twin = _twin_classes(graph)
-    if first.size == graph.n:
-        full = raw_laplacian(graph) if kind == RAW else normalized_laplacian(graph)
-        return TwinQuotient(full.dense, np.zeros(0))
     degree = graph.degrees[first]
+    joins = graph.adjacency.take(first, 0).take(first, 1)
     twin_value = (degree + true_twin).astype(float)
-    weight = size.astype(float)
     diagonal = (degree - (size - 1) * true_twin).astype(float)
-    if kind == NORMALIZED:
-        # an isolated class has no edges, so the 1 standing in for its
-        # degree only scales zeros
-        scale = np.maximum(degree, 1)
-        weight /= scale
+    if kind == RAW:
+        # 0.0 - 1.0 on the joins and 0.0 - 0.0 elsewhere, so no entry is -0.0
+        mat = np.subtract(0.0, joins, dtype=float)
+    else:
+        # an isolated class has no joins, so the 1 standing in for its
+        # degree is masked away with the other non-joins
+        scale = np.maximum(degree, 1).astype(float)
+        mat = np.multiply.outer(scale, scale)
+        np.sqrt(mat, out=mat)
+        np.divide(-1.0, mat, out=mat)
+        mat *= joins
+        mat += 0.0  # the masked entries are -0.0
         diagonal /= scale
         np.divide(twin_value, degree, out=twin_value, where=degree > 0)
-    root = np.sqrt(weight)
-    # 0.0 - 1.0 on the joins and 0.0 - 0.0 elsewhere, so no entry is -0.0
-    mat = np.subtract(0.0, graph.adjacency.take(first, 0).take(first, 1), dtype=float)
+    root = np.sqrt(size)
     mat *= root[:, None]
     mat *= root
     np.fill_diagonal(mat, diagonal)
@@ -243,16 +222,16 @@ class Spectrum:
         return self.values.size
 
 
-def eigenvalues(matrix: SymmetricMatrix | TwinQuotient, kind: str) -> Spectrum:
+def eigenvalues(matrix: TwinQuotient, kind: str) -> Spectrum:
     """Full spectrum of a Laplacian of the given kind.
 
-    ``matrix`` is a dense Laplacian, or a :class:`TwinQuotient` whose
-    quotient is solved and whose exact eigenvalues are merged in; either
-    way all n eigenvalues are returned.  They are ascending and clamped
-    into [0, n] for the raw kind, [0, 2] for the normalized kind.  Values
-    outside the range by more than ``CLAMP_TOL_FACTOR * n``, and raw
-    spectra whose smallest eigenvalue is not 0 within the same band,
-    raise :class:`NumericalError`.
+    ``matrix`` comes from :func:`laplacian`: its quotient is solved and
+    its exact eigenvalues are merged in, so all n eigenvalues are
+    returned.  They are ascending and clamped into [0, n] for the raw
+    kind, [0, 2] for the normalized kind.  Values outside the range by
+    more than ``CLAMP_TOL_FACTOR * n``, and raw spectra whose smallest
+    eigenvalue is not 0 within the same band, raise
+    :class:`NumericalError`.
     """
     _check_kind(kind)
     n = matrix.n
@@ -260,7 +239,7 @@ def eigenvalues(matrix: SymmetricMatrix | TwinQuotient, kind: str) -> Spectrum:
         values = np.linalg.eigvalsh(matrix.dense)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    if isinstance(matrix, TwinQuotient) and matrix.exact.size:
+    if matrix.exact.size:
         values = np.sort(np.concatenate([values, matrix.exact]))
     lo, hi = (0.0, float(n)) if kind == RAW else (0.0, 2.0)
     band = CLAMP_TOL_FACTOR * n

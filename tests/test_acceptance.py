@@ -79,8 +79,8 @@ def snapshot_battery():
             filtration = sf.build_filtration(matrix)
             for density in (0.02, 0.05, 0.1, 0.3, 0.6):
                 graph = sf.graph_at_density(filtration, density)
-                raw = sf.eigenvalues(sf.raw_laplacian(graph), sf.RAW)
-                norm = sf.eigenvalues(sf.normalized_laplacian(graph), sf.NORMALIZED)
+                raw = sf.eigenvalues(sf.laplacian(graph, sf.RAW), sf.RAW)
+                norm = sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED), sf.NORMALIZED)
                 battery.append((ensemble, graph, raw, norm))
     assert len(battery) == 100
     return battery
@@ -131,7 +131,7 @@ def test_c03_er_normalized_gap_limit():
     n = 500
     matrix = sf.sample_gaussian_symmetric(n, 0)
     graph = sf.graph_at_density(sf.build_filtration(matrix), 0.5)
-    gap = sf.spectral_gap(sf.eigenvalues(sf.normalized_laplacian(graph), sf.NORMALIZED))
+    gap = sf.spectral_gap(sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED), sf.NORMALIZED))
     lo = 1.0 - 5.0 / np.sqrt(n)
     _report(3, "ER normalized gap at p=0.5 in [1 - 5/sqrt(n), 1)",
             lo <= gap < 1.0, f"gap = {gap:.5f}, window [{lo:.5f}, 1)")
@@ -196,7 +196,7 @@ def test_c05_wishart_bipartite_stage():
             failures.append(f"seed {seed}: edge set is not K_k,n-k")
             continue
 
-        spectrum = sf.eigenvalues(sf.raw_laplacian(graph), sf.RAW)
+        spectrum = sf.eigenvalues(sf.laplacian(graph, sf.RAW), sf.RAW)
         expected = np.sort(
             [0.0] + [float(k)] * (n - k - 1) + [float(n - k)] * (k - 1) + [float(n)]
         )
@@ -233,23 +233,25 @@ def _labelled_graphs(max_n):
 
 def test_twin_quotient_matches_dense_solve(snapshot_battery):
     # not a numbered criterion: the spectra every criterion reads come from
-    # the twin quotient, so they are checked against the full dense solve
+    # the twin quotient, so they are checked against the dense solve of the
+    # Laplacian scattered from the edge list
     graphs = [*_labelled_graphs(5), *(graph for _, graph, _, _ in snapshot_battery)]
     failures = []
     reduced = 0
     for graph in graphs:
-        n = graph.n
+        n, edges = graph.n, oracles.edges_of(graph)
         label, first, size, true_twin = twin_classes(graph)
         members = [frozenset(np.flatnonzero(label == c).tolist()) for c in range(first.size)]
         true = {cls for cls, s, t in zip(members, size, true_twin) if s > 1 and t}
-        if ((set(members), true) != oracles.twin_classes(n, oracles.edges_of(graph))
+        if ((set(members), true) != oracles.twin_classes(n, edges)
                 or list(map(len, members)) != size.tolist()
                 or (label[first] != np.arange(first.size)).any()):
             failures.append(f"n={n} m={graph.edge_count}: twin classes differ")
         reduced += first.size < n
-        for kind, dense in ((sf.RAW, sf.raw_laplacian), (sf.NORMALIZED, sf.normalized_laplacian)):
+        for kind, scatter in ((sf.RAW, oracles.raw_laplacian_scatter),
+                              (sf.NORMALIZED, oracles.normalized_laplacian_scatter)):
             values = sf.eigenvalues(sf.laplacian(graph, kind), kind).values
-            err = np.abs(values - np.linalg.eigvalsh(dense(graph).dense)).max()
+            err = np.abs(values - np.linalg.eigvalsh(scatter(n, edges))).max()
             if err > 1e-9 * n:
                 failures.append(f"n={n} m={graph.edge_count} {kind}: error {err:.2e}")
     assert not failures, "; ".join(failures[:3])
@@ -318,11 +320,11 @@ def test_c11_small_instance_charpoly_oracle():
         matrix = sf.sample_gaussian_symmetric(n, 1000 + fid)
         filtration = sf.build_filtration(matrix)
         for graph in sf.stream_prefixes(filtration, range(filtration.total_pairs + 1)):
-            raw = sf.eigenvalues(sf.raw_laplacian(graph), sf.RAW).values
+            raw = sf.eigenvalues(sf.laplacian(graph, sf.RAW), sf.RAW).values
             raw_oracle = oracles.charpoly_eigenvalues(
                 oracles.raw_laplacian_fractions(graph)
             )
-            norm = sf.eigenvalues(sf.normalized_laplacian(graph), sf.NORMALIZED).values
+            norm = sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED), sf.NORMALIZED).values
             norm_oracle = oracles.charpoly_eigenvalues(
                 oracles.normalized_similar_fractions(graph)
             )

@@ -21,7 +21,7 @@ from specfilt.filtration import (
     graph_at_density,
     stream_prefixes,
 )
-from specfilt.spectra import RAW, eigenvalues, raw_laplacian, zero_multiplicity
+from specfilt.spectra import RAW, eigenvalues, laplacian, zero_multiplicity
 
 import oracles
 from oracles import (
@@ -322,7 +322,7 @@ class TestCountComponents:
             f = build_filtration(sample_gaussian_symmetric(n, seed))
             m = int(rng.integers(0, f.total_pairs + 1))
             g = next(stream_prefixes(f, [m]))
-            spectrum = eigenvalues(raw_laplacian(g), RAW)
+            spectrum = eigenvalues(laplacian(g, RAW), RAW)
             assert zero_multiplicity(spectrum) == components_by_bfs(n, edges_of(g))
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from specfilt.ensembles import (
-    SymmetricMatrix,
     distance_matrix,
     sample_gaussian_symmetric,
     sample_noisy_circle,
@@ -19,11 +18,11 @@ from specfilt.spectra import (
     RAW,
     Histogram,
     NumericalError,
+    TwinQuotient,
+    _twin_classes,
     eigenvalues,
     laplacian,
     laplacian_std,
-    normalized_laplacian,
-    raw_laplacian,
     spectral_gap,
     spectrum_histogram,
     spectrum_std,
@@ -46,42 +45,44 @@ def complete_bipartite(m, n):
 
 class TestRawLaplacian:
     def test_single_edge(self):
-        mat = raw_laplacian(graph_from_edges(2, [(0, 1)]))
-        assert np.array_equal(mat.dense, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        # one class of two true twins: the quotient is the 1 x 1 zero matrix
+        spec = eigenvalues(laplacian(graph_from_edges(2, [(0, 1)]), RAW), RAW)
+        assert spec.values.tolist() == [0.0, 2.0]
 
     def test_edgeless(self):
-        mat = raw_laplacian(graph_from_edges(4, []))
-        assert np.array_equal(mat.dense, np.zeros((4, 4)))
+        # one class of four isolated false twins
+        quotient = laplacian(graph_from_edges(4, []), RAW)
+        assert np.array_equal(quotient.dense, np.zeros((1, 1)))
+        assert eigenvalues(quotient, RAW).values.tolist() == [0.0] * 4
 
     def test_triangle(self):
-        mat = raw_laplacian(complete_graph(3))
-        expected = 3 * np.eye(3) - np.ones((3, 3))
-        assert np.array_equal(mat.dense, expected)
+        spec = eigenvalues(laplacian(complete_graph(3), RAW), RAW)
+        assert spec.values.tolist() == [0.0, 3.0, 3.0]
 
 
 class TestNormalizedLaplacian:
     def test_single_edge(self):
-        mat = normalized_laplacian(graph_from_edges(2, [(0, 1)]))
-        assert np.array_equal(mat.dense, np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        spec = eigenvalues(mat, NORMALIZED)
-        np.testing.assert_allclose(spec.values, [0.0, 2.0], atol=1e-12)
+        spec = eigenvalues(laplacian(graph_from_edges(2, [(0, 1)]), NORMALIZED), NORMALIZED)
+        assert spec.values.tolist() == [0.0, 2.0]
 
     def test_complete_graph_spectrum(self):
         for n in (3, 5, 8):
-            spec = eigenvalues(normalized_laplacian(complete_graph(n)), NORMALIZED)
+            spec = eigenvalues(laplacian(complete_graph(n), NORMALIZED), NORMALIZED)
             expected = [0.0] + [n / (n - 1)] * (n - 1)
             np.testing.assert_allclose(spec.values, expected, atol=1e-12)
 
     def test_edgeless_is_zero_matrix(self):
-        mat = normalized_laplacian(graph_from_edges(5, []))
-        assert np.array_equal(mat.dense, np.zeros((5, 5)))
-        spec = eigenvalues(mat, NORMALIZED)
+        quotient = laplacian(graph_from_edges(5, []), NORMALIZED)
+        assert np.array_equal(quotient.dense, np.zeros((1, 1)))
+        spec = eigenvalues(quotient, NORMALIZED)
         assert np.array_equal(spec.values, np.zeros(5))
 
     def test_isolated_vertex_row_is_zero(self):
-        mat = normalized_laplacian(graph_from_edges(3, [(0, 1)]))
-        assert np.array_equal(mat.dense[2], np.zeros(3))
-        assert np.array_equal(mat.dense[:, 2], np.zeros(3))
+        # a path on 4 vertices plus an isolated vertex has no twins
+        quotient = laplacian(graph_from_edges(5, [(0, 1), (1, 2), (2, 3)]), NORMALIZED)
+        assert quotient.exact.size == 0
+        assert np.array_equal(quotient.dense[4], np.zeros(5))
+        assert np.array_equal(quotient.dense[:, 4], np.zeros(5))
 
 
 def same_bits(a, b):
@@ -89,12 +90,29 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def assert_matches_edge_scatter(graph, edges):
-    raw = raw_laplacian(graph).dense
-    norm = normalized_laplacian(graph).dense
-    assert same_bits(raw, oracles.raw_laplacian_scatter(graph.n, edges))
-    assert same_bits(norm, oracles.normalized_laplacian_scatter(graph.n, edges))
-    assert not raw.flags.writeable and not norm.flags.writeable
+SCATTERS = ((RAW, oracles.raw_laplacian_scatter),
+            (NORMALIZED, oracles.normalized_laplacian_scatter))
+
+
+def assert_matches_edge_scatter(graph, edges) -> bool:
+    """A twin-free graph's quotient is, bit for bit, the Laplacian scattered
+    from its edge list.  A graph with twins has its classes in the order of
+    their first vertices, and its spectrum is that of the scattered
+    Laplacian within 1e-9 n.  Returns whether the graph is twin-free."""
+    n = graph.n
+    _, first, _, _ = _twin_classes(graph)
+    assert (np.diff(first) > 0).all()
+    for kind, scatter in SCATTERS:
+        quotient = laplacian(graph, kind)
+        assert not quotient.dense.flags.writeable and not quotient.exact.flags.writeable
+        full = scatter(n, edges)
+        if first.size == n:
+            assert quotient.exact.size == 0
+            assert same_bits(quotient.dense, full)
+        else:
+            values = eigenvalues(quotient, kind).values
+            assert np.abs(values - np.linalg.eigvalsh(full)).max() <= 1e-9 * n
+    return first.size == n
 
 
 FILTERED_ENSEMBLES = [
@@ -106,17 +124,20 @@ FILTERED_ENSEMBLES = [
 
 
 class TestLaplacianBits:
-    """Laplacians from the adjacency equal, bit for bit, the ones scattered
-    from the edge list."""
+    """A twin-free snapshot's quotient equals, bit for bit, the Laplacian
+    scattered from the edge list; every ensemble's small filtrations have
+    twin-free prefixes."""
 
     @pytest.mark.parametrize("make", FILTERED_ENSEMBLES)
     def test_every_prefix_of_small_filtrations(self, make):
+        twin_free = 0
         for n in range(2, 9):
             for seed in range(3):
                 f = build_filtration(make(n, seed))
                 order = order_of(f)
                 for m, g in enumerate(stream_prefixes(f, range(f.total_pairs + 1))):
-                    assert_matches_edge_scatter(g, order[:m])
+                    twin_free += assert_matches_edge_scatter(g, order[:m])
+        assert twin_free > 0
 
     @pytest.mark.parametrize("make", FILTERED_ENSEMBLES)
     def test_sampled_prefixes_at_n_200(self, make):
@@ -134,6 +155,7 @@ class TestLaplacianBits:
             (4, [(0, 1), (1, 2)]),
             (6, [(1, 4)]),
             (7, [(0, 6), (2, 6), (3, 6), (2, 3)]),
+            (5, [(0, 1), (1, 2), (2, 3)]),
         ]
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -141,20 +163,22 @@ class TestLaplacianBits:
             pairs = [(i, j) for i in range(n - 2) for j in range(i + 1, n - 2)]
             keep = rng.random(len(pairs)) < 0.3
             cases.append((n, [pair for pair, k in zip(pairs, keep) if k]))
+        twin_free = 0
         for n, edges in cases:
             g = graph_from_edges(n, edges)
             assert (g.degrees == 0).any()
-            assert_matches_edge_scatter(g, edges)
+            twin_free += assert_matches_edge_scatter(g, edges)
+        assert twin_free > 0
 
 
 class TestEigenvalues:
     def test_complete_graph_raw(self):
-        spec = eigenvalues(raw_laplacian(complete_graph(4)), RAW)
+        spec = eigenvalues(laplacian(complete_graph(4), RAW), RAW)
         np.testing.assert_allclose(spec.values, [0.0, 4.0, 4.0, 4.0], atol=1e-9)
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (1, 5), (4, 6)])
     def test_complete_bipartite_raw(self, m, n):
-        spec = eigenvalues(raw_laplacian(complete_bipartite(m, n)), RAW)
+        spec = eigenvalues(laplacian(complete_bipartite(m, n), RAW), RAW)
         expected = np.sort([0.0] + [m] * (n - 1) + [n] * (m - 1) + [m + n])
         np.testing.assert_allclose(spec.values, expected, atol=1e-6)
 
@@ -162,13 +186,13 @@ class TestEigenvalues:
         for seed in range(5):
             f = build_filtration(sample_gaussian_symmetric(8, 300 + seed))
             g = graph_from_edges(8, order_of(f)[: 7 + 2 * seed])
-            raw = eigenvalues(raw_laplacian(g), RAW).values
+            raw = eigenvalues(laplacian(g, RAW), RAW).values
             np.testing.assert_allclose(
                 raw,
                 oracles.charpoly_eigenvalues(oracles.raw_laplacian_fractions(g)),
                 atol=1e-6,
             )
-            norm = eigenvalues(normalized_laplacian(g), NORMALIZED).values
+            norm = eigenvalues(laplacian(g, NORMALIZED), NORMALIZED).values
             np.testing.assert_allclose(
                 norm,
                 oracles.charpoly_eigenvalues(
@@ -191,23 +215,24 @@ class TestEigenvalues:
 
     def test_rejects_invalid_kind(self):
         with pytest.raises(ValueError):
-            eigenvalues(raw_laplacian(graph_from_edges(2, [])), "weighted")
+            eigenvalues(laplacian(graph_from_edges(2, []), RAW), "weighted")
 
     def test_out_of_range_matrix_raises_numerical_error(self):
         # the message carries the size of the violation
-        mat = SymmetricMatrix(-5.0 * np.eye(3))
+        none = np.zeros(0)
+        mat = TwinQuotient(-5.0 * np.eye(3), none)
         with pytest.raises(NumericalError, match=r"leave \[0, 3\] by 5\.000e\+00$"):
             eigenvalues(mat, RAW)
-        mat = SymmetricMatrix(5.0 * np.eye(3))
+        mat = TwinQuotient(5.0 * np.eye(3), none)
         with pytest.raises(NumericalError, match=r"leave \[0, 2\] by 3\.000e\+00$"):
             eigenvalues(mat, NORMALIZED)
-        mat = SymmetricMatrix(0.5 * np.eye(3))
+        mat = TwinQuotient(0.5 * np.eye(3), none)
         with pytest.raises(NumericalError, match=r"must be 0, not 5\.000e-01$"):
             eigenvalues(mat, RAW)
 
     def test_clamping_and_preclamp_fields(self):
         g = complete_graph(6)
-        spec = eigenvalues(raw_laplacian(g), RAW)
+        spec = eigenvalues(laplacian(g, RAW), RAW)
         assert spec.values.min() >= 0.0
         assert spec.values.max() <= 6.0
         assert abs(spec.pre_clamp_min) <= 1e-8 * 6
@@ -219,9 +244,9 @@ class TestEigenvalues:
             f = build_filtration(sample_gaussian_symmetric(n, 40 + seed))
             for m in (0, 5, 40, 120, 190):
                 g = graph_from_edges(n, order_of(f)[:m])
-                raw = eigenvalues(raw_laplacian(g), RAW)
+                raw = eigenvalues(laplacian(g, RAW), RAW)
                 assert abs(raw.values.sum() - 2 * m) <= max(1e-8 * n * m, 1e-12)
-                norm = eigenvalues(normalized_laplacian(g), NORMALIZED)
+                norm = eigenvalues(laplacian(g, NORMALIZED), NORMALIZED)
                 non_isolated = int((g.degrees > 0).sum())
                 assert abs(norm.values.sum() - non_isolated) <= 1e-6 * n
 
@@ -259,46 +284,39 @@ class TestTwinQuotient:
         norm = eigenvalues(laplacian(g, NORMALIZED), NORMALIZED).values
         assert np.count_nonzero(norm == 1.0) == n - 2
 
-    def test_twin_free_graph_gets_the_full_laplacian(self):
-        g = graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])  # a path
-        for kind, dense in ((RAW, raw_laplacian), (NORMALIZED, normalized_laplacian)):
-            quotient = laplacian(g, kind)
-            assert quotient.exact.size == 0
-            assert same_bits(quotient.dense, dense(g).dense)
-
 
 class TestSpectralGap:
     def test_complete_graph_value(self):
         for n in (3, 6, 10):
-            spec = eigenvalues(raw_laplacian(complete_graph(n)), RAW)
+            spec = eigenvalues(laplacian(complete_graph(n), RAW), RAW)
             assert abs(spectral_gap(spec) - n) <= 1e-9 * n
 
     def test_disconnected_graph_is_zero(self):
-        spec = eigenvalues(raw_laplacian(graph_from_edges(5, [(0, 1), (2, 3)])), RAW)
+        spec = eigenvalues(laplacian(graph_from_edges(5, [(0, 1), (2, 3)]), RAW), RAW)
         assert spectral_gap(spec) == 0.0
 
     @pytest.mark.parametrize("m,n", [(2, 5), (3, 4), (5, 5)])
     def test_complete_bipartite_value(self, m, n):
-        spec = eigenvalues(raw_laplacian(complete_bipartite(m, n)), RAW)
+        spec = eigenvalues(laplacian(complete_bipartite(m, n), RAW), RAW)
         assert abs(spectral_gap(spec) - min(m, n)) <= 1e-6
 
     def test_gap_bound_with_equality_only_for_complete(self):
         n = 7
-        full = eigenvalues(raw_laplacian(complete_graph(n)), RAW)
+        full = eigenvalues(laplacian(complete_graph(n), RAW), RAW)
         assert abs(spectral_gap(full) - n) <= 1e-9 * n
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)][:-1]
-        almost = eigenvalues(raw_laplacian(graph_from_edges(n, edges)), RAW)
+        almost = eigenvalues(laplacian(graph_from_edges(n, edges), RAW), RAW)
         assert spectral_gap(almost) < n - 1e-6
 
 
 class TestSpectrumHistogram:
     def test_two_point_spectrum_boundary(self):
-        spec = eigenvalues(normalized_laplacian(graph_from_edges(2, [(0, 1)])), NORMALIZED)
+        spec = eigenvalues(laplacian(graph_from_edges(2, [(0, 1)]), NORMALIZED), NORMALIZED)
         hist = spectrum_histogram(spec, bins=2)
         assert hist.counts.tolist() == [1, 1]
 
     def test_complete_graph_four_bins(self):
-        spec = eigenvalues(raw_laplacian(complete_graph(4)), RAW)
+        spec = eigenvalues(laplacian(complete_graph(4), RAW), RAW)
         hist = spectrum_histogram(spec, bins=4)
         assert hist.counts.tolist() == [1, 0, 0, 3]
 
@@ -316,23 +334,23 @@ class TestSpectrumHistogram:
 
     def test_default_ranges_by_kind(self):
         g = complete_graph(5)
-        raw_hist = spectrum_histogram(eigenvalues(raw_laplacian(g), RAW))
+        raw_hist = spectrum_histogram(eigenvalues(laplacian(g, RAW), RAW))
         assert raw_hist.bin_edges[0] == 0.0
         assert raw_hist.bin_edges[-1] == 5.0
         norm_hist = spectrum_histogram(
-            eigenvalues(normalized_laplacian(g), NORMALIZED)
+            eigenvalues(laplacian(g, NORMALIZED), NORMALIZED)
         )
         assert norm_hist.bin_edges[-1] == 2.0
 
     def test_bin_of(self):
-        spec = eigenvalues(raw_laplacian(complete_graph(4)), RAW)
+        spec = eigenvalues(laplacian(complete_graph(4), RAW), RAW)
         hist = spectrum_histogram(spec, bins=4)
         assert oracles.bin_of(hist, 0.0) == 0
         assert oracles.bin_of(hist, 3.9) == 3
         assert oracles.bin_of(hist, 4.0) == 3
 
     def test_rejects_bad_parameters(self):
-        spec = eigenvalues(raw_laplacian(complete_graph(3)), RAW)
+        spec = eigenvalues(laplacian(complete_graph(3), RAW), RAW)
         with pytest.raises(ValueError):
             spectrum_histogram(spec, bins=0)
 
@@ -343,16 +361,16 @@ class TestSpectrumHistogram:
 
 class TestSpectrumStd:
     def test_constant_spectrum(self):
-        spec = eigenvalues(raw_laplacian(graph_from_edges(3, [])), RAW)
+        spec = eigenvalues(laplacian(graph_from_edges(3, []), RAW), RAW)
         assert spectrum_std(spec) == 0.0
 
     def test_two_point_spectrum(self):
-        spec = eigenvalues(normalized_laplacian(graph_from_edges(2, [(0, 1)])), NORMALIZED)
+        spec = eigenvalues(laplacian(graph_from_edges(2, [(0, 1)]), NORMALIZED), NORMALIZED)
         assert abs(spectrum_std(spec) - 1.0) <= 1e-12
 
     def test_complete_graph_normalized(self):
         # spectrum {0, 4/3, 4/3, 4/3}: mean 1, variance 1/3
-        spec = eigenvalues(normalized_laplacian(complete_graph(4)), NORMALIZED)
+        spec = eigenvalues(laplacian(complete_graph(4), NORMALIZED), NORMALIZED)
         expected = float(np.std([0.0, 4.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0]))
         assert abs(expected - np.sqrt(1.0 / 3.0)) <= 1e-15
         assert abs(spectrum_std(spec) - expected) <= 1e-12
