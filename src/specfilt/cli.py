@@ -12,6 +12,14 @@ Experiments: gap-curve, std-curve, density, sqrt-gap.  Each run writes
 and prints a one-line summary per kind.  The environment variable
 ``SPECFILT_OUTPUT`` overrides ``--output``.
 
+The kinds, the ``--bins`` default and the default grid are the
+library's: :data:`specfilt.spectra.KINDS`,
+:data:`specfilt.spectra.DEFAULT_BINS` and
+:meth:`specfilt.curves.DensityGrid.uniform`.  A ``--grid file:PATH``
+holds one density per line; blank lines and lines starting with ``#``
+are skipped.  A leading UTF-8 byte-order mark is ignored there and in
+the ``--matrix`` file.
+
 Exit status: 0 success, 1 usage error, 2 I/O failure, 3 numerical
 failure.
 """
@@ -43,7 +51,7 @@ from .ensembles import (
     sample_wishart_rank_one,
 )
 from .output import read_matrix_csv, write_csv, write_svg
-from .spectra import NORMALIZED, RAW, Histogram, NumericalError
+from .spectra import DEFAULT_BINS, KINDS, Histogram, NumericalError
 
 __all__ = ["UsageError", "parse_args", "run", "main",
            "EXIT_OK", "EXIT_USAGE", "EXIT_IO", "EXIT_NUMERICAL"]
@@ -92,12 +100,13 @@ def _build_parser() -> _Parser:
                         help="vertex count (point count for circle/torus)")
     parser.add_argument("--seed", type=int, default=0,
                         help="unsigned 64-bit seed (default 0)")
-    parser.add_argument("--kind", choices=(RAW, NORMALIZED, "both"), default="both",
+    parser.add_argument("--kind", choices=(*KINDS, "both"), default="both",
                         help="which Laplacian to analyze (default both)")
     parser.add_argument("--p", type=float, default=None,
                         help="edge density (density experiment only)")
-    parser.add_argument("--bins", type=int, default=100,
-                        help=f"histogram bin count, 1 to {MAX_BINS} (default 100)")
+    parser.add_argument("--bins", type=int, default=DEFAULT_BINS,
+                        help=f"histogram bin count, 1 to {MAX_BINS} "
+                             f"(default {DEFAULT_BINS})")
     parser.add_argument("--grid", default=None, metavar="uniform:K|file:PATH",
                         help=f"density grid spec, K from 1 to {MAX_GRID_STEPS} "
                              "(default uniform:50, with extra points near 0 "
@@ -218,12 +227,12 @@ def _resolve_grid(config: argparse.Namespace, n: int) -> DensityGrid:
     if spec is None:
         if config.experiment == "std-curve":
             return DensityGrid.with_zero_refinement(n)
-        return DensityGrid.uniform(50)
+        return DensityGrid.uniform()
     head, _, tail = spec.partition(":")
     if head == "uniform":
         return DensityGrid.uniform(int(tail))
     try:
-        lines = Path(tail).read_text(encoding="utf-8").split("\n")
+        lines = Path(tail).read_text(encoding="utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise UsageError(f"--grid file: {exc}") from exc
     points = []
@@ -298,7 +307,7 @@ def run(config: argparse.Namespace) -> int:
     every matrix has been processed.
     """
     try:
-        kinds = (RAW, NORMALIZED) if config.kind == "both" else (config.kind,)
+        kinds = KINDS if config.kind == "both" else (config.kind,)
         firsts, totals = {}, {}  # per kind: first draw's result, running total
         n = grid = None
         for seed in _seeds(config):

@@ -71,9 +71,12 @@ class DensityGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.unique(np.asarray(self.points, dtype=float))
+        # np.unique's algorithm without its np.ma.is_masked check, which
+        # imports numpy.ma: sort flat, keep each point unlike the one before
+        points = np.sort(np.asarray(self.points, dtype=float), axis=None)
         if points.size == 0:
             raise ValueError("a density grid needs at least one point")
+        points = points[np.concatenate(([True], points[1:] != points[:-1]))]
         if not np.isfinite(points).all():
             raise ValueError("densities must be finite")
         if points[0] < 0.0 or points[-1] > 1.0:

@@ -88,14 +88,15 @@ def write_matrix_csv(matrix: SymmetricMatrix, path) -> None:
 def read_matrix_csv(path) -> SymmetricMatrix:
     """Read a full symmetric matrix from CSV (as written by write_matrix_csv).
 
-    Blank lines are skipped and every cell is parsed by ``numpy.loadtxt``
+    A leading UTF-8 byte-order mark is ignored, blank lines are skipped,
+    and every cell is parsed by ``numpy.loadtxt``
     (no ``#`` comments, no ``_`` digit separators); an unparsable cell is
     named by its file line and column, both from 1.  Near-symmetric input
     (entries matching across the diagonal to 1e-9, relative to the
     largest magnitude) is accepted; the upper triangle wins and is
     mirrored so the stored matrix is exactly symmetric.
     """
-    with open(Path(path), "r", encoding="utf-8") as fh:
+    with open(Path(path), "r", encoding="utf-8-sig") as fh:
         line = 0  # the file line (from 1) of the last row handed to numpy
 
         def rows():

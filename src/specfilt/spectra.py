@@ -197,25 +197,17 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
 class Spectrum:
     """All eigenvalues of one Laplacian, ascending; ``n`` is their count.
 
-    ``values`` are clamped into the theoretical range of their kind;
-    ``pre_clamp_min`` / ``pre_clamp_max`` record the extreme eigenvalues
-    as the solver returned them.
+    ``values`` are read-only and clamped into the theoretical range of
+    their kind; ``pre_clamp_min`` / ``pre_clamp_max`` record the extreme
+    eigenvalues as the solver returned them.  Only :func:`eigenvalues`
+    builds one: it checks the kind, sorts and clamps, so the constructor
+    checks nothing.
     """
 
     kind: str
     values: np.ndarray
     pre_clamp_min: float
     pre_clamp_max: float
-
-    def __post_init__(self):
-        _check_kind(self.kind)
-        values = np.array(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("eigenvalues must form a vector")
-        if np.any(np.diff(values) < 0):
-            raise ValueError("eigenvalues must be ascending")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
     @property
     def n(self) -> int:
@@ -239,8 +231,8 @@ def eigenvalues(matrix: TwinQuotient, kind: str) -> Spectrum:
         values = np.linalg.eigvalsh(matrix.dense)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    if matrix.exact.size:
-        values = np.sort(np.concatenate([values, matrix.exact]))
+    # with no twins exact is empty and the solver's ascending values sort to themselves
+    values = np.sort(np.concatenate([values, matrix.exact]))
     lo, hi = (0.0, float(n)) if kind == RAW else (0.0, 2.0)
     band = CLAMP_TOL_FACTOR * n
     violation = max(lo - values[0], values[-1] - hi, 0.0)
@@ -251,6 +243,7 @@ def eigenvalues(matrix: TwinQuotient, kind: str) -> Spectrum:
         raise NumericalError(
             f"smallest raw Laplacian eigenvalue must be 0, not {values[0]:.3e}")
     clamped = np.clip(values, lo, hi)
+    clamped.setflags(write=False)
     return Spectrum(
         kind=kind,
         values=clamped,
@@ -303,15 +296,13 @@ def spectrum_histogram(spectrum: Spectrum, bins: int = DEFAULT_BINS) -> Histogra
     """Histogram of a spectrum over uniform bins on its theoretical range.
 
     The range is [0, n] for raw spectra and [0, 2] for normalized ones.
-    Values outside it (possible only within the clamp tolerance) are
-    counted in the extreme bins; every eigenvalue lands in exactly one
-    bin, so the counts sum to n.
+    :func:`eigenvalues` has clamped the values into it, so every
+    eigenvalue lands in exactly one bin and the counts sum to n.
     """
     if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
         raise ValueError("bins must be a positive integer")
     hi = float(spectrum.n) if spectrum.kind == RAW else 2.0
-    clipped = np.clip(spectrum.values, 0.0, hi)
-    counts, edges = np.histogram(clipped, bins=int(bins), range=(0.0, hi))
+    counts, edges = np.histogram(spectrum.values, bins=int(bins), range=(0.0, hi))
     return Histogram(bin_edges=edges, counts=counts)
 
 

@@ -119,10 +119,10 @@ def bar_chart(bin_edges, counts, title: str, x_label: str = "value",
     yield from _header(title)
     yield from _axes_and_ticks(px, py, xlo, xhi, ylo, yhi, x_label, y_label)
     base = py(0.0)
-    for k in range(counts.size):
-        left = px(edges[k])
-        width = px(edges[k + 1]) - left
-        top = py(counts[k])
-        yield (f'<rect x="{left:.2f}" y="{top:.2f}" width="{width:.2f}" '
+    # the scales act elementwise on arrays with the same float operations;
+    # a memoryview yields Python floats one at a time, so no list is held
+    xs = memoryview(px(edges))
+    for left, right, top in zip(xs, xs[1:], memoryview(py(counts))):
+        yield (f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '
                f'height="{base - top:.2f}" {_BAR}/>')
     yield "</svg>"

@@ -255,6 +255,21 @@ class TestRun:
         xs, _ = read_curve_csv(tmp_path / "gap-curve-gaussian-raw.csv")
         assert xs.tolist() == [0.0, 0.5, 1.0]
 
+    def test_grid_file_byte_order_mark_is_ignored(self, tmp_path):
+        written = {}
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            grid_path = tmp_path / f"{name}.txt"
+            grid_path.write_bytes(prefix + b"0\n0.25\n1\n")
+            out = tmp_path / name
+            code = main(
+                ["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
+                 "--kind", "raw", "--grid", f"file:{grid_path}", "--output", str(out)]
+            )
+            assert code == EXIT_OK
+            written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(written["plain"]) == 2
+        assert written["bom"] == written["plain"]
+
     def test_grid_resolved_once_for_both_kinds(self, tmp_path, monkeypatch):
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("0\n0.5\n1\n")
@@ -527,6 +542,20 @@ class TestMatrixFile:
             "specfilt: error: --matrix: could not convert string 'abc' to float64 "
             f"on line {line}, column {column}\n")
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(sample_wishart_rank_one(15, 3), path)
+        bom_path = tmp_path / "bom.csv"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        written = {}
+        for name, matrix in (("plain", path), ("bom", bom_path)):
+            out = tmp_path / name
+            assert main(["gap-curve", "--ensemble", "matrix-file", "--matrix", str(matrix),
+                         "--grid", "uniform:6", "--output", str(out)]) == EXIT_OK
+            written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(written["plain"]) == 4
+        assert written["bom"] == written["plain"]
+
     def test_matrix_from_stdin(self, tmp_path):
         path = tmp_path / "matrix.csv"
         write_matrix_csv(sample_wishart_rank_one(15, 3), path)
@@ -607,3 +636,19 @@ class TestReproducibility:
             written[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
         assert len(written["1"]) == 8
         assert written["1"] == written["2"]
+
+
+@pytest.mark.parametrize("experiment", ["gap-curve", "std-curve"])
+def test_curve_runs_do_not_import_numpy_ma(tmp_path, experiment):
+    # numpy.ma takes about 10 ms to import; a fresh process shows whether a run pulls it in
+    script = (
+        "import sys, specfilt.cli\n"
+        f"code = specfilt.cli.main(['{experiment}', '--ensemble', 'gaussian', '--n', '20',"
+        f" '--output', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"

@@ -51,6 +51,15 @@ class TestDensityGrid:
         grid = DensityGrid([0.5, 0.1, 0.5, 1.0])
         assert grid.points.tolist() == [0.1, 0.5, 1.0]
 
+    @pytest.mark.parametrize("points", [0.5, [0.0, -0.0, 0.5, 0.5], [-0.0, 0.0, 1.0]])
+    def test_points_are_np_unique_bit_for_bit(self, points):
+        # the signed zeros keep whichever one np.unique keeps
+        expected = np.unique(np.asarray(points, dtype=float))
+        got = DensityGrid(points).points
+        assert got.tolist() == expected.tolist()
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert not got.flags.writeable
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             DensityGrid([-0.1, 0.5])
@@ -58,6 +67,8 @@ class TestDensityGrid:
             DensityGrid([0.5, 1.5])
         with pytest.raises(ValueError):
             DensityGrid([])
+        with pytest.raises(ValueError, match="must be finite"):
+            DensityGrid([0.5, np.nan, np.nan])
 
     def test_zero_refinement_brackets_one_over_n(self):
         n = 200

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from specfilt import svg
 from specfilt.curves import CurveSeries, DensityGrid, gap_curve
 from specfilt.ensembles import sample_gaussian_symmetric, sample_noisy_circle, distance_matrix
 from specfilt.output import (
@@ -106,6 +107,25 @@ class TestSvg:
         assert text.count("<rect") == 100
         assert text.count("<polyline") == 0
 
+    def test_bars_match_the_per_bin_formula(self):
+        # uneven edges, as np.histogram gives over a raw range [0, n]
+        rng = np.random.default_rng(3)
+        counts, edges = np.histogram(rng.uniform(0.0, 37.0, 5000), bins=10**4,
+                                     range=(0.0, 37.0))
+        xlo, xhi = svg._padded(0.0, 37.0)
+        ylo, yhi = svg._padded(0.0, float(counts.max()))
+        px, py = svg._scales(xlo, xhi, ylo, yhi)
+        base = py(0.0)
+        expected = []
+        for k in range(counts.size):
+            left = px(edges[k])
+            width = px(edges[k + 1]) - left
+            top = py(float(counts[k]))
+            expected.append(f'<rect x="{left:.2f}" y="{top:.2f}" width="{width:.2f}" '
+                            f'height="{base - top:.2f}" {svg._BAR}/>')
+        lines = list(svg.bar_chart(edges, counts, "ten thousand bins"))
+        assert [line for line in lines if line.startswith("<rect")] == expected
+
     def test_deterministic_bytes(self, tmp_path):
         series = CurveSeries(
             "std", RAW, np.linspace(0, 1, 40), np.sin(np.linspace(0, 3, 40)) ** 2
@@ -168,6 +188,19 @@ class TestMatrixCsv:
         path.write_text("".join(",".join(map(repr, row)) + "\n" for row in dense.tolist()))
         loaded = read_matrix_csv(path)
         assert np.array_equal(loaded.dense.view(np.int64), dense.view(np.int64))
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        write_matrix_csv(distance_matrix(sample_noisy_circle(10, seed=2)), path)
+        bom_path = tmp_path / "bom.csv"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert np.array_equal(read_matrix_csv(bom_path).dense, read_matrix_csv(path).dense)
+
+    def test_byte_order_mark_only_at_the_start(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes("0,1\n\ufeff1,0\n".encode())
+        with pytest.raises(ValueError, match="could not convert.*on line 2, column 1"):
+            read_matrix_csv(path)
 
     def test_crlf_blank_lines_and_spaces(self, tmp_path):
         path = tmp_path / "matrix.csv"
