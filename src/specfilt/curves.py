@@ -12,21 +12,25 @@ kinds of gap curve share the one spanning tree that gives the
 filtration's connectivity index.  Filtrations and snapshots come only
 from :mod:`specfilt.filtration`'s builders, never from pair lists.
 
-The gap curve and the density histogram run one eigensolve per
-connected snapshot, of its twin quotient: :func:`specfilt.spectra.laplacian`
-finds the classes and assembles the quotient (for a snapshot without
-twins, its full Laplacian), and :func:`specfilt.spectra.eigenvalues`
-solves it.  Below the connectivity index (one more than the largest rank
-in the minimum spanning tree of the rank matrix,
+The gap curve and the density histogram take each spectrum they need
+from :func:`specfilt.spectra.laplacian` and
+:func:`specfilt.spectra.eigenvalues`.  A raw spectrum certified from the
+snapshot's degrees (a threshold graph, or a join of threshold graphs, as
+every rank-one snapshot past the Wishart bipartite stage is) is exact
+integers with nothing solved; any other is one eigensolve of the twin
+quotient (for a snapshot without twins, its full Laplacian).  Below the
+connectivity index (one more than the largest rank in the minimum
+spanning tree of the rank matrix,
 :attr:`specfilt.filtration.EdgeFiltration.connectivity_index`) the gap
-is exactly 0 and nothing is solved.  The width (std) curve runs no
-eigensolve at all: its value comes from the traces of the Laplacian,
-which depend only on the snapshot's degrees and adjacency
+is exactly 0, and those snapshots are not even built.  The width (std)
+curve runs no eigensolve at all: its value comes from the traces of the
+Laplacian, which depend only on the snapshot's degrees and adjacency
 (:func:`specfilt.spectra.laplacian_std`).
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,11 +161,14 @@ def _filtration(matrix: SymmetricMatrix) -> EdgeFiltration:
     return filtration
 
 
-def _sweep(matrix, grid, kind, statistic: str, stat_fn) -> CurveSeries:
-    # stat_fn maps each snapshot Graph to the statistic's value
+def _sweep(matrix, grid, kind, statistic: str, stat_fn, zero_below: int = 0) -> CurveSeries:
+    # stat_fn maps each snapshot Graph to the statistic's value; checkpoints
+    # below zero_below edges have the value 0.0 and build no snapshot
     counts, densities = _checkpoints(grid, matrix.n)
-    ys = []
-    for p, graph in zip(densities, stream_prefixes(_filtration(matrix), counts)):
+    skip = bisect.bisect_left(counts, zero_below)
+    ys = [0.0] * skip
+    snapshots = stream_prefixes(_filtration(matrix), counts[skip:])
+    for p, graph in zip(densities[skip:], snapshots):
         try:
             ys.append(stat_fn(graph))
         except NumericalError as exc:
@@ -178,21 +185,18 @@ def _sweep(matrix, grid, kind, statistic: str, stat_fn) -> CurveSeries:
 def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSeries:
     """Spectral gap (second-smallest eigenvalue) as a function of density.
 
-    The gap is exactly 0.0 at every snapshot below the connectivity index
-    (the disconnected ones), with no eigensolve; each connected snapshot
-    is solved over its twin classes.  At p = 1 the complete graph is one
-    class of true twins, so the gap is exactly n for the raw kind and
-    n/(n - 1) for the normalized kind.
+    The gap is exactly 0.0 at every checkpoint below the connectivity
+    index (the disconnected ones), where no snapshot is built and nothing
+    is solved; each connected snapshot's spectrum comes from
+    :func:`specfilt.spectra.laplacian`, exact integers when certified
+    (raw kind), solved over its twin classes otherwise.  At p = 1 the
+    complete graph's gap is exactly n for the raw kind and n/(n - 1) for
+    the normalized kind.
     """
     _check_kind(kind)
-    connected_at = _filtration(matrix).connectivity_index
-
-    def gap(graph):
-        if graph.edge_count < connected_at:
-            return 0.0
-        return spectral_gap(eigenvalues(laplacian(graph, kind), kind))
-
-    return _sweep(matrix, grid, kind, "gap", gap)
+    return _sweep(matrix, grid, kind, "gap",
+                  lambda graph: spectral_gap(eigenvalues(laplacian(graph, kind), kind)),
+                  zero_below=_filtration(matrix).connectivity_index)
 
 
 def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSeries:

@@ -17,7 +17,7 @@ memory does not grow with the size of the file.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -56,13 +56,17 @@ def _write_lines(path, lines) -> None:
 
 def write_csv(data, path) -> None:
     """Write a CurveSeries or Histogram as CSV."""
+    # a memoryview yields Python numbers one at a time, so no list is held
     if isinstance(data, CurveSeries):
         header = "p,value"
-        rows = (f"{format_real(x)},{format_real(y)}" for x, y in zip(data.xs, data.ys))
+        rows = (f"{format_real(x)},{format_real(y)}"
+                for x, y in zip(memoryview(data.xs), memoryview(data.ys)))
     elif isinstance(data, Histogram):
         header = "bin_lo,bin_hi,count"
-        rows = (f"{format_real(lo)},{format_real(hi)},{int(c)}"
-                for lo, hi, c in zip(data.bin_edges[:-1], data.bin_edges[1:], data.counts))
+        # each edge is formatted once, and is the high end of one bin and
+        # the low end of the next
+        labels = pairwise(map(format_real, memoryview(data.bin_edges)))
+        rows = (f"{lo},{hi},{c}" for (lo, hi), c in zip(labels, memoryview(data.counts)))
     else:
         raise TypeError(f"cannot serialize {type(data).__name__} to CSV")
     _write_lines(path, chain([header], rows))

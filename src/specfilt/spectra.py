@@ -16,7 +16,19 @@ traces, by :func:`laplacian_std`: ``tr L`` and ``tr L^2`` depend
 only on the degrees and adjacency, so no Laplacian is built and nothing
 is solved.  :func:`spectrum_std` computes the same width from eigenvalues.
 
-Every snapshot's spectrum is solved over its twin classes
+A raw spectrum is first certified from the snapshot's degrees
+(:func:`laplacian`).  A threshold graph, one that can be emptied by
+removing isolated or dominating vertices one at a time, has the
+conjugate degree sequence ``d*_k = #{i : d_i >= k}``, k = 1..n, as its
+raw spectrum (Merris 1994); the degree sequence alone decides whether a
+graph is threshold (Hammer, Ibaraki and Simeone 1981).  A graph whose
+complement is a disjoint union of threshold graphs (a join of threshold
+graphs, such as a rank-one Wishart snapshot past its bipartite stage)
+has the raw spectrum 0 together with ``n - mu``, mu running over the
+complement's spectrum without one 0.  Either way all n eigenvalues are
+integers, computed exactly, and nothing is solved.
+
+Every other snapshot's spectrum is solved over its twin classes
 (:func:`laplacian`): vertices with equal open neighbourhoods (false twins)
 or equal closed ones (true twins).  Each class of size s gives s - 1
 eigenvalues exactly, and the rest come from a dense symmetric
@@ -123,6 +135,77 @@ def _twin_classes(graph: Graph):
     return label, first, size, ~false_twin[first]
 
 
+def _peels(degrees: np.ndarray) -> bool:
+    """Whether a graph with these degrees is a threshold graph.
+
+    The sorted degrees are peeled from both ends.  The smallest one left
+    is an isolated vertex of what remains when it equals the number of
+    dominating vertices peeled so far; the largest is a dominating vertex
+    when it equals that number plus the count left minus 1.  Whichever
+    vertex is peeled, every other keeps its degree minus that number
+    within what remains, so the graph is threshold exactly when the peel
+    empties the sequence.
+    """
+    ordered = np.sort(degrees).tolist()
+    lo, hi, dominating = 0, len(ordered) - 1, 0
+    while lo <= hi:
+        if ordered[lo] == dominating:
+            lo += 1
+        elif ordered[hi] == dominating + hi - lo:
+            dominating += 1
+            hi -= 1
+        else:
+            return False
+    return True
+
+
+def _conjugate(degrees: np.ndarray) -> np.ndarray:
+    """The conjugate sequence ``d*_k = #{i : d_i >= k}``, k = 1..n."""
+    tally = np.bincount(degrees, minlength=degrees.size + 1)
+    return np.cumsum(tally[::-1])[::-1][1:]
+
+
+def _integral_raw_spectrum(graph: Graph) -> np.ndarray | None:
+    """The raw spectrum of a threshold graph, or of a graph whose complement
+    is a disjoint union of threshold graphs, as n integers in no order;
+    None for any other graph.
+
+    A threshold graph's spectrum is its conjugate degree sequence.
+    Otherwise the complement's components are taken one at a time: the
+    remaining vertex of largest complement degree, with the remaining
+    vertices it is not joined to, is a whole threshold component exactly
+    when the complement degrees on it peel and none of its members has a
+    complement-neighbour outside it (a connected threshold graph has a
+    dominating vertex, of the largest degree).  With L + L' = nI - J for
+    a graph and its complement, the spectrum is then 0 together with
+    n - mu, mu running over the components' conjugate sequences without
+    one 0.  Each test is exact and integer, O(n^2) at worst.
+    """
+    degrees = graph.degrees
+    if _peels(degrees):
+        return _conjugate(degrees)
+    n = graph.n
+    co_degree = n - 1 - degrees
+    remaining = co_degree > 0  # a vertex of complement degree 0 is a component alone
+    parts = [np.zeros(n - np.count_nonzero(remaining), dtype=degrees.dtype)]
+    while remaining.any():
+        v = int(np.argmax(np.where(remaining, co_degree, -1)))
+        members = remaining & ~graph.adjacency[v]
+        inner = co_degree[members]
+        if not _peels(inner):
+            return None
+        block = graph.adjacency.compress(members, 0).compress(members, 1)
+        joined = np.count_nonzero(block, axis=1)
+        if (inner.size - 1 - joined != inner).any():
+            return None  # a member has a complement-neighbour outside
+        parts.append(_conjugate(inner))
+        remaining &= ~members
+    spectrum = n - np.concatenate(parts)
+    # one mu = 0 is the complement's on the all-ones vector, where L has 0
+    spectrum[np.argmax(spectrum)] = 0
+    return spectrum
+
+
 @dataclass(frozen=True)
 class TwinQuotient:
     """A Laplacian reduced over the twin classes of its graph.
@@ -131,7 +214,9 @@ class TwinQuotient:
     classes, whose eigenvalues are the rest of the spectrum; ``exact``
     holds the n - q eigenvalues the classes give exactly.  With no twins
     (q = n), ``dense`` is the full Laplacian in vertex order and ``exact``
-    is empty.
+    is empty.  A raw Laplacian whose spectrum is certified from the
+    degrees has q = 0: ``dense`` is 0 x 0 and ``exact`` holds all n
+    eigenvalues, integers.
     """
 
     dense: np.ndarray
@@ -145,28 +230,42 @@ class TwinQuotient:
 def laplacian(graph: Graph, kind: str) -> TwinQuotient:
     """Laplacian of the given kind, reduced over the graph's twin classes.
 
-    Between two twin classes the edges are all present or all absent, and
-    the degree d is constant on a class, so a class of size s gives s - 1
-    eigenvalues exactly, on vectors that sum to 0 over it: d for false
-    twins and d + 1 for true twins (raw); 1 and (d + 1) / d, one division
-    (normalized); 0 for isolated vertices (both).  The rest of the
-    spectrum is that of the symmetric quotient ``diag(d) - B``, with
-    ``B_ij = sqrt(s_i s_j)`` for joined classes i != j and ``B_ii = s_i - 1``
-    for a true-twin class (0 otherwise), scaled by ``1 / sqrt(d)`` on both
-    sides for the normalized kind (Brouwer and Haemers, *Spectra of
-    Graphs*, on equitable partitions).
+    A raw Laplacian is first certified: when the graph is threshold, or
+    its complement is a disjoint union of threshold graphs, its whole
+    spectrum is known exactly from degrees and complement components
+    (:func:`_integral_raw_spectrum`) and the quotient is empty (q = 0).
+
+    Otherwise, between two twin classes the edges are all present or all
+    absent, and the degree d is constant on a class, so a class of size s
+    gives s - 1 eigenvalues exactly, on vectors that sum to 0 over it: d
+    for false twins and d + 1 for true twins (raw); 1 and (d + 1) / d,
+    one division (normalized); 0 for isolated vertices (both).  The rest
+    of the spectrum is that of the symmetric quotient ``diag(d) - B``,
+    with ``B_ij = sqrt(s_i s_j)`` for joined classes i != j and
+    ``B_ii = s_i - 1`` for a true-twin class (0 otherwise), scaled by
+    ``1 / sqrt(d)`` on both sides for the normalized kind (Brouwer and
+    Haemers, *Spectra of Graphs*, on equitable partitions).
 
     Off the diagonal the quotient is the Laplacian's entry between the
     classes' first vertices, -1 (raw) or one rounding of
     ``-1 / sqrt(d_i d_j)`` (normalized), times ``sqrt(s_i)`` and then
-    ``sqrt(s_j)``.  Both factors are exactly 1.0 for classes of one
-    vertex, so a graph without twins gets its full Laplacian in vertex
-    order, bit for bit.
+    ``sqrt(s_j)``.  A graph without twins (q = n) takes its adjacency as
+    it is and skips that scaling, whose factors would all be exactly 1.0,
+    so it gets its full Laplacian in vertex order, bit for bit.
     """
     _check_kind(kind)
+    if kind == RAW:
+        certified = _integral_raw_spectrum(graph)
+        if certified is not None:
+            mat = np.zeros((0, 0))
+            mat.setflags(write=False)
+            exact = certified.astype(float)
+            exact.setflags(write=False)
+            return TwinQuotient(mat, exact)
     _, first, size, true_twin = _twin_classes(graph)
+    twin_free = first.size == graph.n
     degree = graph.degrees[first]
-    joins = graph.adjacency.take(first, 0).take(first, 1)
+    joins = graph.adjacency if twin_free else graph.adjacency.take(first, 0).take(first, 1)
     twin_value = (degree + true_twin).astype(float)
     diagonal = (degree - (size - 1) * true_twin).astype(float)
     if kind == RAW:
@@ -183,9 +282,10 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
         mat += 0.0  # the masked entries are -0.0
         diagonal /= scale
         np.divide(twin_value, degree, out=twin_value, where=degree > 0)
-    root = np.sqrt(size)
-    mat *= root[:, None]
-    mat *= root
+    if not twin_free:
+        root = np.sqrt(size)
+        mat *= root[:, None]
+        mat *= root
     np.fill_diagonal(mat, diagonal)
     mat.setflags(write=False)
     exact = np.repeat(twin_value, size - 1)

@@ -5,9 +5,9 @@ recomputed from scratch: exact characteristic polynomial over rationals
 (Faddeev-LeVerrier), exact square-free factorization (Yun's algorithm),
 then high-precision root finding with mpmath on the simple-root factors.
 Graph quantities (components, two-colouring, bipartite prefix, twin
-classes) use their own independent algorithms.  The Laplacians are also
-scattered from an edge list, a bit-for-bit reference for the library's
-assembly from the adjacency matrix.  Hand-built filtrations and graphs
+classes, threshold peeling) use their own independent algorithms.
+The Laplacians are also scattered from an edge list, a bit-for-bit
+reference for the library's assembly from the adjacency matrix.  Hand-built filtrations and graphs
 come from pair lists through :func:`filtration_from_order` and
 :func:`graph_from_edges`, which check the pairs before handing the
 library its own inputs.
@@ -324,6 +324,51 @@ def twin_classes(n, edges) -> tuple[set[frozenset], set[frozenset]]:
     true = {c for c in classes if len(c) > 1
             and all(true_twins(u, v) for u in c for v in c)}
     return classes, true
+
+
+def _peels_away(vertices, around) -> bool:
+    """Whether the graph on ``vertices`` (neighbour sets ``around``) empties
+    by removing, one at a time, a vertex isolated or dominating in what
+    is left."""
+    left = set(vertices)
+    while left:
+        for u in left:
+            inside = around[u] & left
+            if not inside or len(inside) == len(left) - 1:
+                left.remove(u)
+                break
+        else:
+            return False
+    return True
+
+
+def threshold_certified(n, edges) -> bool:
+    """Whether a graph is threshold, or its complement is a disjoint union
+    of threshold graphs, by peeling actual vertices.
+
+    The graph itself is peeled first; then each component of the
+    complement, found by flood fill over the non-edges, is peeled within
+    the complement.
+    """
+    around = [set() for _ in range(n)]
+    for i, j in edges:
+        around[i].add(j)
+        around[j].add(i)
+    if _peels_away(range(n), around):
+        return True
+    apart = [set(range(n)) - around[v] - {v} for v in range(n)]
+    unseen = set(range(n))
+    while unseen:
+        start = unseen.pop()
+        component, stack = {start}, [start]
+        while stack:
+            for w in apart[stack.pop()] - component:
+                component.add(w)
+                stack.append(w)
+        unseen -= component
+        if not _peels_away(component, apart):
+            return False
+    return True
 
 
 def two_colouring(n, edges) -> tuple[bool, list[int]]:

@@ -1,5 +1,6 @@
-"""Acceptance suite: one test per numbered criterion, plus a check of the
-twin quotient behind every spectrum against the full dense solve.
+"""Acceptance suite: one test per numbered criterion, plus checks of the
+twin quotient and of the certified raw spectra behind every spectrum
+against the full dense solve.
 
 Each test prints one ``[criterion NN] PASS/FAIL`` line (visible with
 ``pytest -s``) and then asserts, so a failure shows up both in the
@@ -256,6 +257,79 @@ def test_twin_quotient_matches_dense_solve(snapshot_battery):
                 failures.append(f"n={n} m={graph.edge_count} {kind}: error {err:.2e}")
     assert not failures, "; ".join(failures[:3])
     assert reduced > len(graphs) // 2
+
+
+def _certified(graph) -> bool:
+    # a certified raw spectrum comes with an empty quotient; any other has q >= 1
+    return sf.laplacian(graph, sf.RAW).dense.shape == (0, 0)
+
+
+def _check_certified(graph, failures) -> None:
+    """Append a failure unless the certified raw spectrum is n integers
+    matching the dense solve of the scattered Laplacian within 1e-9 n."""
+    n, edges = graph.n, oracles.edges_of(graph)
+    quotient = sf.laplacian(graph, sf.RAW)
+    values = sf.eigenvalues(quotient, sf.RAW).values
+    err = np.abs(values - np.linalg.eigvalsh(oracles.raw_laplacian_scatter(n, edges))).max()
+    if quotient.exact.size != n or (quotient.exact != np.round(quotient.exact)).any():
+        failures.append(f"n={n} m={graph.edge_count}: not n integers")
+    elif err > 1e-9 * n:
+        failures.append(f"n={n} m={graph.edge_count}: error {err:.2e}")
+
+
+def test_certificates_accept_exactly_the_peelable_graphs():
+    # not a numbered criterion: on every labelled graph with n <= 6 the raw
+    # spectrum is certified exactly when peeling the graph, or each
+    # component of its complement, removes every vertex
+    failures = []
+    certified = 0
+    for graph in _labelled_graphs(6):
+        accepted = oracles.threshold_certified(graph.n, oracles.edges_of(graph))
+        if _certified(graph) != accepted:
+            failures.append(f"n={graph.n} {oracles.edges_of(graph)}: oracle says {accepted}")
+        elif accepted:
+            certified += 1
+            _check_certified(graph, failures)
+    assert not failures, "; ".join(failures[:3])
+    assert certified == 4125  # of 33866
+
+
+def test_certified_spectra_match_dense_solve(snapshot_battery):
+    # not a numbered criterion: every battery snapshot the library certifies
+    # is one the peeling oracle accepts, and its integers are the spectrum
+    failures = []
+    certified = 0
+    for ensemble, graph, _, _ in snapshot_battery:
+        accepted = oracles.threshold_certified(graph.n, oracles.edges_of(graph))
+        if _certified(graph) != accepted:
+            failures.append(f"{ensemble} m={graph.edge_count}: oracle says {accepted}")
+        elif accepted:
+            certified += 1
+            _check_certified(graph, failures)
+    assert not failures, "; ".join(failures[:3])
+    assert certified >= 20
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_certificates_cover_the_rank_one_sweeps(seed):
+    # not a numbered criterion: positive rank-one snapshots are threshold
+    # graphs and Wishart ones past the bipartite stage are joins of two, so
+    # their raw spectra need no solve; other ensembles' interior snapshots
+    # are neither
+    n = DESK_N
+    counts = [sf.edge_count_at_density(n, float(p)) for p in sf.DensityGrid.uniform().points]
+    total = counts[-1]
+    negatives = int(np.count_nonzero(_matrix_for("wishart-rank1", n, seed).v < 0))
+    stage = negatives * (n - negatives)
+    certified = {}
+    for ensemble in ("positive-rank1", "wishart-rank1", "gaussian", "torus"):
+        filtration = sf.build_filtration(_matrix_for(ensemble, n, seed))
+        certified[ensemble] = {m: _certified(graph) for m, graph
+                               in zip(counts, sf.stream_prefixes(filtration, counts))}
+    assert all(certified["positive-rank1"].values())
+    assert all(c for m, c in certified["wishart-rank1"].items() if m >= stage)
+    for ensemble in ("gaussian", "torus"):
+        assert not any(c for m, c in certified[ensemble].items() if 0 < m < total), ensemble
 
 
 def test_c07_normalized_spectrum_invariants(snapshot_battery):

@@ -219,6 +219,30 @@ def test_gap_solves_only_from_the_connectivity_index(monkeypatch):
         assert solved == connected
 
 
+def test_gap_builds_no_snapshot_below_the_connectivity_index(monkeypatch):
+    streamed = []  # edge count of every Graph the sweep builds
+
+    def counting_stream(filtration, checkpoints):
+        for graph in stream_prefixes(filtration, checkpoints):
+            streamed.append(graph.edge_count)
+            yield graph
+
+    monkeypatch.setattr(curves_mod, "stream_prefixes", counting_stream)
+    grid = DensityGrid.uniform(50)
+    for make in (sample_wishart_rank_one, sample_positive_rank_one, sample_gaussian_symmetric):
+        mat = make(60, 8)
+        index = build_filtration(mat).connectivity_index
+        counts = [edge_count_at_density(60, float(p)) for p in grid.points]
+        for kind in (RAW, NORMALIZED):
+            streamed.clear()
+            series = gap_curve(mat, grid, kind)
+            below = [m < index for m in counts]
+            assert 0 < sum(below) < len(counts)
+            assert streamed == [m for m in counts if m >= index]
+            assert series.ys[below].tolist() == [0.0] * sum(below)
+            assert (series.ys[~np.array(below)] > 0.0).all()
+
+
 class TestStdCurve:
     def test_empty_graph_has_zero_std(self):
         mat = sample_gaussian_symmetric(10, 2)
