@@ -25,8 +25,10 @@ graph is threshold (Hammer, Ibaraki and Simeone 1981).  A graph whose
 complement is a disjoint union of threshold graphs (a join of threshold
 graphs, such as a rank-one Wishart snapshot past its bipartite stage)
 has the raw spectrum 0 together with ``n - mu``, mu running over the
-complement's spectrum without one 0.  Either way all n eigenvalues are
-integers, computed exactly, and nothing is solved.
+complement's spectrum without one 0.  The complement of a threshold graph
+is threshold, so one test certifies both: each component of the
+complement must peel.  Either way all n eigenvalues are integers,
+computed exactly, and nothing is solved.
 
 Every other snapshot's spectrum is solved over its twin classes
 (:func:`laplacian`): vertices with equal open neighbourhoods (false twins)
@@ -170,21 +172,19 @@ def _integral_raw_spectrum(graph: Graph) -> np.ndarray | None:
     is a disjoint union of threshold graphs, as n integers in no order;
     None for any other graph.
 
-    A threshold graph's spectrum is its conjugate degree sequence.
-    Otherwise the complement's components are taken one at a time: the
+    The complement of a threshold graph is threshold, so both cases are
+    one: the complement's components are taken one at a time.  The
     remaining vertex of largest complement degree, with the remaining
     vertices it is not joined to, is a whole threshold component exactly
     when the complement degrees on it peel and none of its members has a
     complement-neighbour outside it (a connected threshold graph has a
-    dominating vertex, of the largest degree).  With L + L' = nI - J for
-    a graph and its complement, the spectrum is then 0 together with
-    n - mu, mu running over the components' conjugate sequences without
-    one 0.  Each test is exact and integer, O(n^2) at worst.
+    dominating vertex, of the largest degree).  A component's spectrum is
+    its conjugate degree sequence, and with L + L' = nI - J for a graph
+    and its complement, the graph's is 0 together with n - mu, mu running
+    over the components' conjugate sequences without one 0.  Each test is
+    exact and integer, O(n^2) at worst.
     """
-    degrees = graph.degrees
-    if _peels(degrees):
-        return _conjugate(degrees)
-    n = graph.n
+    n, degrees = graph.n, graph.degrees
     co_degree = n - 1 - degrees
     remaining = co_degree > 0  # a vertex of complement degree 0 is a component alone
     parts = [np.zeros(n - np.count_nonzero(remaining), dtype=degrees.dtype)]
@@ -249,9 +249,9 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
     Off the diagonal the quotient is the Laplacian's entry between the
     classes' first vertices, -1 (raw) or one rounding of
     ``-1 / sqrt(d_i d_j)`` (normalized), times ``sqrt(s_i)`` and then
-    ``sqrt(s_j)``.  A graph without twins (q = n) takes its adjacency as
-    it is and skips that scaling, whose factors would all be exactly 1.0,
-    so it gets its full Laplacian in vertex order, bit for bit.
+    ``sqrt(s_j)``.  Both factors are exactly 1.0 for classes of one
+    vertex, so a graph without twins gets its full Laplacian in vertex
+    order, bit for bit.
     """
     _check_kind(kind)
     if kind == RAW:
@@ -263,9 +263,8 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
             exact.setflags(write=False)
             return TwinQuotient(mat, exact)
     _, first, size, true_twin = _twin_classes(graph)
-    twin_free = first.size == graph.n
     degree = graph.degrees[first]
-    joins = graph.adjacency if twin_free else graph.adjacency.take(first, 0).take(first, 1)
+    joins = graph.adjacency.take(first, 0).take(first, 1)
     twin_value = (degree + true_twin).astype(float)
     diagonal = (degree - (size - 1) * true_twin).astype(float)
     if kind == RAW:
@@ -282,10 +281,9 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
         mat += 0.0  # the masked entries are -0.0
         diagonal /= scale
         np.divide(twin_value, degree, out=twin_value, where=degree > 0)
-    if not twin_free:
-        root = np.sqrt(size)
-        mat *= root[:, None]
-        mat *= root
+    root = np.sqrt(size)
+    mat *= root[:, None]
+    mat *= root
     np.fill_diagonal(mat, diagonal)
     mat.setflags(write=False)
     exact = np.repeat(twin_value, size - 1)
