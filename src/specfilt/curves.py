@@ -4,7 +4,8 @@ A sweep takes the matrix's filtration, converts the grid densities to
 edge counts (round half up, duplicates dropped), and walks the snapshot
 stream, computing one scalar per snapshot.  The result is a
 :class:`CurveSeries` of (density, value) pairs ready for CSV or SVG
-output.
+output.  Fitting a curve is left to the caller (the square-root demo
+calls ``numpy.polyfit`` itself).
 
 The filtration is built on the first call for a matrix and kept with
 it, so every curve and snapshot of one matrix shares one sort, and both
@@ -13,8 +14,9 @@ filtration's connectivity index.  Filtrations and snapshots come only
 from :mod:`specfilt.filtration`'s builders, never from pair lists.
 
 The gap curve and the density histogram take each spectrum they need
-from :func:`specfilt.spectra.laplacian` and
-:func:`specfilt.spectra.eigenvalues`.  A raw spectrum certified from the
+from :func:`specfilt.spectra.laplacian`, which checks the kind and
+stores it on the quotient, and :func:`specfilt.spectra.eigenvalues`,
+which reads it from there.  A raw spectrum certified from the
 snapshot's degrees (a threshold graph, or a join of threshold graphs, as
 every rank-one snapshot past the Wishart bipartite stage is) is exact
 integers with nothing solved; any other is one eigensolve of the twin
@@ -63,8 +65,6 @@ __all__ = [
     "std_curve",
     "sqrt_curve",
     "density_snapshot",
-    "linear_fit",
-    "growth_fits",
 ]
 
 
@@ -195,7 +195,7 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
     """
     _check_kind(kind)
     return _sweep(matrix, grid, kind, "gap",
-                  lambda graph: spectral_gap(eigenvalues(laplacian(graph, kind), kind)),
+                  lambda graph: spectral_gap(eigenvalues(laplacian(graph, kind))),
                   zero_below=_filtration(matrix).connectivity_index)
 
 
@@ -229,39 +229,9 @@ def density_snapshot(
     """Histogram of the spectrum at one density, over the default range."""
     graph = graph_at_density(_filtration(matrix), density)
     try:
-        spectrum = eigenvalues(laplacian(graph, kind), kind)
+        spectrum = eigenvalues(laplacian(graph, kind))
     except NumericalError as exc:
         exc.density = float(density)
         raise
     return spectrum_histogram(spectrum, bins=bins)
 
-
-def linear_fit(xs, ys) -> tuple[float, float, float]:
-    """Least-squares line fit; returns (slope, intercept, r_squared)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size != ys.size or xs.size < 2:
-        raise ValueError("need at least two points to fit a line")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    predicted = slope * xs + intercept
-    ss_residual = float(((ys - predicted) ** 2).sum())
-    ss_total = float(((ys - ys.mean()) ** 2).sum())
-    if ss_total == 0.0:
-        r_squared = 1.0 if ss_residual == 0.0 else 0.0
-    else:
-        r_squared = 1.0 - ss_residual / ss_total
-    return float(slope), float(intercept), float(r_squared)
-
-
-def growth_fits(gap_series: CurveSeries) -> dict:
-    """R-squared of the two growth diagnostics for a gap curve.
-
-    Fits sqrt(gap) against p and gap against p^2; a gap growing
-    quadratically in p scores high on both.  Both values are reported
-    side by side rather than picking one.
-    """
-    if (gap_series.ys < 0).any():
-        raise ValueError("gap values must be nonnegative")
-    _, _, r2_sqrt = linear_fit(gap_series.xs, np.sqrt(gap_series.ys))
-    _, _, r2_quad = linear_fit(gap_series.xs**2, gap_series.ys)
-    return {"sqrt_gap_vs_p": r2_sqrt, "gap_vs_p_squared": r2_quad}

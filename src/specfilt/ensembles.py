@@ -13,7 +13,10 @@ reproducible:
 Matrices are returned as :class:`SymmetricMatrix` instances holding a
 read-only dense array whose upper and lower triangles are bitwise equal,
 with the diagonal stored as zero for all sampled ensembles.  The diagonal
-is never consulted by the edge filtration.
+is never consulted by the edge filtration.  The matrices built here are
+exactly symmetric by construction, so they skip the public constructor's
+copy and symmetry scan; only an overflow can make one invalid, and
+:func:`rank_one_matrix` and :func:`distance_matrix` check for it.
 """
 
 from __future__ import annotations
@@ -139,24 +142,32 @@ class RankOneMatrix(SymmetricMatrix):
 
 def rank_one_matrix(v, ensemble: str | None = None) -> RankOneMatrix:
     """Build the rank-one matrix ``M[i, j] = v[i] * v[j]`` (zero diagonal)."""
-    v = np.asarray(v, dtype=float)
+    v = np.array(v, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("v must be a one-dimensional vector of length >= 2")
     if not np.isfinite(v).all():
         raise ValueError("v must have finite entries")
-    dense = np.outer(v, v)
+    # fl(v_i v_j) = fl(v_j v_i), so the triangles are bitwise equal
+    with np.errstate(over="ignore"):  # rejected below
+        dense = np.outer(v, v)
     np.fill_diagonal(dense, 0.0)
-    return RankOneMatrix(dense, v, ensemble=ensemble)
+    if not np.isfinite(dense).all():
+        raise ValueError("matrix entries must be finite")
+    matrix = RankOneMatrix._trusted(dense, ensemble=ensemble)
+    v.setflags(write=False)
+    matrix.v = v
+    return matrix
 
 
 def _symmetric_from_upper(n, upper, ensemble) -> SymmetricMatrix:
     # upper is ordered as np.triu_indices(n, k=1); mirroring the same
-    # values keeps the two triangles bitwise identical.
+    # values keeps the two triangles bitwise identical, and Box-Muller
+    # draws are always finite, so nothing is left to check.
     dense = np.zeros((n, n))
     i, j = np.triu_indices(n, k=1)
     dense[i, j] = upper
     dense[j, i] = upper
-    return SymmetricMatrix(dense, ensemble=ensemble)
+    return SymmetricMatrix._trusted(dense, ensemble=ensemble)
 
 
 def sample_gaussian_symmetric(n: int, seed: int) -> SymmetricMatrix:
@@ -284,12 +295,14 @@ def distance_matrix(cloud: PointCloud) -> SymmetricMatrix:
     x[i] - x[j] is squared and added, left to right over the coordinates,
     then the square root is taken in place.  Negation is exact, so the
     two triangles are bitwise equal, and each entry equals the pairwise
-    formula ``sqrt(sum((p[i] - p[j]) ** 2))``.
+    formula ``sqrt(sum((p[i] - p[j]) ** 2))``.  Finite coordinates can
+    still overflow the sum of squares, so the entries are checked for
+    finiteness once.
     """
     x = cloud.points.T
     dense = np.empty((cloud.n, cloud.n))
     term = np.empty_like(dense)
-    with np.errstate(over="ignore"):  # the matrix rejects what overflows
+    with np.errstate(over="ignore"):  # rejected below
         np.subtract.outer(x[0], x[0], out=dense)
         np.multiply(dense, dense, out=dense)
         for coordinate in x[1:]:
@@ -298,4 +311,6 @@ def distance_matrix(cloud: PointCloud) -> SymmetricMatrix:
             dense += term
         del term
         np.sqrt(dense, out=dense)
-    return SymmetricMatrix(dense, ensemble=cloud.ensemble)
+    if not np.isfinite(dense).all():
+        raise ValueError("matrix entries must be finite")
+    return SymmetricMatrix._trusted(dense, ensemble=cloud.ensemble)

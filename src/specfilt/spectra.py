@@ -39,9 +39,11 @@ plus implicitly shifted iteration) of the q x q quotient over the q
 classes, assembled in one array from the snapshot's boolean adjacency
 and degree vector.  A graph without twins is the case q = n: its
 quotient is the full Laplacian, each normalized entry one rounding of
-``-1 / sqrt(d_i * d_j)``.  Results are validated against the theoretical
-range of their kind and then clamped into it; violations beyond the
-tolerance band raise :class:`NumericalError`.
+``-1 / sqrt(d_i * d_j)``.  The kind is checked once, by
+:func:`laplacian`, and the quotient carries it: :func:`eigenvalues`
+validates the results against the theoretical range of that kind and
+then clamps them into it; violations beyond the tolerance band raise
+:class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -208,17 +210,20 @@ def _integral_raw_spectrum(graph: Graph) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class TwinQuotient:
-    """A Laplacian reduced over the twin classes of its graph.
+    """A Laplacian of one kind, reduced over the twin classes of its graph.
 
-    ``dense`` is the read-only symmetric q x q quotient over the q
-    classes, whose eigenvalues are the rest of the spectrum; ``exact``
-    holds the n - q eigenvalues the classes give exactly.  With no twins
-    (q = n), ``dense`` is the full Laplacian in vertex order and ``exact``
-    is empty.  A raw Laplacian whose spectrum is certified from the
-    degrees has q = 0: ``dense`` is 0 x 0 and ``exact`` holds all n
-    eigenvalues, integers.
+    ``kind`` is the kind :func:`laplacian` checked and built it as, and
+    sets the range :func:`eigenvalues` checks and clamps into.  ``dense``
+    is the read-only symmetric q x q quotient over the q classes, whose
+    eigenvalues are the rest of the spectrum; ``exact`` holds the n - q
+    eigenvalues the classes give exactly.  With no twins (q = n),
+    ``dense`` is the full Laplacian in vertex order and ``exact`` is
+    empty.  A raw Laplacian whose spectrum is certified from the degrees
+    has q = 0: ``dense`` is 0 x 0 and ``exact`` holds all n eigenvalues,
+    integers.
     """
 
+    kind: str
     dense: np.ndarray
     exact: np.ndarray
 
@@ -229,6 +234,8 @@ class TwinQuotient:
 
 def laplacian(graph: Graph, kind: str) -> TwinQuotient:
     """Laplacian of the given kind, reduced over the graph's twin classes.
+
+    The kind is checked here, once, and carried by the quotient.
 
     A raw Laplacian is first certified: when the graph is threshold, or
     its complement is a disjoint union of threshold graphs, its whole
@@ -261,7 +268,7 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
             mat.setflags(write=False)
             exact = certified.astype(float)
             exact.setflags(write=False)
-            return TwinQuotient(mat, exact)
+            return TwinQuotient(kind, mat, exact)
     _, first, size, true_twin = _twin_classes(graph)
     degree = graph.degrees[first]
     joins = graph.adjacency.take(first, 0).take(first, 1)
@@ -288,7 +295,7 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
     mat.setflags(write=False)
     exact = np.repeat(twin_value, size - 1)
     exact.setflags(write=False)
-    return TwinQuotient(mat, exact)
+    return TwinQuotient(kind, mat, exact)
 
 
 @dataclass(frozen=True)
@@ -296,10 +303,10 @@ class Spectrum:
     """All eigenvalues of one Laplacian, ascending; ``n`` is their count.
 
     ``values`` are read-only and clamped into the theoretical range of
-    their kind; ``pre_clamp_min`` / ``pre_clamp_max`` record the extreme
-    eigenvalues as the solver returned them.  Only :func:`eigenvalues`
-    builds one: it checks the kind, sorts and clamps, so the constructor
-    checks nothing.
+    their kind, the kind of the quotient they were solved from;
+    ``pre_clamp_min`` / ``pre_clamp_max`` record the extreme eigenvalues
+    as the solver returned them.  Only :func:`eigenvalues` builds one: it
+    sorts and clamps, so the constructor checks nothing.
     """
 
     kind: str
@@ -312,8 +319,8 @@ class Spectrum:
         return self.values.size
 
 
-def eigenvalues(matrix: TwinQuotient, kind: str) -> Spectrum:
-    """Full spectrum of a Laplacian of the given kind.
+def eigenvalues(matrix: TwinQuotient) -> Spectrum:
+    """Full spectrum of a Laplacian, of the kind its quotient carries.
 
     ``matrix`` comes from :func:`laplacian`: its quotient is solved and
     its exact eigenvalues are merged in, so all n eigenvalues are
@@ -323,8 +330,7 @@ def eigenvalues(matrix: TwinQuotient, kind: str) -> Spectrum:
     eigenvalue is not 0 within the same band, raise
     :class:`NumericalError`.
     """
-    _check_kind(kind)
-    n = matrix.n
+    kind, n = matrix.kind, matrix.n
     try:
         values = np.linalg.eigvalsh(matrix.dense)
     except np.linalg.LinAlgError as exc:

@@ -11,7 +11,8 @@ reference for the library's assembly from the adjacency matrix.  Hand-built filt
 come from pair lists through :func:`filtration_from_order` and
 :func:`graph_from_edges`, which check the pairs before handing the
 library its own inputs.
-Written curves are read back and histogram bins looked up here too.
+Written curves are read back, histogram bins looked up and lines fitted
+here too.
 """
 
 from __future__ import annotations
@@ -483,3 +484,17 @@ def bin_of(histogram, value: float) -> int:
     closed)."""
     idx = int(np.searchsorted(histogram.bin_edges, value, side="right")) - 1
     return min(max(idx, 0), histogram.counts.size - 1)
+
+
+# ---------------------------------------------------------------------------
+# least-squares fit diagnostics for the acceptance criteria
+# ---------------------------------------------------------------------------
+
+
+def r_squared(xs, ys) -> float:
+    """Coefficient of determination of the least-squares line through
+    (xs, ys), fitted by ``numpy.polyfit``."""
+    slope, intercept = np.polyfit(xs, ys, 1)
+    ss_residual = float(((ys - (slope * xs + intercept)) ** 2).sum())
+    ss_total = float(((ys - ys.mean()) ** 2).sum())
+    return 1.0 - ss_residual / ss_total

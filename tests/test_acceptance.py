@@ -1,6 +1,7 @@
 """Acceptance suite: one test per numbered criterion, plus checks of the
 twin quotient and of the certified raw spectra behind every spectrum
-against the full dense solve.
+against the full dense solve, and of the R^2 oracle that criteria 2 and
+4 read.
 
 Each test prints one ``[criterion NN] PASS/FAIL`` line (visible with
 ``pytest -s``) and then asserts, so a failure shows up both in the
@@ -80,8 +81,8 @@ def snapshot_battery():
             filtration = sf.build_filtration(matrix)
             for density in (0.02, 0.05, 0.1, 0.3, 0.6):
                 graph = sf.graph_at_density(filtration, density)
-                raw = sf.eigenvalues(sf.laplacian(graph, sf.RAW), sf.RAW)
-                norm = sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED), sf.NORMALIZED)
+                raw = sf.eigenvalues(sf.laplacian(graph, sf.RAW))
+                norm = sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED))
                 battery.append((ensemble, graph, raw, norm))
     assert len(battery) == 100
     return battery
@@ -123,7 +124,7 @@ def test_c02_er_raw_gap_linearity():
     matrix = sf.sample_gaussian_symmetric(300, 0)
     grid = sf.DensityGrid(np.linspace(0.2, 0.9, 30))
     series = sf.gap_curve(matrix, grid, sf.RAW)
-    _, _, r2 = sf.linear_fit(series.xs, series.ys)
+    r2 = oracles.r_squared(series.xs, series.ys)
     _report(2, "ER raw gap linear on [0.2, 0.9] with R^2 >= 0.99",
             r2 >= 0.99, f"R^2 = {r2:.5f}")
 
@@ -132,7 +133,7 @@ def test_c03_er_normalized_gap_limit():
     n = 500
     matrix = sf.sample_gaussian_symmetric(n, 0)
     graph = sf.graph_at_density(sf.build_filtration(matrix), 0.5)
-    gap = sf.spectral_gap(sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED), sf.NORMALIZED))
+    gap = sf.spectral_gap(sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED)))
     lo = 1.0 - 5.0 / np.sqrt(n)
     _report(3, "ER normalized gap at p=0.5 in [1 - 5/sqrt(n), 1)",
             lo <= gap < 1.0, f"gap = {gap:.5f}, window [{lo:.5f}, 1)")
@@ -152,9 +153,20 @@ def test_c04_positive_rank_one_sqrt_gap_fit():
     mean = sf.CurveSeries("gap", sf.RAW, series[0].xs,
                           np.mean([s.ys for s in series], axis=0))
     sqrt_series = sf.sqrt_curve(mean)
-    _, _, r2 = sf.linear_fit(sqrt_series.xs, sqrt_series.ys)
+    r2 = oracles.r_squared(sqrt_series.xs, sqrt_series.ys)
     _report(4, "positive rank-1 sqrt(raw gap) linear on [0.1, 0.9] with R^2 >= 0.98",
             r2 >= 0.98, f"R^2 = {r2:.5f}")
+
+
+def test_r_squared_oracle_exact_line():
+    xs = np.linspace(0, 1, 20)
+    assert abs(oracles.r_squared(xs, 3.0 * xs + 0.5) - 1.0) <= 1e-12
+
+
+def test_r_squared_oracle_drops_for_noise():
+    rng = np.random.default_rng(3)
+    xs = np.linspace(0, 1, 200)
+    assert oracles.r_squared(xs, rng.normal(size=200)) < 0.5
 
 
 def test_c05_wishart_bipartite_stage():
@@ -197,7 +209,7 @@ def test_c05_wishart_bipartite_stage():
             failures.append(f"seed {seed}: edge set is not K_k,n-k")
             continue
 
-        spectrum = sf.eigenvalues(sf.laplacian(graph, sf.RAW), sf.RAW)
+        spectrum = sf.eigenvalues(sf.laplacian(graph, sf.RAW))
         expected = np.sort(
             [0.0] + [float(k)] * (n - k - 1) + [float(n - k)] * (k - 1) + [float(n)]
         )
@@ -251,7 +263,7 @@ def test_twin_quotient_matches_dense_solve(snapshot_battery):
         reduced += first.size < n
         for kind, scatter in ((sf.RAW, oracles.raw_laplacian_scatter),
                               (sf.NORMALIZED, oracles.normalized_laplacian_scatter)):
-            values = sf.eigenvalues(sf.laplacian(graph, kind), kind).values
+            values = sf.eigenvalues(sf.laplacian(graph, kind)).values
             err = np.abs(values - np.linalg.eigvalsh(scatter(n, edges))).max()
             if err > 1e-9 * n:
                 failures.append(f"n={n} m={graph.edge_count} {kind}: error {err:.2e}")
@@ -269,7 +281,7 @@ def _check_certified(graph, failures) -> None:
     matching the dense solve of the scattered Laplacian within 1e-9 n."""
     n, edges = graph.n, oracles.edges_of(graph)
     quotient = sf.laplacian(graph, sf.RAW)
-    values = sf.eigenvalues(quotient, sf.RAW).values
+    values = sf.eigenvalues(quotient).values
     err = np.abs(values - np.linalg.eigvalsh(oracles.raw_laplacian_scatter(n, edges))).max()
     if quotient.exact.size != n or (quotient.exact != np.round(quotient.exact)).any():
         failures.append(f"n={n} m={graph.edge_count}: not n integers")
@@ -394,11 +406,11 @@ def test_c11_small_instance_charpoly_oracle():
         matrix = sf.sample_gaussian_symmetric(n, 1000 + fid)
         filtration = sf.build_filtration(matrix)
         for graph in sf.stream_prefixes(filtration, range(filtration.total_pairs + 1)):
-            raw = sf.eigenvalues(sf.laplacian(graph, sf.RAW), sf.RAW).values
+            raw = sf.eigenvalues(sf.laplacian(graph, sf.RAW)).values
             raw_oracle = oracles.charpoly_eigenvalues(
                 oracles.raw_laplacian_fractions(graph)
             )
-            norm = sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED), sf.NORMALIZED).values
+            norm = sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED)).values
             norm_oracle = oracles.charpoly_eigenvalues(
                 oracles.normalized_similar_fractions(graph)
             )

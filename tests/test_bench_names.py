@@ -94,8 +94,8 @@ def test_traced_results_carry_their_counts(child, tmp_path):
     for m, disconnected in ((connected_at, 0), (connected_at - 1, 1)):
         graph = next(curves.stream_prefixes(filtration, [m]))
         laplacian = curves.laplacian(graph, "raw")
-        spectrum = curves.eigenvalues(laplacian, "raw")
-        assert eigensolve_count((laplacian, "raw"), spectrum) == {
+        spectrum = curves.eigenvalues(laplacian)
+        assert eigensolve_count((laplacian,), spectrum) == {
             "n": n, "disconnected": disconnected}
     # a writer's byte count is read as soon as it returns, so its file
     # must be complete and closed by then

@@ -1,4 +1,4 @@
-"""Density sweeps: grids, curve series, transforms, and fits."""
+"""Density sweeps: grids, curve series and transforms."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from specfilt.curves import (
     DensityGrid,
     density_snapshot,
     gap_curve,
-    growth_fits,
-    linear_fit,
     sqrt_curve,
     std_curve,
 )
@@ -133,7 +131,7 @@ class TestGapCurve:
         assert (np.diff(series.ys) >= -1e-9).all()
 
     def test_numerical_error_carries_density(self, monkeypatch):
-        def explode(matrix, kind):
+        def explode(matrix):
             raise NumericalError("boom")
 
         monkeypatch.setattr(curves_mod, "eigenvalues", explode)
@@ -198,9 +196,9 @@ def test_gap_solves_only_from_the_connectivity_index(monkeypatch):
         built.append((graph.edge_count, laplacian(graph, kind)))
         return built[-1][1]
 
-    def counting_eigenvalues(matrix, kind):
+    def counting_eigenvalues(matrix):
         solved.extend(m for m, built_matrix in built if built_matrix is matrix)
-        return eigenvalues(matrix, kind)
+        return eigenvalues(matrix)
 
     monkeypatch.setattr(curves_mod, "laplacian", counting_laplacian)
     monkeypatch.setattr(curves_mod, "eigenvalues", counting_eigenvalues)
@@ -272,7 +270,7 @@ class TestStdCurve:
             series = std_curve(mat, grid, kind)
             for p, value in zip(series.xs, series.ys):
                 graph = graph_at_density(filtration, float(p))
-                oracle = spectrum_std(eigenvalues(laplacian(graph, kind), kind))
+                oracle = spectrum_std(eigenvalues(laplacian(graph, kind)))
                 assert abs(value - oracle) <= 1e-12
 
 
@@ -309,24 +307,3 @@ class TestDensitySnapshot:
             hist = density_snapshot(mat, 0.35, kind, bins=40)
             assert hist.total == 30
 
-
-class TestFits:
-    def test_exact_line(self):
-        xs = np.linspace(0, 1, 20)
-        slope, intercept, r2 = linear_fit(xs, 3.0 * xs + 0.5)
-        assert abs(slope - 3.0) <= 1e-12
-        assert abs(intercept - 0.5) <= 1e-12
-        assert abs(r2 - 1.0) <= 1e-12
-
-    def test_r_squared_drops_for_noise(self):
-        rng = np.random.default_rng(3)
-        xs = np.linspace(0, 1, 200)
-        _, _, r2 = linear_fit(xs, rng.normal(size=200))
-        assert r2 < 0.5
-
-    def test_growth_fits_for_quadratic_curve(self):
-        xs = np.linspace(0.1, 0.9, 30)
-        series = CurveSeries("gap", RAW, xs, 7.0 * xs**2)
-        fits = growth_fits(series)
-        assert fits["sqrt_gap_vs_p"] > 0.999
-        assert fits["gap_vs_p_squared"] > 0.999

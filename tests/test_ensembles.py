@@ -1,6 +1,7 @@
 """Generator contracts: determinism, symmetry, distributions, geometry."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,20 @@ class TestRankOne:
         assert mat.dense[0, 1] == -1.0
         assert mat.dense[0, 2] == 2.0
         assert mat.dense[1, 2] == -2.0
+
+    def test_overflowing_products_rejected(self):
+        # the diagonal's 1e400 is zeroed, the off-diagonal one is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                rank_one_matrix(np.array([1e200, 1e200, 1.0]))
+
+    def test_keeps_a_read_only_copy_of_the_vector(self):
+        v = np.array([0.5, 0.25, 1.0])
+        mat = rank_one_matrix(v)
+        v[0] = 2.0
+        assert mat.v.tolist() == [0.5, 0.25, 1.0]
+        assert not mat.v.flags.writeable and not mat.dense.flags.writeable
 
     def test_positive_entries_nonnegative(self):
         mat = sample_positive_rank_one(40, 7)

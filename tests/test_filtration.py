@@ -322,7 +322,7 @@ class TestCountComponents:
             f = build_filtration(sample_gaussian_symmetric(n, seed))
             m = int(rng.integers(0, f.total_pairs + 1))
             g = next(stream_prefixes(f, [m]))
-            spectrum = eigenvalues(laplacian(g, RAW), RAW)
+            spectrum = eigenvalues(laplacian(g, RAW))
             assert zero_multiplicity(spectrum) == components_by_bfs(n, edges_of(g))
 
 

@@ -48,35 +48,35 @@ class TestRawLaplacian:
         # a threshold graph: its spectrum is certified, with nothing to solve
         quotient = laplacian(graph_from_edges(2, [(0, 1)]), RAW)
         assert quotient.dense.shape == (0, 0)
-        assert eigenvalues(quotient, RAW).values.tolist() == [0.0, 2.0]
+        assert eigenvalues(quotient).values.tolist() == [0.0, 2.0]
 
     def test_edgeless(self):
         # four isolated vertices peel away: a threshold graph, certified
         quotient = laplacian(graph_from_edges(4, []), RAW)
         assert quotient.dense.shape == (0, 0)
         assert quotient.exact.tolist() == [0.0] * 4
-        assert eigenvalues(quotient, RAW).values.tolist() == [0.0] * 4
+        assert eigenvalues(quotient).values.tolist() == [0.0] * 4
 
     def test_triangle(self):
-        spec = eigenvalues(laplacian(complete_graph(3), RAW), RAW)
+        spec = eigenvalues(laplacian(complete_graph(3), RAW))
         assert spec.values.tolist() == [0.0, 3.0, 3.0]
 
 
 class TestNormalizedLaplacian:
     def test_single_edge(self):
-        spec = eigenvalues(laplacian(graph_from_edges(2, [(0, 1)]), NORMALIZED), NORMALIZED)
+        spec = eigenvalues(laplacian(graph_from_edges(2, [(0, 1)]), NORMALIZED))
         assert spec.values.tolist() == [0.0, 2.0]
 
     def test_complete_graph_spectrum(self):
         for n in (3, 5, 8):
-            spec = eigenvalues(laplacian(complete_graph(n), NORMALIZED), NORMALIZED)
+            spec = eigenvalues(laplacian(complete_graph(n), NORMALIZED))
             expected = [0.0] + [n / (n - 1)] * (n - 1)
             np.testing.assert_allclose(spec.values, expected, atol=1e-12)
 
     def test_edgeless_is_zero_matrix(self):
         quotient = laplacian(graph_from_edges(5, []), NORMALIZED)
         assert np.array_equal(quotient.dense, np.zeros((1, 1)))
-        spec = eigenvalues(quotient, NORMALIZED)
+        spec = eigenvalues(quotient)
         assert np.array_equal(spec.values, np.zeros(5))
 
     def test_isolated_vertex_row_is_zero(self):
@@ -112,7 +112,7 @@ def assert_matches_edge_scatter(graph, edges) -> bool:
             assert quotient.exact.size == 0
             assert same_bits(quotient.dense, full)
         else:
-            values = eigenvalues(quotient, kind).values
+            values = eigenvalues(quotient).values
             assert np.abs(values - np.linalg.eigvalsh(full)).max() <= 1e-9 * n
     return first.size == n
 
@@ -175,12 +175,12 @@ class TestLaplacianBits:
 
 class TestEigenvalues:
     def test_complete_graph_raw(self):
-        spec = eigenvalues(laplacian(complete_graph(4), RAW), RAW)
+        spec = eigenvalues(laplacian(complete_graph(4), RAW))
         np.testing.assert_allclose(spec.values, [0.0, 4.0, 4.0, 4.0], atol=1e-9)
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (1, 5), (4, 6)])
     def test_complete_bipartite_raw(self, m, n):
-        spec = eigenvalues(laplacian(complete_bipartite(m, n), RAW), RAW)
+        spec = eigenvalues(laplacian(complete_bipartite(m, n), RAW))
         expected = np.sort([0.0] + [m] * (n - 1) + [n] * (m - 1) + [m + n])
         np.testing.assert_allclose(spec.values, expected, atol=1e-6)
 
@@ -188,13 +188,13 @@ class TestEigenvalues:
         for seed in range(5):
             f = build_filtration(sample_gaussian_symmetric(8, 300 + seed))
             g = graph_from_edges(8, order_of(f)[: 7 + 2 * seed])
-            raw = eigenvalues(laplacian(g, RAW), RAW).values
+            raw = eigenvalues(laplacian(g, RAW)).values
             np.testing.assert_allclose(
                 raw,
                 oracles.charpoly_eigenvalues(oracles.raw_laplacian_fractions(g)),
                 atol=1e-6,
             )
-            norm = eigenvalues(laplacian(g, NORMALIZED), NORMALIZED).values
+            norm = eigenvalues(laplacian(g, NORMALIZED)).values
             np.testing.assert_allclose(
                 norm,
                 oracles.charpoly_eigenvalues(
@@ -220,24 +220,30 @@ class TestEigenvalues:
 
     def test_rejects_invalid_kind(self):
         with pytest.raises(ValueError):
-            eigenvalues(laplacian(graph_from_edges(2, []), RAW), "weighted")
+            laplacian(graph_from_edges(2, []), "weighted")
 
     def test_out_of_range_matrix_raises_numerical_error(self):
-        # the message carries the size of the violation
+        # the message carries the size of the violation; the range is that
+        # of the kind the quotient carries
         none = np.zeros(0)
-        mat = TwinQuotient(-5.0 * np.eye(3), none)
+        mat = TwinQuotient(RAW, -5.0 * np.eye(3), none)
         with pytest.raises(NumericalError, match=r"leave \[0, 3\] by 5\.000e\+00$"):
-            eigenvalues(mat, RAW)
-        mat = TwinQuotient(5.0 * np.eye(3), none)
+            eigenvalues(mat)
+        mat = TwinQuotient(NORMALIZED, 5.0 * np.eye(3), none)
         with pytest.raises(NumericalError, match=r"leave \[0, 2\] by 3\.000e\+00$"):
-            eigenvalues(mat, NORMALIZED)
-        mat = TwinQuotient(0.5 * np.eye(3), none)
+            eigenvalues(mat)
+        mat = TwinQuotient(RAW, 0.5 * np.eye(3), none)
         with pytest.raises(NumericalError, match=r"must be 0, not 5\.000e-01$"):
-            eigenvalues(mat, RAW)
+            eigenvalues(mat)
+        # the same matrix is a valid raw spectrum and out of the normalized range
+        dense = np.diag([0.0, 2.5, 2.5])
+        assert eigenvalues(TwinQuotient(RAW, dense, none)).values.tolist() == [0.0, 2.5, 2.5]
+        with pytest.raises(NumericalError, match=r"leave \[0, 2\] by 5\.000e-01$"):
+            eigenvalues(TwinQuotient(NORMALIZED, dense, none))
 
     def test_clamping_and_preclamp_fields(self):
         g = complete_graph(6)
-        spec = eigenvalues(laplacian(g, RAW), RAW)
+        spec = eigenvalues(laplacian(g, RAW))
         assert spec.values.min() >= 0.0
         assert spec.values.max() <= 6.0
         assert abs(spec.pre_clamp_min) <= 1e-8 * 6
@@ -249,9 +255,9 @@ class TestEigenvalues:
             f = build_filtration(sample_gaussian_symmetric(n, 40 + seed))
             for m in (0, 5, 40, 120, 190):
                 g = graph_from_edges(n, order_of(f)[:m])
-                raw = eigenvalues(laplacian(g, RAW), RAW)
+                raw = eigenvalues(laplacian(g, RAW))
                 assert abs(raw.values.sum() - 2 * m) <= max(1e-8 * n * m, 1e-12)
-                norm = eigenvalues(laplacian(g, NORMALIZED), NORMALIZED)
+                norm = eigenvalues(laplacian(g, NORMALIZED))
                 non_isolated = int((g.degrees > 0).sum())
                 assert abs(norm.values.sum() - non_isolated) <= 1e-6 * n
 
@@ -263,7 +269,7 @@ class TestEigenvalues:
                 g = graph_from_edges(n, order_of(f)[:m])
                 expected = components_by_bfs(n, edges_of(g))
                 for kind in (RAW, NORMALIZED):
-                    spec = eigenvalues(laplacian(g, kind), kind)
+                    spec = eigenvalues(laplacian(g, kind))
                     assert zero_multiplicity(spec) == expected
 
 
@@ -274,54 +280,54 @@ class TestTwinQuotient:
     def test_complete_graph_is_exact(self, n):
         # one class of n true twins: the quotient is the 1 x 1 zero matrix
         g = complete_graph(n)
-        raw = eigenvalues(laplacian(g, RAW), RAW)
+        raw = eigenvalues(laplacian(g, RAW))
         assert raw.values.tolist() == [0.0] + [float(n)] * (n - 1)
-        norm = eigenvalues(laplacian(g, NORMALIZED), NORMALIZED)
+        norm = eigenvalues(laplacian(g, NORMALIZED))
         assert norm.values.tolist() == [0.0] + [n / (n - 1)] * (n - 1)
 
     @pytest.mark.parametrize("k,n", [(1, 5), (2, 7), (3, 10), (10, 40)])
     def test_complete_bipartite_twin_values_are_exact(self, k, n):
         # two classes of false twins, of sizes k and n - k
         g = complete_bipartite(k, n - k)
-        raw = eigenvalues(laplacian(g, RAW), RAW).values
+        raw = eigenvalues(laplacian(g, RAW)).values
         assert np.count_nonzero(raw == k) == n - k - 1
         assert np.count_nonzero(raw == n - k) == k - 1
-        norm = eigenvalues(laplacian(g, NORMALIZED), NORMALIZED).values
+        norm = eigenvalues(laplacian(g, NORMALIZED)).values
         assert np.count_nonzero(norm == 1.0) == n - 2
 
 
 class TestSpectralGap:
     def test_complete_graph_value(self):
         for n in (3, 6, 10):
-            spec = eigenvalues(laplacian(complete_graph(n), RAW), RAW)
+            spec = eigenvalues(laplacian(complete_graph(n), RAW))
             assert abs(spectral_gap(spec) - n) <= 1e-9 * n
 
     def test_disconnected_graph_is_zero(self):
-        spec = eigenvalues(laplacian(graph_from_edges(5, [(0, 1), (2, 3)]), RAW), RAW)
+        spec = eigenvalues(laplacian(graph_from_edges(5, [(0, 1), (2, 3)]), RAW))
         assert spectral_gap(spec) == 0.0
 
     @pytest.mark.parametrize("m,n", [(2, 5), (3, 4), (5, 5)])
     def test_complete_bipartite_value(self, m, n):
-        spec = eigenvalues(laplacian(complete_bipartite(m, n), RAW), RAW)
+        spec = eigenvalues(laplacian(complete_bipartite(m, n), RAW))
         assert abs(spectral_gap(spec) - min(m, n)) <= 1e-6
 
     def test_gap_bound_with_equality_only_for_complete(self):
         n = 7
-        full = eigenvalues(laplacian(complete_graph(n), RAW), RAW)
+        full = eigenvalues(laplacian(complete_graph(n), RAW))
         assert abs(spectral_gap(full) - n) <= 1e-9 * n
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)][:-1]
-        almost = eigenvalues(laplacian(graph_from_edges(n, edges), RAW), RAW)
+        almost = eigenvalues(laplacian(graph_from_edges(n, edges), RAW))
         assert spectral_gap(almost) < n - 1e-6
 
 
 class TestSpectrumHistogram:
     def test_two_point_spectrum_boundary(self):
-        spec = eigenvalues(laplacian(graph_from_edges(2, [(0, 1)]), NORMALIZED), NORMALIZED)
+        spec = eigenvalues(laplacian(graph_from_edges(2, [(0, 1)]), NORMALIZED))
         hist = spectrum_histogram(spec, bins=2)
         assert hist.counts.tolist() == [1, 1]
 
     def test_complete_graph_four_bins(self):
-        spec = eigenvalues(laplacian(complete_graph(4), RAW), RAW)
+        spec = eigenvalues(laplacian(complete_graph(4), RAW))
         hist = spectrum_histogram(spec, bins=4)
         assert hist.counts.tolist() == [1, 0, 0, 3]
 
@@ -331,7 +337,7 @@ class TestSpectrumHistogram:
             f = build_filtration(sample_gaussian_symmetric(n, seed))
             g = graph_from_edges(n, order_of(f)[:30])
             for kind in (RAW, NORMALIZED):
-                spec = eigenvalues(laplacian(g, kind), kind)
+                spec = eigenvalues(laplacian(g, kind))
                 assert spec.n == n
                 hist = spectrum_histogram(spec, bins=17)
                 assert hist.total == n
@@ -339,23 +345,23 @@ class TestSpectrumHistogram:
 
     def test_default_ranges_by_kind(self):
         g = complete_graph(5)
-        raw_hist = spectrum_histogram(eigenvalues(laplacian(g, RAW), RAW))
+        raw_hist = spectrum_histogram(eigenvalues(laplacian(g, RAW)))
         assert raw_hist.bin_edges[0] == 0.0
         assert raw_hist.bin_edges[-1] == 5.0
         norm_hist = spectrum_histogram(
-            eigenvalues(laplacian(g, NORMALIZED), NORMALIZED)
+            eigenvalues(laplacian(g, NORMALIZED))
         )
         assert norm_hist.bin_edges[-1] == 2.0
 
     def test_bin_of(self):
-        spec = eigenvalues(laplacian(complete_graph(4), RAW), RAW)
+        spec = eigenvalues(laplacian(complete_graph(4), RAW))
         hist = spectrum_histogram(spec, bins=4)
         assert oracles.bin_of(hist, 0.0) == 0
         assert oracles.bin_of(hist, 3.9) == 3
         assert oracles.bin_of(hist, 4.0) == 3
 
     def test_rejects_bad_parameters(self):
-        spec = eigenvalues(laplacian(complete_graph(3), RAW), RAW)
+        spec = eigenvalues(laplacian(complete_graph(3), RAW))
         with pytest.raises(ValueError):
             spectrum_histogram(spec, bins=0)
 
@@ -366,16 +372,16 @@ class TestSpectrumHistogram:
 
 class TestSpectrumStd:
     def test_constant_spectrum(self):
-        spec = eigenvalues(laplacian(graph_from_edges(3, []), RAW), RAW)
+        spec = eigenvalues(laplacian(graph_from_edges(3, []), RAW))
         assert spectrum_std(spec) == 0.0
 
     def test_two_point_spectrum(self):
-        spec = eigenvalues(laplacian(graph_from_edges(2, [(0, 1)]), NORMALIZED), NORMALIZED)
+        spec = eigenvalues(laplacian(graph_from_edges(2, [(0, 1)]), NORMALIZED))
         assert abs(spectrum_std(spec) - 1.0) <= 1e-12
 
     def test_complete_graph_normalized(self):
         # spectrum {0, 4/3, 4/3, 4/3}: mean 1, variance 1/3
-        spec = eigenvalues(laplacian(complete_graph(4), NORMALIZED), NORMALIZED)
+        spec = eigenvalues(laplacian(complete_graph(4), NORMALIZED))
         expected = float(np.std([0.0, 4.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0]))
         assert abs(expected - np.sqrt(1.0 / 3.0)) <= 1e-15
         assert abs(spectrum_std(spec) - expected) <= 1e-12
@@ -390,7 +396,7 @@ class TestLaplacianStd:
                 f = build_filtration(sample(n, 70 + n))
                 for g in stream_prefixes(f, range(f.total_pairs + 1)):
                     for kind in (RAW, NORMALIZED):
-                        oracle = spectrum_std(eigenvalues(laplacian(g, kind), kind))
+                        oracle = spectrum_std(eigenvalues(laplacian(g, kind)))
                         assert abs(laplacian_std(g, kind) - oracle) <= 1e-12
 
     def test_empty_graph(self):
