@@ -32,7 +32,6 @@ Laplacian, which depend only on the snapshot's degrees and adjacency
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ from .ensembles import SymmetricMatrix
 from .filtration import (
     EdgeFiltration,
     build_filtration,
-    edge_count_at_density,
     graph_at_density,
     stream_prefixes,
 )
@@ -140,17 +138,14 @@ class CurveSeries:
         return self.xs.size
 
 
-def _checkpoints(grid: DensityGrid, n: int) -> tuple[list[int], list[float]]:
-    # distinct edge counts with the first density that produced each; the
-    # points ascend and the count does not decrease, so a repeat is the last
-    counts: list[int] = []
-    densities: list[float] = []
-    for p in grid.points:
-        m = edge_count_at_density(n, float(p))
-        if not counts or m != counts[-1]:
-            counts.append(m)
-            densities.append(float(p))
-    return counts, densities
+def _checkpoints(grid: DensityGrid, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # distinct edge counts with the first density that produced each: the
+    # grid rounded to counts by edge_count_at_density's IEEE operations,
+    # round(p * C(n, 2)) half up; the points ascend and the count does not
+    # decrease, so a point whose count repeats the one before is dropped
+    counts = np.floor(grid.points * (n * (n - 1) // 2) + 0.5).astype(np.int64)
+    first = np.concatenate(([True], counts[1:] != counts[:-1]))
+    return counts[first], grid.points[first]
 
 
 def _filtration(matrix: SymmetricMatrix) -> EdgeFiltration:
@@ -165,10 +160,10 @@ def _sweep(matrix, grid, kind, statistic: str, stat_fn, zero_below: int = 0) -> 
     # stat_fn maps each snapshot Graph to the statistic's value; checkpoints
     # below zero_below edges have the value 0.0 and build no snapshot
     counts, densities = _checkpoints(grid, matrix.n)
-    skip = bisect.bisect_left(counts, zero_below)
+    skip = int(np.searchsorted(counts, zero_below))
     ys = [0.0] * skip
     snapshots = stream_prefixes(_filtration(matrix), counts[skip:])
-    for p, graph in zip(densities[skip:], snapshots):
+    for p, graph in zip(densities[skip:].tolist(), snapshots):
         try:
             ys.append(stat_fn(graph))
         except NumericalError as exc:
@@ -177,7 +172,7 @@ def _sweep(matrix, grid, kind, statistic: str, stat_fn, zero_below: int = 0) -> 
     return CurveSeries(
         statistic=statistic,
         kind=kind,
-        xs=np.array(densities),
+        xs=densities,
         ys=np.array(ys),
     )
 

@@ -16,7 +16,7 @@ with the diagonal stored as zero for all sampled ensembles.  The diagonal
 is never consulted by the edge filtration.  The matrices built here are
 exactly symmetric by construction, so they skip the public constructor's
 copy and symmetry scan; only an overflow can make one invalid, and
-:func:`rank_one_matrix` and :func:`distance_matrix` check for it.
+:class:`RankOneMatrix` and :func:`distance_matrix` check for it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "SymmetricMatrix",
     "RankOneMatrix",
     "PointCloud",
-    "rank_one_matrix",
     "sample_gaussian_symmetric",
     "sample_positive_rank_one",
     "sample_wishart_rank_one",
@@ -126,37 +125,31 @@ class SymmetricMatrix:
 
 
 class RankOneMatrix(SymmetricMatrix):
-    """Outer product ``v v^T`` with the diagonal zeroed.
+    """Rank-one matrix ``M[i, j] = v[i] * v[j]``, with the diagonal zeroed.
 
-    The generating vector is kept on the instance (attribute ``v``):
+    Built from ``v`` alone, so the generating vector kept on the instance
+    (attribute ``v``, a read-only copy) is the one that generates it:
     several structural facts about the induced graphs, such as the sign
     classes and the complete bipartite stage, are checked against it.
     """
 
-    def __init__(self, dense, v, ensemble: str | None = None):
-        super().__init__(dense, ensemble=ensemble)
+    def __init__(self, v, ensemble: str | None = None):
         v = np.array(v, dtype=float)
+        if v.ndim != 1 or v.size < 2:
+            raise ValueError("v must be a one-dimensional vector of length >= 2")
+        if not np.isfinite(v).all():
+            raise ValueError("v must have finite entries")
+        # fl(v_i v_j) = fl(v_j v_i), so the triangles are bitwise equal
+        with np.errstate(over="ignore"):  # rejected below
+            dense = np.outer(v, v)
+        np.fill_diagonal(dense, 0.0)
+        if not np.isfinite(dense).all():
+            raise ValueError("matrix entries must be finite")
+        dense.setflags(write=False)
         v.setflags(write=False)
+        self.dense = dense
+        self.ensemble = ensemble
         self.v = v
-
-
-def rank_one_matrix(v, ensemble: str | None = None) -> RankOneMatrix:
-    """Build the rank-one matrix ``M[i, j] = v[i] * v[j]`` (zero diagonal)."""
-    v = np.array(v, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("v must be a one-dimensional vector of length >= 2")
-    if not np.isfinite(v).all():
-        raise ValueError("v must have finite entries")
-    # fl(v_i v_j) = fl(v_j v_i), so the triangles are bitwise equal
-    with np.errstate(over="ignore"):  # rejected below
-        dense = np.outer(v, v)
-    np.fill_diagonal(dense, 0.0)
-    if not np.isfinite(dense).all():
-        raise ValueError("matrix entries must be finite")
-    matrix = RankOneMatrix._trusted(dense, ensemble=ensemble)
-    v.setflags(write=False)
-    matrix.v = v
-    return matrix
 
 
 def _symmetric_from_upper(n, upper, ensemble) -> SymmetricMatrix:
@@ -198,7 +191,7 @@ def sample_positive_rank_one(n: int, seed: int) -> RankOneMatrix:
     n = _check_count(n)
     rng = _checked_rng(seed)
     v = rng.random(n)
-    return rank_one_matrix(v, ensemble="positive-rank1")
+    return RankOneMatrix(v, ensemble="positive-rank1")
 
 
 def sample_wishart_rank_one(n: int, seed: int) -> RankOneMatrix:
@@ -206,7 +199,7 @@ def sample_wishart_rank_one(n: int, seed: int) -> RankOneMatrix:
     n = _check_count(n)
     rng = _checked_rng(seed)
     v = _standard_normals(rng, n)
-    return rank_one_matrix(v, ensemble="wishart-rank1")
+    return RankOneMatrix(v, ensemble="wishart-rank1")
 
 
 class PointCloud:

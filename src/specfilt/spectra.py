@@ -20,14 +20,16 @@ A raw spectrum is first certified from the snapshot's degrees
 (:func:`laplacian`).  A threshold graph, one that can be emptied by
 removing isolated or dominating vertices one at a time, has the
 conjugate degree sequence ``d*_k = #{i : d_i >= k}``, k = 1..n, as its
-raw spectrum (Merris 1994); the degree sequence alone decides whether a
-graph is threshold (Hammer, Ibaraki and Simeone 1981).  A graph whose
+raw spectrum (Merris 1994), and that sequence also decides whether a
+graph is threshold: with the degrees sorted as d_(1) >= d_(2) >= ...,
+it is exactly when ``d*_k = d_(k) + 1`` for every k with d_(k) >= k
+(Hammer, Ibaraki and Simeone 1981; Merris 1994).  A graph whose
 complement is a disjoint union of threshold graphs (a join of threshold
 graphs, such as a rank-one Wishart snapshot past its bipartite stage)
 has the raw spectrum 0 together with ``n - mu``, mu running over the
 complement's spectrum without one 0.  The complement of a threshold graph
 is threshold, so one test certifies both: each component of the
-complement must peel.  Either way all n eigenvalues are integers,
+complement must pass it.  Either way all n eigenvalues are integers,
 computed exactly, and nothing is solved.
 
 Every other snapshot's spectrum is solved over its twin classes
@@ -105,6 +107,12 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
+def _kind_range(kind: str, n: int) -> tuple[float, float]:
+    """The theoretical range of a Laplacian spectrum on n vertices:
+    [0, n] for the raw kind, [0, 2] for the normalized kind."""
+    return (0.0, float(n)) if kind == RAW else (0.0, 2.0)
+
+
 def _twin_classes(graph: Graph):
     """Twin classes of a snapshot, exactly, in the order of their first
     vertices.
@@ -139,30 +147,6 @@ def _twin_classes(graph: Graph):
     return label, first, size, ~false_twin[first]
 
 
-def _peels(degrees: np.ndarray) -> bool:
-    """Whether a graph with these degrees is a threshold graph.
-
-    The sorted degrees are peeled from both ends.  The smallest one left
-    is an isolated vertex of what remains when it equals the number of
-    dominating vertices peeled so far; the largest is a dominating vertex
-    when it equals that number plus the count left minus 1.  Whichever
-    vertex is peeled, every other keeps its degree minus that number
-    within what remains, so the graph is threshold exactly when the peel
-    empties the sequence.
-    """
-    ordered = np.sort(degrees).tolist()
-    lo, hi, dominating = 0, len(ordered) - 1, 0
-    while lo <= hi:
-        if ordered[lo] == dominating:
-            lo += 1
-        elif ordered[hi] == dominating + hi - lo:
-            dominating += 1
-            hi -= 1
-        else:
-            return False
-    return True
-
-
 def _conjugate(degrees: np.ndarray) -> np.ndarray:
     """The conjugate sequence ``d*_k = #{i : d_i >= k}``, k = 1..n."""
     tally = np.bincount(degrees, minlength=degrees.size + 1)
@@ -178,13 +162,15 @@ def _integral_raw_spectrum(graph: Graph) -> np.ndarray | None:
     one: the complement's components are taken one at a time.  The
     remaining vertex of largest complement degree, with the remaining
     vertices it is not joined to, is a whole threshold component exactly
-    when the complement degrees on it peel and none of its members has a
-    complement-neighbour outside it (a connected threshold graph has a
-    dominating vertex, of the largest degree).  A component's spectrum is
-    its conjugate degree sequence, and with L + L' = nI - J for a graph
-    and its complement, the graph's is 0 together with n - mu, mu running
-    over the components' conjugate sequences without one 0.  Each test is
-    exact and integer, O(n^2) at worst.
+    when none of its members has a complement-neighbour outside it (a
+    connected threshold graph has a dominating vertex, of the largest
+    degree) and the complement degrees d on it, sorted as
+    d_(1) >= d_(2) >= ..., meet ``d*_k = d_(k) + 1`` for every k with
+    d_(k) >= k.  A component's spectrum is that conjugate sequence d*,
+    and with L + L' = nI - J for a graph and its complement, the graph's
+    is 0 together with n - mu, mu running over the components' conjugate
+    sequences without one 0.  Each test is exact and integer, O(n^2) at
+    worst.
     """
     n, degrees = graph.n, graph.degrees
     co_degree = n - 1 - degrees
@@ -194,13 +180,16 @@ def _integral_raw_spectrum(graph: Graph) -> np.ndarray | None:
         v = int(np.argmax(np.where(remaining, co_degree, -1)))
         members = remaining & ~graph.adjacency[v]
         inner = co_degree[members]
-        if not _peels(inner):
-            return None
+        conjugate = _conjugate(inner)
+        ordered = np.sort(inner)[::-1]
+        f = np.count_nonzero(ordered > np.arange(ordered.size))  # d_(k) >= k
+        if (conjugate[:f] != ordered[:f] + 1).any():
+            return None  # not threshold
         block = graph.adjacency.compress(members, 0).compress(members, 1)
         joined = np.count_nonzero(block, axis=1)
         if (inner.size - 1 - joined != inner).any():
             return None  # a member has a complement-neighbour outside
-        parts.append(_conjugate(inner))
+        parts.append(conjugate)
         remaining &= ~members
     spectrum = n - np.concatenate(parts)
     # one mu = 0 is the complement's on the all-ones vector, where L has 0
@@ -337,7 +326,7 @@ def eigenvalues(matrix: TwinQuotient) -> Spectrum:
         raise NumericalError(f"eigensolver did not converge: {exc}") from exc
     # with no twins exact is empty and the solver's ascending values sort to themselves
     values = np.sort(np.concatenate([values, matrix.exact]))
-    lo, hi = (0.0, float(n)) if kind == RAW else (0.0, 2.0)
+    lo, hi = _kind_range(kind, n)
     band = CLAMP_TOL_FACTOR * n
     violation = max(lo - values[0], values[-1] - hi, 0.0)
     if violation > band:
@@ -405,8 +394,8 @@ def spectrum_histogram(spectrum: Spectrum, bins: int = DEFAULT_BINS) -> Histogra
     """
     if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
         raise ValueError("bins must be a positive integer")
-    hi = float(spectrum.n) if spectrum.kind == RAW else 2.0
-    counts, edges = np.histogram(spectrum.values, bins=int(bins), range=(0.0, hi))
+    counts, edges = np.histogram(spectrum.values, bins=int(bins),
+                                 range=_kind_range(spectrum.kind, spectrum.n))
     return Histogram(bin_edges=edges, counts=counts)
 
 

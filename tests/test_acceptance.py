@@ -306,20 +306,47 @@ def test_certificates_accept_exactly_the_peelable_graphs():
     assert certified == 4125  # of 33866
 
 
+def _random_threshold_graphs(count, seed):
+    """``count`` random threshold graphs on 2 to 300 vertices, each followed
+    by the same graph with one random pair flipped.
+
+    Each is built by adding vertices one at a time, isolated or dominating
+    what came before, and then relabelled at random.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 301))
+        dominating = rng.random(n) < rng.random()
+        # vertex k is joined to every earlier vertex when it dominates them
+        earlier = np.tril(np.broadcast_to(dominating[:, None], (n, n)), -1)
+        label = rng.permutation(n)
+        adjacency = (earlier | earlier.T)[np.ix_(label, label)]
+        yield sf.Graph(adjacency.copy())
+        i, j = rng.choice(n, 2, replace=False)
+        adjacency[i, j] = adjacency[j, i] = not adjacency[i, j]
+        yield sf.Graph(adjacency)
+
+
 def test_certified_spectra_match_dense_solve(snapshot_battery):
-    # not a numbered criterion: every battery snapshot the library certifies
-    # is one the peeling oracle accepts, and its integers are the spectrum
+    # not a numbered criterion: every battery snapshot and random threshold
+    # graph (with and without a flipped pair) the library certifies is one
+    # the peeling oracle accepts, and its integers are the spectrum
+    graphs = [(ensemble, graph) for ensemble, graph, _, _ in snapshot_battery]
+    graphs += [("threshold", graph) for graph in _random_threshold_graphs(40, seed=18)]
     failures = []
-    certified = 0
-    for ensemble, graph, _, _ in snapshot_battery:
+    certified = {"battery": 0, "threshold": 0}
+    for ensemble, graph in graphs:
         accepted = oracles.threshold_certified(graph.n, oracles.edges_of(graph))
         if _certified(graph) != accepted:
-            failures.append(f"{ensemble} m={graph.edge_count}: oracle says {accepted}")
+            failures.append(f"{ensemble} n={graph.n} m={graph.edge_count}: "
+                            f"oracle says {accepted}")
         elif accepted:
-            certified += 1
+            certified["threshold" if ensemble == "threshold" else "battery"] += 1
             _check_certified(graph, failures)
     assert not failures, "; ".join(failures[:3])
-    assert certified >= 20
+    assert certified["battery"] >= 20
+    # all 40 threshold graphs, and not every flipped one
+    assert 40 <= certified["threshold"] < 80
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -217,6 +217,37 @@ def test_gap_solves_only_from_the_connectivity_index(monkeypatch):
         assert solved == connected
 
 
+def test_checkpoints_are_the_first_density_of_each_edge_count(monkeypatch):
+    streamed = []  # edge count of every Graph the sweep builds
+
+    def counting_stream(filtration, checkpoints):
+        for graph in stream_prefixes(filtration, checkpoints):
+            streamed.append(graph.edge_count)
+            yield graph
+
+    monkeypatch.setattr(curves_mod, "stream_prefixes", counting_stream)
+    rng = np.random.default_rng(18)
+    grids = [*(DensityGrid.uniform(k) for k in (1, 3, 50, 997)), DensityGrid(rng.random(300))]
+    for n in [*range(2, 41), 500]:
+        mat = sample_gaussian_symmetric(n, n)
+        for grid in [*grids, DensityGrid.with_zero_refinement(n)]:
+            xs, counts = [], []
+            for p in grid.points.tolist():
+                m = edge_count_at_density(n, p)
+                if not counts or m != counts[-1]:
+                    xs.append(p)
+                    counts.append(m)
+            streamed.clear()
+            series = std_curve(mat, grid, RAW)
+            assert series.xs.tolist() == xs, (n, len(grid))
+            assert streamed == counts, (n, len(grid))
+    # half way: 0.25 * C(4, 2) = 1.5 rounds up to 2 edges, as 0.3 does
+    streamed.clear()
+    series = std_curve(sample_gaussian_symmetric(4, 0), DensityGrid([0.2, 0.25, 0.3]), RAW)
+    assert series.xs.tolist() == [0.2, 0.25]
+    assert streamed == [1, 2]
+
+
 def test_gap_builds_no_snapshot_below_the_connectivity_index(monkeypatch):
     streamed = []  # edge count of every Graph the sweep builds
 

@@ -8,9 +8,9 @@ import pytest
 
 from specfilt.ensembles import (
     PointCloud,
+    RankOneMatrix,
     SymmetricMatrix,
     distance_matrix,
-    rank_one_matrix,
     sample_gaussian_symmetric,
     sample_noisy_circle,
     sample_noisy_torus,
@@ -97,14 +97,14 @@ def test_gaussian_moments_large_sample():
 
 class TestRankOne:
     def test_injected_positive_vector(self):
-        mat = rank_one_matrix(np.array([0.5, 0.25, 1.0]))
+        mat = RankOneMatrix(np.array([0.5, 0.25, 1.0]))
         assert mat.dense[0, 1] == 0.125
         assert mat.dense[0, 2] == 0.5
         assert mat.dense[1, 2] == 0.25
         assert np.array_equal(np.diag(mat.dense), np.zeros(3))
 
     def test_injected_signed_vector(self):
-        mat = rank_one_matrix(np.array([1.0, -1.0, 2.0]))
+        mat = RankOneMatrix(np.array([1.0, -1.0, 2.0]))
         assert mat.dense[0, 1] == -1.0
         assert mat.dense[0, 2] == 2.0
         assert mat.dense[1, 2] == -2.0
@@ -114,11 +114,17 @@ class TestRankOne:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="matrix entries must be finite"):
-                rank_one_matrix(np.array([1e200, 1e200, 1.0]))
+                RankOneMatrix(np.array([1e200, 1e200, 1.0]))
+
+    def test_rejects_a_matrix_for_the_vector(self):
+        # the generating vector is the only input, so a dense matrix passed
+        # where a constructor once took (dense, v) fails loudly
+        with pytest.raises(ValueError, match="v must be a one-dimensional vector"):
+            RankOneMatrix(np.ones((2, 2)))
 
     def test_keeps_a_read_only_copy_of_the_vector(self):
         v = np.array([0.5, 0.25, 1.0])
-        mat = rank_one_matrix(v)
+        mat = RankOneMatrix(v)
         v[0] = 2.0
         assert mat.v.tolist() == [0.5, 0.25, 1.0]
         assert not mat.v.flags.writeable and not mat.dense.flags.writeable

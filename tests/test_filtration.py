@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from specfilt.ensembles import (
+    RankOneMatrix,
     SymmetricMatrix,
     distance_matrix,
-    rank_one_matrix,
     sample_gaussian_symmetric,
     sample_noisy_circle,
     sample_wishart_rank_one,
@@ -143,7 +143,7 @@ class TestBuildFiltrationTies:
     def test_rank_one_with_repeated_entries(self):
         n = 300
         rng = np.random.default_rng(4)
-        mat = rank_one_matrix(rng.choice([-2.0, -0.5, 0.0, 1.0, 3.0], n))
+        mat = RankOneMatrix(rng.choice([-2.0, -0.5, 0.0, 1.0, 3.0], n))
         assert np.array_equal(order_of(build_filtration(mat)), stable_sort_order(mat))
 
     def test_distinct_entries_match_stable_sort(self):
