@@ -39,6 +39,7 @@ import numpy as np
 from .ensembles import SymmetricMatrix
 from .filtration import (
     EdgeFiltration,
+    _edge_counts,
     build_filtration,
     graph_at_density,
     stream_prefixes,
@@ -140,10 +141,9 @@ class CurveSeries:
 
 def _checkpoints(grid: DensityGrid, n: int) -> tuple[np.ndarray, np.ndarray]:
     # distinct edge counts with the first density that produced each: the
-    # grid rounded to counts by edge_count_at_density's IEEE operations,
-    # round(p * C(n, 2)) half up; the points ascend and the count does not
-    # decrease, so a point whose count repeats the one before is dropped
-    counts = np.floor(grid.points * (n * (n - 1) // 2) + 0.5).astype(np.int64)
+    # points ascend and the count does not decrease, so a point whose count
+    # repeats the one before is dropped
+    counts = _edge_counts(n, grid.points)
     first = np.concatenate(([True], counts[1:] != counts[:-1]))
     return counts[first], grid.points[first]
 

@@ -96,6 +96,10 @@ class SymmetricMatrix:
             raise ValueError("matrix entries must be finite")
         if not np.array_equal(dense, dense.T):
             raise ValueError("matrix must be exactly symmetric")
+        self._wrap(dense, ensemble)
+
+    def _wrap(self, dense: np.ndarray, ensemble: str | None) -> None:
+        # the one place a matrix's fields are set; the array becomes read-only
         dense.setflags(write=False)
         self.dense = dense
         self.ensemble = ensemble
@@ -106,9 +110,7 @@ class SymmetricMatrix:
         symmetric by construction or by an earlier check, without the
         constructor's copy and scans; the array becomes read-only."""
         matrix = cls.__new__(cls)
-        dense.setflags(write=False)
-        matrix.dense = dense
-        matrix.ensemble = ensemble
+        matrix._wrap(dense, ensemble)
         return matrix
 
     @property
@@ -145,10 +147,8 @@ class RankOneMatrix(SymmetricMatrix):
         np.fill_diagonal(dense, 0.0)
         if not np.isfinite(dense).all():
             raise ValueError("matrix entries must be finite")
-        dense.setflags(write=False)
+        self._wrap(dense, ensemble)
         v.setflags(write=False)
-        self.dense = dense
-        self.ensemble = ensemble
         self.v = v
 
 

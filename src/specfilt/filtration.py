@@ -33,7 +33,6 @@ density p to an edge count rounds half up (see
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 
 import numpy as np
@@ -175,12 +174,16 @@ def _order_ties(sorted_values: np.ndarray, rank: np.ndarray) -> None:
     rank[tied] = np.sort(offset + rank[tied]) - offset
 
 
+def _edge_counts(n: int, densities):
+    # round(p * C(n, 2)) half up, for one density in [0, 1] or an array of them
+    return np.floor(densities * (n * (n - 1) // 2) + 0.5).astype(np.int64)
+
+
 def edge_count_at_density(n: int, density: float) -> int:
     """Edge count for a target density: round(p * C(n, 2)), half up."""
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
-    total = n * (n - 1) // 2
-    return int(math.floor(density * total + 0.5))
+    return int(_edge_counts(n, density))
 
 
 def graph_at_density(filtration: EdgeFiltration, density: float) -> Graph:
