@@ -20,8 +20,8 @@ holds one density per line; blank lines and lines starting with ``#``
 are skipped.  A leading UTF-8 byte-order mark is ignored there and in
 the ``--matrix`` file.
 
-Exit status: 0 success, 1 usage error, 2 I/O failure, 3 numerical
-failure.
+Exit status: 0 success, 1 usage error (including an n whose matrices do
+not fit in memory), 2 I/O failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -306,10 +306,10 @@ def run(config: argparse.Namespace) -> int:
     so memory does not grow with ``--repeats``.  Files are written once
     every matrix has been processed.
     """
+    n = grid = None
     try:
         kinds = KINDS if config.kind == "both" else (config.kind,)
         firsts, totals = {}, {}  # per kind: first draw's result, running total
-        n = grid = None
         for seed in _seeds(config):
             matrix = _draw(config, seed)
             if n is None:
@@ -336,6 +336,14 @@ def run(config: argparse.Namespace) -> int:
         return EXIT_OK
     except UsageError as exc:
         print(f"specfilt: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate; a matrix
+        # file's n is known only once it has been read
+        size = n if n is not None else config.n
+        what = f"n={size}" if size is not None else f"the matrix in {config.matrix}"
+        detail = f": {exc}" if str(exc) else ""
+        print(f"specfilt: error: not enough memory for {what}{detail}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:
         where = f" at p={exc.density:g}" if exc.density is not None else ""

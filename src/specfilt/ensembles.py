@@ -153,13 +153,15 @@ class RankOneMatrix(SymmetricMatrix):
 
 
 def _symmetric_from_upper(n, upper, ensemble) -> SymmetricMatrix:
-    # upper is ordered as np.triu_indices(n, k=1); mirroring the same
-    # values keeps the two triangles bitwise identical, and Box-Muller
-    # draws are always finite, so nothing is left to check.
+    # upper is ordered as np.triu_indices(n, k=1), the row-major order in
+    # which a boolean mask of the upper triangle writes; through the
+    # transpose the same mask writes the lower triangle.  Mirroring the
+    # same values keeps the two triangles bitwise identical, and
+    # Box-Muller draws are always finite, so nothing is left to check.
     dense = np.zeros((n, n))
-    i, j = np.triu_indices(n, k=1)
-    dense[i, j] = upper
-    dense[j, i] = upper
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    dense[mask] = upper
+    dense.T[mask] = upper
     return SymmetricMatrix._trusted(dense, ensemble=ensemble)
 
 

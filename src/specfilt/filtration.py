@@ -20,6 +20,8 @@ edges is the graph with adjacency ``R < m``.  The connectivity index,
 the fewest edges after which the snapshot is connected, is one more than
 the largest rank in the minimum spanning tree of R; the filtration finds
 it on first use and keeps it (:attr:`EdgeFiltration.connectivity_index`).
+The pairs listed in that order, which the width curve walks, are derived
+from R the same way, on first use (:attr:`EdgeFiltration.pair_order`).
 
 Filtrations and snapshots are built only here, by :func:`build_filtration`
 and by thresholding its rank matrix, so their constructors take what the
@@ -89,6 +91,24 @@ class EdgeFiltration:
             outside[v] = False
             np.minimum(reach, self.rank[v], out=reach, where=outside)
         return largest + 1
+
+    @functools.cached_property
+    def pair_order(self) -> np.ndarray:
+        """The pairs in filtration order, as a read-only (2, C(n, 2)) array.
+
+        Column k holds the pair (i, j), i < j, inserted at step k + 1, so
+        the edges added between the prefixes of a and b edges are the
+        columns a..b - 1.  Derived from ``rank`` on first use by one
+        scatter of the upper triangle's pairs to their ranks, O(C(n, 2));
+        only the width curve asks for it, so other sweeps never hold it.
+        """
+        i, j = np.triu_indices(self.n, k=1)
+        position = self.rank[i, j]
+        order = np.empty((2, self.total_pairs), dtype=np.intp)
+        order[0, position] = i
+        order[1, position] = j
+        order.setflags(write=False)
+        return order
 
     def __repr__(self) -> str:
         return f"EdgeFiltration(n={self.n}, pairs={self.total_pairs})"

@@ -46,8 +46,7 @@ WORKLOADS = {
          "laplacian", "eigenvalues", "spectral_gap"} | WRITERS),
     "std-refined": (
         ["std-curve", "--ensemble", "gaussian", "--n", "40", "--kind", "both"],
-        {"sample_gaussian_symmetric", "std_curve", "build_filtration",
-         "stream_prefixes"} | WRITERS),
+        {"sample_gaussian_symmetric", "std_curve", "build_filtration"} | WRITERS),
     "snapshot-large": (
         ["density", "--ensemble", "torus", "--n", "40", "--p", "0.2", "--kind", "both"],
         {"sample_noisy_torus", "distance_matrix"} | SNAPSHOT),

@@ -383,6 +383,25 @@ class TestRun:
         assert code == EXIT_NUMERICAL
         assert "p=0.25" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sampler,ensemble,message", [
+        ("sample_gaussian_symmetric", "gaussian", "Unable to allocate 1.82 TiB"),
+        ("distance_matrix", "torus", ""),
+    ])
+    def test_out_of_memory_is_one_usage_line(self, tmp_path, monkeypatch, capsys,
+                                             sampler, ensemble, message):
+        # a stand-in for a draw too large for memory: nothing is allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, sampler, exhausted)
+        code = main(["density", "--ensemble", ensemble, "--n", "100000", "--p", "0.5",
+                     "--output", str(tmp_path)])
+        assert code == EXIT_USAGE
+        expected = "specfilt: error: not enough memory for n=100000"
+        assert capsys.readouterr().err == (
+            f"{expected}: {message}\n" if message else f"{expected}\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOneFiltrationPerMatrix:
     """Every kind computed from one matrix shares one sort and, for the gap
@@ -541,6 +560,16 @@ class TestMatrixFile:
         assert capsys.readouterr().err == (
             "specfilt: error: --matrix: could not convert string 'abc' to float64 "
             f"on line {line}, column {column}\n")
+
+    def test_out_of_memory_names_the_file(self, tmp_path, monkeypatch, capsys):
+        # the size is not known before the file is read
+        def exhausted(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "read_matrix_csv", exhausted)
+        assert self.run_matrix(tmp_path, "0,1\n1,0\n") == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"specfilt: error: not enough memory for the matrix in {tmp_path / 'matrix.csv'}\n")
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         path = tmp_path / "matrix.csv"

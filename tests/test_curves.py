@@ -13,6 +13,7 @@ from specfilt.curves import (
     std_curve,
 )
 from specfilt.ensembles import (
+    SymmetricMatrix,
     distance_matrix,
     sample_gaussian_symmetric,
     sample_noisy_circle,
@@ -32,6 +33,7 @@ from specfilt.spectra import (
     NumericalError,
     eigenvalues,
     laplacian,
+    laplacian_std,
     spectrum_std,
 )
 
@@ -217,15 +219,7 @@ def test_gap_solves_only_from_the_connectivity_index(monkeypatch):
         assert solved == connected
 
 
-def test_checkpoints_are_the_first_density_of_each_edge_count(monkeypatch):
-    streamed = []  # edge count of every Graph the sweep builds
-
-    def counting_stream(filtration, checkpoints):
-        for graph in stream_prefixes(filtration, checkpoints):
-            streamed.append(graph.edge_count)
-            yield graph
-
-    monkeypatch.setattr(curves_mod, "stream_prefixes", counting_stream)
+def test_checkpoints_are_the_first_density_of_each_edge_count():
     rng = np.random.default_rng(18)
     grids = [*(DensityGrid.uniform(k) for k in (1, 3, 50, 997)), DensityGrid(rng.random(300))]
     for n in [*range(2, 41), 500]:
@@ -237,15 +231,57 @@ def test_checkpoints_are_the_first_density_of_each_edge_count(monkeypatch):
                 if not counts or m != counts[-1]:
                     xs.append(p)
                     counts.append(m)
-            streamed.clear()
-            series = std_curve(mat, grid, RAW)
-            assert series.xs.tolist() == xs, (n, len(grid))
-            assert streamed == counts, (n, len(grid))
+            checkpoints, densities = curves_mod._checkpoints(grid, n)
+            assert checkpoints.tolist() == counts, (n, len(grid))
+            assert densities.tolist() == xs, (n, len(grid))
+            assert std_curve(mat, grid, RAW).xs.tolist() == xs, (n, len(grid))
     # half way: 0.25 * C(4, 2) = 1.5 rounds up to 2 edges, as 0.3 does
-    streamed.clear()
-    series = std_curve(sample_gaussian_symmetric(4, 0), DensityGrid([0.2, 0.25, 0.3]), RAW)
-    assert series.xs.tolist() == [0.2, 0.25]
-    assert streamed == [1, 2]
+    grid = DensityGrid([0.2, 0.25, 0.3])
+    checkpoints, densities = curves_mod._checkpoints(grid, 4)
+    assert densities.tolist() == [0.2, 0.25]
+    assert checkpoints.tolist() == [1, 2]
+    assert std_curve(sample_gaussian_symmetric(4, 0), grid, RAW).xs.tolist() == [0.2, 0.25]
+
+
+def _tied_gaussian(n, seed):
+    # entries rounded to integers: a few distinct values, long runs of ties
+    return SymmetricMatrix(np.round(sample_gaussian_symmetric(n, seed).dense))
+
+
+STREAM_ENSEMBLES = {
+    "gaussian": sample_gaussian_symmetric,
+    "circle": lambda n, seed: distance_matrix(sample_noisy_circle(n, 0.1, seed)),
+    "positive-rank1": sample_positive_rank_one,
+    "wishart-rank1": sample_wishart_rank_one,
+    "tied-gaussian": _tied_gaussian,
+}
+
+
+@pytest.mark.parametrize("ensemble", sorted(STREAM_ENSEMBLES))
+def test_std_stream_equals_the_width_of_each_snapshot(ensemble):
+    # the stream builds no snapshot; here every checkpoint's snapshot is
+    # built and its width taken from its own degrees and adjacency
+    rng = np.random.default_rng(19)
+    for n in [*range(2, 41), 200]:
+        mat = STREAM_ENSEMBLES[ensemble](n, n)
+        filtration = build_filtration(mat)
+        total = filtration.total_pairs
+        grids = (DensityGrid.uniform(97), DensityGrid.with_zero_refinement(n),
+                 DensityGrid(rng.random(40)))
+        for grid in grids:
+            counts, _ = curves_mod._checkpoints(grid, n)
+            if grid is grids[0]:
+                # both sides of the normalized sum: the added pairs, and
+                # all pairs less the ones not yet added
+                assert {2 * m <= total for m in counts.tolist()} == {True, False}
+            for kind in (RAW, NORMALIZED):
+                series = std_curve(mat, grid, kind)
+                for p, value in zip(series.xs.tolist(), series.ys.tolist()):
+                    oracle = laplacian_std(graph_at_density(filtration, p), kind)
+                    if kind == RAW:
+                        assert value == oracle, (n, p)
+                    else:
+                        assert abs(value - oracle) <= 1e-12 * oracle, (n, p)
 
 
 def test_gap_builds_no_snapshot_below_the_connectivity_index(monkeypatch):

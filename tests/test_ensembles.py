@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from specfilt import ensembles
 from specfilt.ensembles import (
     PointCloud,
     RankOneMatrix,
@@ -93,6 +94,20 @@ def test_gaussian_moments_large_sample():
     assert upper.size == pair_count
     assert abs(upper.mean()) <= 3.0 / math.sqrt(pair_count)
     assert 0.95 <= upper.var() <= 1.05
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 301])
+def test_mask_fill_is_the_index_fill_bit_for_bit(n):
+    # the upper triangle as np.triu_indices orders it, with a -0.0 entry
+    upper = np.random.default_rng(n).standard_normal(n * (n - 1) // 2)
+    upper[-1] = -0.0
+    i, j = np.triu_indices(n, k=1)
+    expected = np.zeros((n, n))
+    expected[i, j] = upper
+    expected[j, i] = upper
+    dense = ensembles._symmetric_from_upper(n, upper, "gaussian").dense
+    assert dense.tobytes() == expected.tobytes()
+    assert np.signbit(dense[n - 2, n - 1]) and np.signbit(dense[n - 1, n - 2])
 
 
 class TestRankOne:

@@ -299,6 +299,24 @@ class TestStreamPrefixes:
                 stream_prefixes(f, [0, bad])
 
 
+class TestPairOrder:
+    @pytest.mark.parametrize("n", [2, 3, 9, 60])
+    def test_columns_are_the_stably_sorted_pairs(self, n):
+        # the rounded entries tie often, so the (i, j) tie order is exercised
+        for matrix in (sample_gaussian_symmetric(n, n),
+                       SymmetricMatrix(np.round(sample_gaussian_symmetric(n, n).dense))):
+            f = build_filtration(matrix)
+            order = f.pair_order
+            assert order.shape == (2, f.total_pairs)
+            assert np.array_equal(order.T, stable_sort_order(matrix))
+            assert np.array_equal(f.rank[order[0], order[1]], np.arange(f.total_pairs))
+
+    def test_read_only_and_derived_once(self):
+        f = build_filtration(sample_gaussian_symmetric(7, 1))
+        assert not f.pair_order.flags.writeable
+        assert f.pair_order is f.pair_order
+
+
 class TestCountComponents:
     """The breadth-first component count that the other tests compare to."""
 
