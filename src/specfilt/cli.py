@@ -50,6 +50,7 @@ from .ensembles import (
     sample_positive_rank_one,
     sample_wishart_rank_one,
 )
+from .filtration import MAX_N
 from .output import read_matrix_csv, write_csv, write_svg
 from .spectra import DEFAULT_BINS, KINDS, Histogram, NumericalError
 
@@ -97,7 +98,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--ensemble", choices=ENSEMBLES, required=True,
                         help="matrix model to draw from")
     parser.add_argument("--n", type=int, default=None,
-                        help="vertex count (point count for circle/torus)")
+                        help="vertex count (point count for circle/torus), "
+                             f"2 to {MAX_N}")
     parser.add_argument("--seed", type=int, default=0,
                         help="unsigned 64-bit seed (default 0)")
     parser.add_argument("--kind", choices=(*KINDS, "both"), default="both",
@@ -151,6 +153,8 @@ def parse_args(argv) -> argparse.Namespace:
             parser.error(f"--n is required for the {args.ensemble} ensemble")
         if args.n < 2:
             parser.error("--n must be at least 2")
+        if args.n > MAX_N:
+            parser.error(f"--n must be at most {MAX_N}")
     if not 0 <= args.seed < SEED_MAX:
         parser.error("--seed must be an unsigned 64-bit integer")
     if args.experiment == "density":

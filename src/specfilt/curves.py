@@ -25,18 +25,17 @@ spanning tree of the rank matrix,
 :attr:`specfilt.filtration.EdgeFiltration.connectivity_index`) the gap
 is exactly 0, and those snapshots are not even built.
 
-The width (std) curve builds no snapshot and runs no eigensolve: its
-value comes from the traces of the Laplacian, which depend only on the
-degrees and, for the normalized kind, on the sum over edges of
-``1 / (d_i d_j)``.  It walks the filtration's pairs in order once per
-kind (:attr:`specfilt.filtration.EdgeFiltration.pair_order`), adding
-each new segment's endpoints to a running degree vector, and applies the
-one trace formula that :func:`specfilt.spectra.laplacian_std` also
-applies to a snapshot.
+The width (std) curve builds no snapshot and runs no eigensolve: it
+takes the Laplacian's traces (:func:`_width`) from the degrees and, for
+the normalized kind, the sum over edges of ``1 / (d_i d_j)``, walking
+the filtration's pairs in order once per kind
+(:attr:`specfilt.filtration.EdgeFiltration.pair_order`) and adding each
+new segment's endpoints to a running degree vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,8 @@ from .spectra import (
     DEFAULT_BINS,
     Histogram,
     NumericalError,
+    RAW,
     _check_kind,
-    _width,
     eigenvalues,
     laplacian,
     spectral_gap,
@@ -187,16 +186,33 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
     return CurveSeries(statistic="gap", kind=kind, xs=densities, ys=np.array(ys))
 
 
-def _inverse_products(w: np.ndarray, order: np.ndarray, m: int) -> float:
-    # S = sum of w_i w_j over the first m pairs of the order, summed over
-    # the smaller side: the m pairs added, or every pair's sum
-    # ((sum w)^2 - sum w^2) / 2 less the C(n, 2) - m pairs not yet added
-    first, second = order
-    if 2 * m <= first.size:
-        return float(np.dot(w.take(first[:m]), w.take(second[:m])))
-    sum_w = float(w.sum())
-    return (sum_w * sum_w - float(np.dot(w, w))) / 2 - float(
-        np.dot(w.take(first[m:]), w.take(second[m:])))
+def _width(degrees: np.ndarray, kind: str, order: np.ndarray, m: int) -> float:
+    """Width (population standard deviation) of the Laplacian spectrum of
+    the snapshot on the first m pairs of ``order``, from its degrees d.
+
+    ``n^2 var = n tr L^2 - (tr L)^2``.  Raw: ``tr L = sum d`` and
+    ``tr L^2 = sum d^2 + sum d``, so ``n^2 var`` is an exact integer.
+    Normalized: ``tr N = k``, the non-isolated vertices, and
+    ``tr N^2 = k + 2 S``, S the sum over edges of ``w_i w_j``, w = 1/d
+    (0 where d = 0), summed over the smaller side: the m pairs added, or
+    all pairs' ``((sum w)^2 - sum w^2) / 2`` less the ones not yet added.
+    """
+    n = degrees.size
+    if kind == RAW:
+        total = int(degrees.sum())
+        n2_var = n * (int((degrees * degrees).sum()) + total) - total * total
+    else:
+        k = int(np.count_nonzero(degrees))
+        w = np.zeros(n)
+        np.divide(1.0, degrees, out=w, where=degrees > 0)
+        if 2 * m <= order.shape[1]:
+            s = float(np.dot(w.take(order[0, :m]), w.take(order[1, :m])))
+        else:
+            sum_w = float(w.sum())
+            s = (sum_w * sum_w - float(np.dot(w, w))) / 2 - float(
+                np.dot(w.take(order[0, m:]), w.take(order[1, m:])))
+        n2_var = n * k - k * k + 2 * n * s
+    return math.sqrt(n2_var) / n
 
 
 def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSeries:
@@ -206,19 +222,13 @@ def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
     (:attr:`specfilt.filtration.EdgeFiltration.pair_order`), with no
     snapshot and no eigensolve: at each checkpoint the endpoints of the
     pairs added since the last one are counted into a running degree
-    vector, and the width comes from the traces of the Laplacian by the
-    formula :func:`specfilt.spectra.laplacian_std` also uses.  The raw
-    width is exact (an integer ``n^2 var`` from the degrees).  The
-    normalized width also needs ``S``, the sum over edges of
-    ``1 / (d_i d_j)``, summed over the smaller side: the m added pairs
-    when ``2 m <= C(n, 2)``, otherwise all pairs less the ones not yet
-    added, so a checkpoint gathers at most C(n, 2) / 2 pairs.  Every term
-    is positive, so a sum's rounding error is small against the sum
-    itself; on the larger side that is the sum over all pairs, which can
-    exceed S.  Against ``laplacian_std`` of the same snapshot the
-    normalized width differed by at most 1.4e-14 relative (Gaussian,
-    circle, both rank-one ensembles and a tie-heavy rounded Gaussian, at
-    n = 2-40, 200 and 500).
+    vector, and the width comes from the Laplacian's traces
+    (:func:`_width`).  The raw width is exact.  The normalized sum S
+    gathers at most C(n, 2) / 2 pairs; its terms are positive, so its
+    rounding error is small against the side summed, which on the larger
+    side can exceed S.  Against the width from the exact rational S it
+    differed by at most 2.3e-15 relative (Gaussian, circle, both rank-one
+    ensembles and a tie-heavy rounded Gaussian, at n = 2-40 and 200).
     """
     _check_kind(kind)
     filtration = _filtration(matrix)
@@ -230,7 +240,7 @@ def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
         for ends in order[:, added:m]:  # the i, then the j, of each new pair
             degrees += np.bincount(ends, minlength=matrix.n)
         added = m
-        ys.append(_width(degrees, kind, lambda w: _inverse_products(w, order, m)))
+        ys.append(_width(degrees, kind, order, m))
     return CurveSeries(statistic="std", kind=kind, xs=densities, ys=np.array(ys))
 
 

@@ -48,6 +48,9 @@ __all__ = [
     "stream_prefixes",
 ]
 
+# the int32 rank matrix holds C(n, 2), past every rank, up to this n
+MAX_N = 65_536
+
 
 class EdgeFiltration:
     """Total order on all C(n, 2) vertex pairs of an n-vertex set.
@@ -149,10 +152,12 @@ def build_filtration(matrix) -> EdgeFiltration:
     equal entries is then put in (i, j) order (:func:`_order_ties`); the
     result equals a stable sort of the entries listed in (i, j) order.
     Each pair's position in that sort is written straight into the rank
-    matrix, which is int32: C(n, 2) fits for n up to 65 536.  Raises
-    ``ValueError`` if any consulted entry is NaN.
+    matrix, which is int32: C(n, 2) fits for n up to ``MAX_N``.  Raises
+    ``ValueError`` for a larger n, before allocating, or a NaN entry.
     """
     n = matrix.n
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds {MAX_N}: the int32 ranks cannot hold C(n, 2)")
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     # the entries are read row by row, in (i, j) order, the order in
     # which boolean indexing by upper writes them back

@@ -24,6 +24,7 @@ import numpy as np
 
 from .curves import CurveSeries
 from .ensembles import PointCloud, SymmetricMatrix
+from .filtration import MAX_N
 from .spectra import Histogram
 from .svg import bar_chart, line_chart
 
@@ -131,6 +132,8 @@ def read_matrix_csv(path) -> SymmetricMatrix:
             raise ValueError("matrix file must be square") from exc  # ragged rows
     if dense.shape[0] != dense.shape[1]:
         raise ValueError("matrix file must be square")
+    if dense.shape[0] > MAX_N:
+        raise ValueError(f"matrix size must be at most {MAX_N}")
     # from here on, at most one n x n temporary besides dense
     if not np.isfinite(dense).all():
         raise ValueError("matrix entries must be finite")

@@ -9,15 +9,9 @@ An isolated vertex would make the normalized form divide by zero; its
 row and column are stored as zero instead, contributing one zero
 eigenvalue.  With that convention the multiplicity of the eigenvalue 0
 equals the number of connected components for both kinds, throughout the
-whole filtration.
-
-The width of a spectrum (its population standard deviation) comes from
-traces, by one formula (:func:`_width`): ``tr L`` and ``tr L^2`` depend
-only on the degrees and, for the normalized kind, on the sum over edges
-of ``1 / (d_i d_j)``, so no Laplacian is built and nothing is solved.
-:func:`laplacian_std` applies it to a snapshot, and the width curve to
-running degrees along the filtration.  :func:`spectrum_std` computes the
-same width from eigenvalues.
+whole filtration.  A spectrum's width is :func:`spectrum_std` of its
+eigenvalues; the width curve takes it from traces instead, with no
+Laplacian built (:mod:`specfilt.curves`).
 
 A raw spectrum is first certified from the snapshot's degrees
 (:func:`laplacian`).  A threshold graph, one that can be emptied by
@@ -53,7 +47,6 @@ then clamps them into it; violations beyond the tolerance band raise
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +69,6 @@ __all__ = [
     "spectral_gap",
     "spectrum_histogram",
     "spectrum_std",
-    "laplacian_std",
     "zero_multiplicity",
 ]
 
@@ -407,44 +399,6 @@ def spectrum_std(spectrum: Spectrum) -> float:
     if spectrum.values.size < 1:
         raise ValueError("empty spectrum")
     return float(np.std(spectrum.values))
-
-
-def _width(degrees: np.ndarray, kind: str, inverse_products) -> float:
-    """Population standard deviation of a Laplacian spectrum, from traces.
-
-    With d the degree vector, ``n^2 var = n tr L^2 - (tr L)^2``.  For the
-    raw kind ``tr L = sum d`` and ``tr L^2 = sum d^2 + sum d``, so
-    ``n^2 var`` is an integer and is computed exactly.  For the normalized
-    kind ``tr N = k``, the number of non-isolated vertices, and
-    ``tr N^2 = k + 2 S`` with ``S`` the sum over edges of ``w_i w_j``,
-    w = 1/d (0 where d = 0); ``inverse_products(w)`` gives S, and only
-    this kind calls it.  Both ``k (n - k)`` and ``S`` are nonnegative.
-    """
-    n = degrees.size
-    if kind == RAW:
-        total = int(degrees.sum())
-        n2_var = n * (int((degrees * degrees).sum()) + total) - total * total
-    else:
-        k = int(np.count_nonzero(degrees))
-        w = np.zeros(n)
-        np.divide(1.0, degrees, out=w, where=degrees > 0)
-        n2_var = n * k - k * k + 2 * n * inverse_products(w)
-    return math.sqrt(n2_var) / n
-
-
-def laplacian_std(graph: Graph, kind: str) -> float:
-    """Population standard deviation of the Laplacian spectrum, from traces.
-
-    The width depends only on the degrees and, for the normalized kind,
-    on ``S``, the sum over edges of ``1 / (d_i d_j)`` (see :func:`_width`,
-    which the width curve's stream along the filtration shares).  Here S
-    is half of ``w.A.w``, with the n terms ``w_i (A w)_i`` summed by one
-    ``math.fsum``.  Equals :func:`spectrum_std` of the eigenvalues up to
-    the solver's round-off; no eigensolve is run.
-    """
-    _check_kind(kind)
-    return _width(graph.degrees, kind, lambda w: 0.5 * math.fsum(
-        w * (graph.adjacency.astype(float) @ w)))
 
 
 def zero_multiplicity(spectrum: Spectrum) -> int:

@@ -7,7 +7,9 @@ then high-precision root finding with mpmath on the simple-root factors.
 Graph quantities (components, two-colouring, bipartite prefix, twin
 classes, threshold peeling) use their own independent algorithms.
 The Laplacians are also scattered from an edge list, a bit-for-bit
-reference for the library's assembly from the adjacency matrix.  Hand-built filtrations and graphs
+reference for the library's assembly from the adjacency matrix, and the
+width of a spectrum is taken from an edge list's degrees, apart from the
+library's streamed trace formula.  Hand-built filtrations and graphs
 come from pair lists through :func:`filtration_from_order` and
 :func:`graph_from_edges`, which check the pairs before handing the
 library its own inputs.
@@ -17,6 +19,7 @@ here too.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -271,6 +274,25 @@ def normalized_laplacian_scatter(n, edges) -> np.ndarray:
         mat[j, i] = w
     mat[np.arange(n), np.arange(n)] = (degrees > 0).astype(float)
     return mat
+
+
+def laplacian_n2_variance(n, edges, kind) -> int | float:
+    """n^2 times the variance of a Laplacian spectrum, ``n tr L^2 - (tr L)^2``,
+    from the degrees of an edge list (i, j), i < j, alone.
+
+    Raw: ``n (sum d^2 + sum d) - (sum d)^2``, an exact Python int.
+    Normalized: ``n k - k^2 + 2 n S``, k the non-isolated vertices and S
+    the ``math.fsum`` over the edges of ``1 / (d_i d_j)``, each term one
+    rounding of the exact integer product.
+    """
+    edges = _edge_array(edges)
+    degrees = np.bincount(edges.ravel(), minlength=n)
+    if kind == "raw":
+        total = int(degrees.sum())
+        return n * (int((degrees * degrees).sum()) + total) - total * total
+    k = int(np.count_nonzero(degrees))
+    terms = 1.0 / (degrees[edges[:, 0]] * degrees[edges[:, 1]])
+    return n * k - k * k + 2 * n * math.fsum(terms.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ import pytest
 
 import specfilt.cli as cli
 import specfilt.curves as curves
+import specfilt.output as output
 from specfilt.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_args, run
 from specfilt.curves import CurveSeries, DensityGrid, gap_curve
 from specfilt.ensembles import sample_gaussian_symmetric, sample_wishart_rank_one
-from specfilt.filtration import EdgeFiltration
+from specfilt.filtration import MAX_N, EdgeFiltration
 from specfilt.output import write_csv, write_matrix_csv
 from specfilt.spectra import NumericalError
 
@@ -102,6 +103,19 @@ class TestParseArgs:
         with pytest.raises(SystemExit):
             parse_args(["--help"])
         assert f"1 to {limit}" in " ".join(capsys.readouterr().out.split())
+
+    def test_n_bounded(self, capsys):
+        # past MAX_N the int32 rank matrix cannot hold C(n, 2)
+        base = ["gap-curve", "--ensemble", "gaussian", "--n"]
+        assert parse_args(base + [str(MAX_N)]).n == MAX_N
+        for n in (str(MAX_N + 1), "10000000000"):
+            with pytest.raises(SystemExit) as info:
+                parse_args(base + [n])
+            assert info.value.code == EXIT_USAGE
+        assert f"--n must be at most {MAX_N}" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            parse_args(["--help"])
+        assert f"2 to {MAX_N}" in " ".join(capsys.readouterr().out.split())
 
     @pytest.mark.parametrize("argv", [
         ["density", "--ensemble", "gaussian", "--n", "10", "--p", "0.5",
@@ -394,10 +408,10 @@ class TestRun:
             raise MemoryError(message)
 
         monkeypatch.setattr(cli, sampler, exhausted)
-        code = main(["density", "--ensemble", ensemble, "--n", "100000", "--p", "0.5",
+        code = main(["density", "--ensemble", ensemble, "--n", str(MAX_N), "--p", "0.5",
                      "--output", str(tmp_path)])
         assert code == EXIT_USAGE
-        expected = "specfilt: error: not enough memory for n=100000"
+        expected = f"specfilt: error: not enough memory for n={MAX_N}"
         assert capsys.readouterr().err == (
             f"{expected}: {message}\n" if message else f"{expected}\n")
         assert list(tmp_path.iterdir()) == []
@@ -534,6 +548,15 @@ class TestMatrixFile:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
             "specfilt: error: --matrix: matrix size must be at least 2\n")
+
+    def test_more_rows_than_the_rank_matrix_holds(self, tmp_path, monkeypatch, capsys):
+        # a read-only view of one zero stands in for the parsed file: the
+        # size is refused before any n x n array is allocated
+        monkeypatch.setattr(output.np, "loadtxt",
+                            lambda *args, **kwargs: np.broadcast_to(0.0, (MAX_N + 1,) * 2))
+        assert self.run_matrix(tmp_path, "0,1\n1,0\n") == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"specfilt: error: --matrix: matrix size must be at most {MAX_N}\n")
 
     def test_blank_only_file_is_empty(self, tmp_path, capsys):
         with warnings.catch_warnings():

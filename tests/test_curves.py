@@ -1,5 +1,7 @@
 """Density sweeps: grids, curve series and transforms."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,11 +35,10 @@ from specfilt.spectra import (
     NumericalError,
     eigenvalues,
     laplacian,
-    laplacian_std,
     spectrum_std,
 )
 
-from oracles import bin_of, components_by_bfs, edges_of
+from oracles import bin_of, components_by_bfs, edges_of, laplacian_n2_variance
 
 
 class TestDensityGrid:
@@ -260,7 +261,7 @@ STREAM_ENSEMBLES = {
 @pytest.mark.parametrize("ensemble", sorted(STREAM_ENSEMBLES))
 def test_std_stream_equals_the_width_of_each_snapshot(ensemble):
     # the stream builds no snapshot; here every checkpoint's snapshot is
-    # built and its width taken from its own degrees and adjacency
+    # built and its width taken from its own edges by the trace oracle
     rng = np.random.default_rng(19)
     for n in [*range(2, 41), 200]:
         mat = STREAM_ENSEMBLES[ensemble](n, n)
@@ -277,7 +278,10 @@ def test_std_stream_equals_the_width_of_each_snapshot(ensemble):
             for kind in (RAW, NORMALIZED):
                 series = std_curve(mat, grid, kind)
                 for p, value in zip(series.xs.tolist(), series.ys.tolist()):
-                    oracle = laplacian_std(graph_at_density(filtration, p), kind)
+                    graph = graph_at_density(filtration, p)
+                    n2_var = laplacian_n2_variance(
+                        n, np.argwhere(np.triu(graph.adjacency)), kind)
+                    oracle = math.sqrt(n2_var) / n
                     if kind == RAW:
                         assert value == oracle, (n, p)
                     else:
@@ -323,6 +327,10 @@ class TestStdCurve:
         mat = sample_gaussian_symmetric(6, 2)
         series = std_curve(mat, DensityGrid([0.0, 1.0]), RAW)
         assert series.statistic == "std"
+
+    def test_rejects_invalid_kind(self):
+        with pytest.raises(ValueError):
+            std_curve(sample_gaussian_symmetric(4, 2), DensityGrid([0.0, 1.0]), "signless")
 
     def test_no_eigensolve(self, monkeypatch):
         def forbidden(*args, **kwargs):

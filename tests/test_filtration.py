@@ -16,6 +16,7 @@ from specfilt.ensembles import (
     sample_wishart_rank_one,
 )
 from specfilt.filtration import (
+    MAX_N,
     build_filtration,
     edge_count_at_density,
     graph_at_density,
@@ -77,6 +78,13 @@ class TestBuildFiltration:
         stub = types.SimpleNamespace(n=3, dense=dense)
         with pytest.raises(ValueError):
             build_filtration(stub)
+
+    def test_rejects_n_past_the_int32_ranks_before_allocating(self):
+        # C(n, 2) is the diagonal's rank, past every pair's
+        assert MAX_N * (MAX_N - 1) // 2 <= np.iinfo(np.int32).max
+        assert (MAX_N + 1) * MAX_N // 2 > np.iinfo(np.int32).max
+        with pytest.raises(ValueError, match="exceeds"):
+            build_filtration(types.SimpleNamespace(n=MAX_N + 1))
 
     def test_diagonal_never_consulted(self):
         base = sample_gaussian_symmetric(7, 1)

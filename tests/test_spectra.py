@@ -22,7 +22,6 @@ from specfilt.spectra import (
     _twin_classes,
     eigenvalues,
     laplacian,
-    laplacian_std,
     spectral_gap,
     spectrum_histogram,
     spectrum_std,
@@ -387,7 +386,13 @@ class TestSpectrumStd:
         assert abs(spectrum_std(spec) - expected) <= 1e-12
 
 
+def trace_std(n, edges, kind):
+    return math.sqrt(oracles.laplacian_n2_variance(n, edges, kind)) / n
+
+
 class TestLaplacianStd:
+    # the trace oracle that the streamed width curve is tested against,
+    # checked here against the eigenvalues
     def test_matches_spectrum_std_on_every_prefix(self):
         samplers = (sample_gaussian_symmetric, sample_positive_rank_one,
                     sample_wishart_rank_one)
@@ -395,33 +400,29 @@ class TestLaplacianStd:
             for sample in samplers:
                 f = build_filtration(sample(n, 70 + n))
                 for g in stream_prefixes(f, range(f.total_pairs + 1)):
+                    edges = edges_of(g)
                     for kind in (RAW, NORMALIZED):
                         oracle = spectrum_std(eigenvalues(laplacian(g, kind)))
-                        assert abs(laplacian_std(g, kind) - oracle) <= 1e-12
+                        assert abs(trace_std(n, edges, kind) - oracle) <= 1e-12
 
     def test_empty_graph(self):
         for kind in (RAW, NORMALIZED):
-            assert laplacian_std(graph_from_edges(5, []), kind) == 0.0
+            assert trace_std(5, [], kind) == 0.0
 
     def test_complete_graph(self):
         for n in range(2, 12):
-            g = complete_graph(n)
-            assert math.isclose(laplacian_std(g, RAW), math.sqrt(n - 1), rel_tol=1e-15)
-            assert math.isclose(laplacian_std(g, NORMALIZED), math.sqrt(1 / (n - 1)),
+            edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            assert math.isclose(trace_std(n, edges, RAW), math.sqrt(n - 1), rel_tol=1e-15)
+            assert math.isclose(trace_std(n, edges, NORMALIZED), math.sqrt(1 / (n - 1)),
                                 rel_tol=1e-15)
 
     def test_isolated_vertices(self):
         # a triangle plus 2 isolated vertices: raw {0, 0, 0, 3, 3},
         # normalized {0, 0, 0, 3/2, 3/2}
-        g = graph_from_edges(5, [(0, 1), (0, 2), (1, 2)])
-        assert math.isclose(laplacian_std(g, RAW), math.sqrt(54) / 5, rel_tol=1e-15)
-        assert math.isclose(laplacian_std(g, NORMALIZED), math.sqrt(27 / 50),
+        triangle = [(0, 1), (0, 2), (1, 2)]
+        assert math.isclose(trace_std(5, triangle, RAW), math.sqrt(54) / 5, rel_tol=1e-15)
+        assert math.isclose(trace_std(5, triangle, NORMALIZED), math.sqrt(27 / 50),
                             rel_tol=1e-15)
         # a path on 3 vertices plus 1 isolated vertex: normalized {0, 0, 1, 2}
-        g = graph_from_edges(4, [(0, 1), (1, 2)])
-        assert math.isclose(laplacian_std(g, NORMALIZED), math.sqrt(11) / 4,
+        assert math.isclose(trace_std(4, [(0, 1), (1, 2)], NORMALIZED), math.sqrt(11) / 4,
                             rel_tol=1e-15)
-
-    def test_rejects_invalid_kind(self):
-        with pytest.raises(ValueError):
-            laplacian_std(graph_from_edges(3, [(0, 1)]), "signless")
