@@ -27,8 +27,13 @@ circle = sf.sample_noisy_circle(N, sigma=0.1, seed=SEED)
 torus = sf.sample_noisy_torus(N, major_radius=2.0, minor_radius=1.0, sigma=0.1,
                               seed=SEED)
 
-sf.write_points_csv(circle, OUT / "circle-points.csv")
-sf.write_points_csv(torus, OUT / "torus-points.csv")
+# one point per line under an x,y[,z] header, each coordinate as specfilt
+# renders reals in CSV
+for name, cloud in {"circle": circle, "torus": torus}.items():
+    header = "x,y" if cloud.dim == 2 else "x,y,z"
+    rows = [",".join(map(sf.format_real, point)) for point in cloud.points]
+    (OUT / f"{name}-points.csv").write_text("\n".join([header, *rows]) + "\n",
+                                             encoding="utf-8", newline="")
 
 grid = sf.DensityGrid.uniform(50)
 reference = sf.sample_positive_rank_one(N, SEED)

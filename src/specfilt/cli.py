@@ -162,6 +162,7 @@ def parse_args(argv) -> argparse.Namespace:
             parser.error("--p is required for the density experiment")
         if not 0.0 <= args.p <= 1.0:
             parser.error("--p must lie in [0, 1]")
+        args.p += 0.0  # -0.0 becomes 0.0, which prints as "0", not "-0"
         if args.grid is not None:
             parser.error("--grid is not a density flag")
     elif args.p is not None:
@@ -268,7 +269,7 @@ def _pooled(first, total, config: argparse.Namespace):
     # summed counts, or the summed values divided by the number of draws
     if config.experiment == "density":
         return Histogram(bin_edges=first.bin_edges, counts=total)
-    curve = CurveSeries(first.statistic, first.kind, first.xs, total / config.repeats)
+    curve = CurveSeries(first.statistic, first.xs, total / config.repeats)
     if config.experiment == "sqrt-gap":
         curve = sqrt_curve(curve)
     return curve

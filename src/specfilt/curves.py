@@ -79,8 +79,9 @@ class DensityGrid:
 
     def __post_init__(self):
         # np.unique's algorithm without its np.ma.is_masked check, which
-        # imports numpy.ma: sort flat, keep each point unlike the one before
-        points = np.sort(np.asarray(self.points, dtype=float), axis=None)
+        # imports numpy.ma: sort flat, keep each point unlike the one before;
+        # + 0.0 turns -0.0 into 0.0, so input order cannot make "-0" a point
+        points = np.sort(np.asarray(self.points, dtype=float) + 0.0, axis=None)
         if points.size == 0:
             raise ValueError("a density grid needs at least one point")
         points = points[np.concatenate(([True], points[1:] != points[:-1]))]
@@ -121,7 +122,6 @@ class CurveSeries:
     """A scalar spectral statistic sampled along a density grid."""
 
     statistic: str
-    kind: str
     xs: np.ndarray
     ys: np.ndarray
 
@@ -183,7 +183,7 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
         except NumericalError as exc:
             exc.density = p
             raise
-    return CurveSeries(statistic="gap", kind=kind, xs=densities, ys=np.array(ys))
+    return CurveSeries(statistic="gap", xs=densities, ys=np.array(ys))
 
 
 def _width(degrees: np.ndarray, kind: str, order: np.ndarray, m: int) -> float:
@@ -241,19 +241,14 @@ def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
             degrees += np.bincount(ends, minlength=matrix.n)
         added = m
         ys.append(_width(degrees, kind, order, m))
-    return CurveSeries(statistic="std", kind=kind, xs=densities, ys=np.array(ys))
+    return CurveSeries(statistic="std", xs=densities, ys=np.array(ys))
 
 
 def sqrt_curve(series: CurveSeries) -> CurveSeries:
     """Pointwise square root of a curve (all values must be nonnegative)."""
     if (series.ys < 0).any():
         raise ValueError("cannot take the square root of negative values")
-    return CurveSeries(
-        statistic=f"sqrt-{series.statistic}",
-        kind=series.kind,
-        xs=series.xs,
-        ys=np.sqrt(series.ys),
-    )
+    return CurveSeries(f"sqrt-{series.statistic}", series.xs, np.sqrt(series.ys))
 
 
 def density_snapshot(

@@ -135,12 +135,8 @@ class Graph:
         self.degrees = degrees
         self.edge_count = int(degrees.sum()) // 2
 
-    @property
-    def density(self) -> float:
-        return self.edge_count / (self.n * (self.n - 1) // 2)
-
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.edge_count}, density={self.density:.4g})"
+        return f"Graph(n={self.n}, edges={self.edge_count})"
 
 
 def build_filtration(matrix) -> EdgeFiltration:

@@ -1,4 +1,4 @@
-"""CSV and SVG serialization for curves, histograms, matrices, and clouds.
+"""CSV and SVG serialization for curves, histograms and matrices.
 
 CSV conventions: UTF-8, header row, ``.`` decimal separator, no
 thousands separators, rows in ascending x order, trailing newline.
@@ -9,6 +9,9 @@ round trip, the shortest exact representation is used instead, so parsing
 a written file always recovers the series to 1e-12.  That widening is
 common for eigenvalues, so their last bits reach the file: the bytes are
 the same for one numpy/BLAS build and BLAS thread count.
+
+A matrix file has no header.  No point-cloud writer is kept: the cloud
+demo renders its coordinates with :func:`format_real` itself.
 
 Every writer checks its payload, then streams the file line by line, so
 memory does not grow with the size of the file.
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import CurveSeries
-from .ensembles import PointCloud, SymmetricMatrix
+from .ensembles import SymmetricMatrix
 from .filtration import MAX_N
 from .spectra import Histogram
 from .svg import bar_chart, line_chart
@@ -34,7 +37,6 @@ __all__ = [
     "write_svg",
     "write_matrix_csv",
     "read_matrix_csv",
-    "write_points_csv",
 ]
 
 
@@ -76,10 +78,9 @@ def write_csv(data, path) -> None:
 def write_svg(data, path, title: str) -> None:
     """Write a CurveSeries or Histogram as a self-contained SVG plot."""
     if isinstance(data, CurveSeries):
-        lines = line_chart(data.xs, data.ys, title, x_label="p", y_label=data.statistic)
+        lines = line_chart(data.xs, data.ys, title, data.statistic)
     elif isinstance(data, Histogram):
-        lines = bar_chart(data.bin_edges, data.counts, title,
-                          x_label="eigenvalue", y_label="count")
+        lines = bar_chart(data.bin_edges, data.counts, title)
     else:
         raise TypeError(f"cannot plot {type(data).__name__}")
     _write_lines(path, lines)
@@ -149,10 +150,3 @@ def read_matrix_csv(path) -> SymmetricMatrix:
     dense = np.triu(dense)
     dense += np.triu(dense, k=1).T
     return SymmetricMatrix._trusted(dense, ensemble="matrix-file")
-
-
-def write_points_csv(cloud: PointCloud, path) -> None:
-    """Write point coordinates with an x,y[,z] header row."""
-    header = "x,y" if cloud.dim == 2 else "x,y,z"
-    rows = (",".join(map(format_real, pt)) for pt in cloud.points)
-    _write_lines(path, chain([header], rows))

@@ -87,13 +87,12 @@ DEFAULT_BINS = 100
 class NumericalError(RuntimeError):
     """Eigensolver failure, or a spectrum outside its theoretical range.
 
-    The message states the magnitude of a range violation; ``density``
-    is attached by curve sweeps to locate the offending snapshot.
+    The message states the magnitude of a range violation.  ``density``
+    is None where the error is raised; :mod:`specfilt.curves` sets it on
+    the way out of a sweep or snapshot, to locate the offending snapshot.
     """
 
-    def __init__(self, message: str, density: float | None = None):
-        super().__init__(message)
-        self.density = density
+    density: float | None = None
 
 
 def _check_kind(kind: str) -> str:

@@ -150,8 +150,7 @@ def test_c04_positive_rank_one_sqrt_gap_fit():
         sf.gap_curve(sf.sample_positive_rank_one(n, seed), grid, sf.RAW)
         for seed in range(5)
     ]
-    mean = sf.CurveSeries("gap", sf.RAW, series[0].xs,
-                          np.mean([s.ys for s in series], axis=0))
+    mean = sf.CurveSeries("gap", series[0].xs, np.mean([s.ys for s in series], axis=0))
     sqrt_series = sf.sqrt_curve(mean)
     r2 = oracles.r_squared(sqrt_series.xs, sqrt_series.ys)
     _report(4, "positive rank-1 sqrt(raw gap) linear on [0.1, 0.9] with R^2 >= 0.98",

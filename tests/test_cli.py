@@ -284,6 +284,29 @@ class TestRun:
         assert len(written["plain"]) == 2
         assert written["bom"] == written["plain"]
 
+    def test_negative_zero_density_is_zero_in_any_order(self, tmp_path):
+        written = {}
+        for name, text in (("zero-first", "0\n-0.0\n0.5\n"), ("minus-first", "-0.0\n0\n0.5\n")):
+            grid_path = tmp_path / f"{name}.txt"
+            grid_path.write_text(text)
+            out = tmp_path / name
+            code = main(
+                ["gap-curve", "--ensemble", "gaussian", "--n", "6", "--kind", "raw",
+                 "--grid", f"file:{grid_path}", "--output", str(out)]
+            )
+            assert code == EXIT_OK
+            written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert written["minus-first"] == written["zero-first"]
+        assert written["zero-first"]["gap-curve-gaussian-raw.csv"].split(b"\n")[1] == b"0,0"
+
+    def test_negative_zero_p_prints_as_zero(self, tmp_path, capsys):
+        code = main(["density", "--ensemble", "gaussian", "--n", "6", "--p", "-0.0",
+                     "--kind", "raw", "--output", str(tmp_path)])
+        assert code == EXIT_OK
+        assert " p=0: " in capsys.readouterr().out
+        title = (tmp_path / "density-gaussian-raw.svg").read_text().split("\n")[1]
+        assert "at p=0 (" in title
+
     def test_grid_resolved_once_for_both_kinds(self, tmp_path, monkeypatch):
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("0\n0.5\n1\n")
@@ -387,7 +410,9 @@ class TestRun:
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def explode(*args, **kwargs):
-            raise NumericalError("synthetic failure", density=0.25)
+            exc = NumericalError("synthetic failure")
+            exc.density = 0.25
+            raise exc
 
         monkeypatch.setattr(cli, "gap_curve", explode)
         code = main(
@@ -396,6 +421,18 @@ class TestRun:
         )
         assert code == EXIT_NUMERICAL
         assert "p=0.25" in capsys.readouterr().err
+
+    def test_density_numerical_failure_names_its_density(self, tmp_path, monkeypatch,
+                                                         capsys):
+        def explode(matrix):
+            raise NumericalError("synthetic failure")
+
+        monkeypatch.setattr(curves, "eigenvalues", explode)
+        code = main(["density", "--ensemble", "gaussian", "--n", "10", "--p", "0.3",
+                     "--output", str(tmp_path)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "specfilt: numerical failure at p=0.3: synthetic failure\n"
 
     @pytest.mark.parametrize("sampler,ensemble,message", [
         ("sample_gaussian_symmetric", "gaussian", "Unable to allocate 1.82 TiB"),
@@ -520,8 +557,7 @@ class TestPooledRepeats:
         for kind in ("raw", "normalized"):
             draws = [gap_curve(sample_gaussian_symmetric(20, seed + k), grid, kind)
                      for k in range(repeats)]
-            mean = CurveSeries("gap", kind, draws[0].xs,
-                               np.mean([d.ys for d in draws], axis=0))
+            mean = CurveSeries("gap", draws[0].xs, np.mean([d.ys for d in draws], axis=0))
             expected = tmp_path / f"{kind}.csv"
             write_csv(mean, expected)
             written = tmp_path / "cli" / f"gap-curve-gaussian-{kind}.csv"

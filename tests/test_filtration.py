@@ -210,11 +210,6 @@ class TestGraphAtDensity:
             assert not g.adjacency.flags.writeable
             assert not g.degrees.flags.writeable
 
-    def test_realized_density_recorded(self):
-        f = build_filtration(sample_gaussian_symmetric(10, 2))
-        g = graph_at_density(f, 0.3)
-        assert g.density == g.edge_count / 45
-
 
 class TestGraphValidation:
     """The checked edge-list builder that hand-built test graphs go through."""

@@ -14,7 +14,6 @@ from specfilt.output import (
     read_matrix_csv,
     write_csv,
     write_matrix_csv,
-    write_points_csv,
     write_svg,
 )
 from specfilt.spectra import RAW, Histogram
@@ -48,7 +47,7 @@ class TestFormatReal:
 
 class TestCurveCsv:
     def test_exact_bytes(self, tmp_path):
-        series = CurveSeries("gap", RAW, np.array([0.0, 1.0]), np.array([0.0, 4.0]))
+        series = CurveSeries("gap", np.array([0.0, 1.0]), np.array([0.0, 4.0]))
         path = tmp_path / "curve.csv"
         write_csv(series, path)
         assert path.read_bytes() == b"p,value\n0,0\n1,4\n"
@@ -88,7 +87,7 @@ class TestHistogramCsv:
 
 class TestSvg:
     def test_curve_has_exactly_one_polyline(self, tmp_path):
-        series = CurveSeries("gap", RAW, np.array([0.0, 1.0]), np.array([0.0, 4.0]))
+        series = CurveSeries("gap", np.array([0.0, 1.0]), np.array([0.0, 4.0]))
         path = tmp_path / "curve.svg"
         write_svg(series, path, "two point curve")
         text = path.read_text()
@@ -127,9 +126,7 @@ class TestSvg:
         assert [line for line in lines if line.startswith("<rect")] == expected
 
     def test_deterministic_bytes(self, tmp_path):
-        series = CurveSeries(
-            "std", RAW, np.linspace(0, 1, 40), np.sin(np.linspace(0, 3, 40)) ** 2
-        )
+        series = CurveSeries("std", np.linspace(0, 1, 40), np.sin(np.linspace(0, 3, 40)) ** 2)
         first = tmp_path / "a.svg"
         second = tmp_path / "b.svg"
         write_svg(series, first, "same input")
@@ -137,7 +134,7 @@ class TestSvg:
         assert first.read_bytes() == second.read_bytes()
 
     def test_title_is_escaped_and_no_external_references(self, tmp_path):
-        series = CurveSeries("gap", RAW, np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        series = CurveSeries("gap", np.array([0.0, 1.0]), np.array([0.0, 1.0]))
         path = tmp_path / "esc.svg"
         write_svg(series, path, "a < b & c")
         text = path.read_text()
@@ -146,7 +143,7 @@ class TestSvg:
         assert "url(" not in text
 
     def test_flat_curve_renders(self, tmp_path):
-        series = CurveSeries("gap", RAW, np.array([0.0, 1.0]), np.zeros(2))
+        series = CurveSeries("gap", np.array([0.0, 1.0]), np.zeros(2))
         write_svg(series, tmp_path / "flat.svg", "flat")
         assert (tmp_path / "flat.svg").read_text().count("<polyline") == 1
 
@@ -273,12 +270,3 @@ def test_writers_hold_less_than_the_file_they_write(tmp_path, writer):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size / 2, (peak, path.stat().st_size)
-
-
-def test_points_csv(tmp_path):
-    cloud = sample_noisy_circle(5, seed=1)
-    path = tmp_path / "cloud.csv"
-    write_points_csv(cloud, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x,y"
-    assert len(lines) == 6
