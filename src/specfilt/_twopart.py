@@ -1,0 +1,151 @@
+"""Parse a large matrix CSV in two parts at once, the second in a worker.
+
+:func:`specfilt.output.read_matrix_csv` imports this module when it reads
+a matrix, so a run that reads none neither compiles nor holds it.  The
+worker is the same interpreter running :func:`parse_tail`; it writes the
+shape of its rows (two int64) and their float64 values down a pipe.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import signal
+import stat
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from .output import _CsvRows
+
+__all__: list[str] = []
+
+# A --matrix file of at least this many bytes is parsed in two parts at
+# once.  A worker process that imports specfilt starts in about 78 ms,
+# and numpy.loadtxt parses about 120 MB/s (2 CPUs, numpy 2.4), so a
+# file of S bytes takes about 0.078 s + S / 240 MB/s in two parts against
+# S / 120 MB/s in one: two parts gain once S > 2 x 0.078 s x 120 MB/s,
+# about 19 MB.
+SPLIT_MIN_BYTES = 20_000_000
+
+# the worker's command: it imports specfilt from where this process did,
+# unless the interpreter already finds it elsewhere first
+_WORKER = ("import sys; sys.path.append(sys.argv[1]); "
+           "from specfilt._twopart import parse_tail; parse_tail(sys.argv[2], int(sys.argv[3]))")
+
+
+class _Head(io.RawIOBase):
+    """The bytes of a binary file from its current position up to ``end``."""
+
+    def __init__(self, fh, end: int):
+        self._fh = fh
+        self._left = end - fh.tell()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._fh.readinto(memoryview(buffer)[:self._left])
+        self._left -= count
+        return count
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def split_point(fh) -> int | None:
+    """Where a large regular file is split: just past the first newline
+    past its middle.  None for a pipe, a small file or a single CPU."""
+    info = os.fstat(fh.fileno())
+    if (not stat.S_ISREG(info.st_mode) or info.st_size < SPLIT_MIN_BYTES
+            or _cpu_count() < 2 or not sys.executable or not hasattr(os, "posix_spawn")):
+        return None
+    fh.seek(info.st_size // 2)
+    while (piece := fh.readline(1 << 16)) and not piece.endswith(b"\n"):
+        pass
+    split = fh.tell()
+    fh.seek(0)
+    return split if split < info.st_size else None
+
+
+def read_in_two(fh, split: int, path) -> np.ndarray | None:
+    """Parse the rows before ``split`` here while a worker parses the rest.
+
+    None where the first part does not start a matrix of 2 to ``MAX_N``
+    columns, or either part fails in any way; the caller then reads the
+    whole file in one part, which raises the error the file holds.
+    """
+    with io.TextIOWrapper(io.BufferedReader(_Head(fh, split)), encoding="utf-8-sig") as text:
+        rows = _CsvRows(text)
+        try:
+            n = rows.width()
+        except ValueError:
+            return None
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb", buffering=0) as stream:
+            try:
+                # posix_spawn, not the subprocess module: importing that
+                # would add 0.3 MB to every matrix-file run's peak
+                pid = os.posix_spawn(
+                    sys.executable,
+                    [sys.executable, "-c", _WORKER, str(Path(__file__).resolve().parents[1]),
+                     os.fspath(path), str(split)],
+                    os.environ,
+                    file_actions=[(os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
+                                  (os.POSIX_SPAWN_DUP2, write_end, 1),
+                                  (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
+            except OSError:
+                return None
+            finally:
+                os.close(write_end)
+            status = None
+            try:
+                head = rows.parse()
+                k = len(head)
+                shape = np.empty(2, dtype=np.int64)
+                if not _fill(stream, shape) or tuple(shape) != (n - k, n):
+                    return None
+                dense = np.empty((n, n))
+                dense[:k] = head
+                del head
+                if not _fill(stream, dense[k:]):
+                    return None
+                status = os.waitpid(pid, 0)[1]
+                return dense if status == 0 else None
+            except ValueError:  # a bad row in the first part
+                return None
+            finally:
+                if status is None:  # not reaped yet, so pid is still the worker's
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+
+
+def _fill(stream, array: np.ndarray) -> bool:
+    """Read a C-contiguous array's bytes from a stream; False at an early end."""
+    view = memoryview(array).cast("B")
+    while view:
+        count = stream.readinto(view)
+        if not count:
+            return False
+        view = view[count:]
+    return True
+
+
+def parse_tail(path, offset: int) -> None:
+    """Worker entry: parse a matrix file's rows from ``offset`` on, and write
+    their shape (two int64) and their float64 values to standard output."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        with io.TextIOWrapper(fh, encoding="utf-8") as text:
+            rows = _CsvRows(text)
+            rows.width()
+            part = rows.parse()
+    out = sys.stdout.buffer
+    out.write(np.array(part.shape, dtype=np.int64).tobytes())
+    out.write(memoryview(part).cast("B"))
+    out.flush()

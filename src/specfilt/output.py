@@ -10,8 +10,10 @@ a written file always recovers the series to 1e-12.  That widening is
 common for eigenvalues, so their last bits reach the file: the bytes are
 the same for one numpy/BLAS build and BLAS thread count.
 
-A matrix file has no header.  No point-cloud writer is kept: the cloud
-demo renders its coordinates with :func:`format_real` itself.
+A matrix file has no header.  A large one is parsed in two parts at
+once, the second by a worker process (see :func:`read_matrix_csv`).  No
+point-cloud writer is kept: the cloud demo renders its coordinates with
+:func:`format_real` itself.
 
 Every writer checks its payload, then streams the file line by line, so
 memory does not grow with the size of the file.
@@ -19,6 +21,8 @@ memory does not grow with the size of the file.
 
 from __future__ import annotations
 
+import io
+import math
 import re
 from itertools import chain, pairwise
 from pathlib import Path
@@ -91,36 +95,41 @@ def write_matrix_csv(matrix: SymmetricMatrix, path) -> None:
     _write_lines(path, (",".join(map(format_real, row)) for row in matrix.dense))
 
 
-def read_matrix_csv(path) -> SymmetricMatrix:
-    """Read a full symmetric matrix from CSV (as written by write_matrix_csv).
+class _CsvRows:
+    """The non-blank lines of a CSV text stream, parsed by numpy.loadtxt."""
 
-    A leading UTF-8 byte-order mark is ignored, blank lines are skipped,
-    and every cell is parsed by ``numpy.loadtxt``
-    (no ``#`` comments, no ``_`` digit separators); an unparsable cell is
-    named by its file line and column, both from 1.  Near-symmetric input
-    (entries matching across the diagonal to 1e-9, relative to the
-    largest magnitude) is accepted; the upper triangle wins and is
-    mirrored so the stored matrix is exactly symmetric.
-    """
-    with open(Path(path), "r", encoding="utf-8-sig") as fh:
-        line = 0  # the file line (from 1) of the last row handed to numpy
+    def __init__(self, text):
+        self.line = 0  # the file line (from 1) of the last line read
+        self._numbered = enumerate(text, 1)
+        self.first = next(self, None)
 
-        def rows():
-            nonlocal line
-            for number, text in enumerate(fh, 1):
-                if text.strip():
-                    line = number
-                    yield text
+    def __iter__(self):
+        return self
 
-        lines = rows()
-        first = next(lines, None)
-        if first is None:  # before numpy, which would warn "input contained no data"
+    def __next__(self):
+        for self.line, row in self._numbered:
+            if row.strip():
+                return row
+        raise StopIteration
+
+    def width(self) -> int:
+        """The first row's cell count, checked as the matrix size."""
+        if self.first is None:  # before numpy, which would warn "input contained no data"
             raise ValueError("matrix file is empty")
+        n = self.first.count(",") + 1  # numpy splits at every comma
+        if n > MAX_N:
+            raise ValueError(f"matrix size must be at most {MAX_N}")
+        if n < 2:
+            raise ValueError("matrix size must be at least 2")
+        return n
+
+    def parse(self) -> np.ndarray:
+        """Parse the first row and every row after it into a 2-D float64 array."""
         try:
-            # numpy.loadtxt parses every cell; comments=None keeps "#" an
-            # unparsable character, not the start of a comment
-            dense = np.loadtxt(chain([first], lines), delimiter=",", ndmin=2,
-                               comments=None)
+            # comments=None keeps "#" an unparsable character, not the start
+            # of a comment
+            return np.loadtxt(chain([self.first], self), delimiter=",", ndmin=2,
+                              comments=None)
         except ValueError as exc:
             if isinstance(exc, UnicodeDecodeError):
                 raise
@@ -129,24 +138,81 @@ def read_matrix_csv(path) -> SymmetricMatrix:
                 # numpy pulls one row at a time and stops at the bad one, but
                 # counts rows from 0 among the non-blank lines only
                 raise ValueError(re.sub(r" at row \d+, column (\d+)\.$",
-                                        rf" on line {line}, column \1", message)) from None
+                                        rf" on line {self.line}, column \1", message)) from None
             raise ValueError("matrix file must be square") from exc  # ragged rows
-    if dense.shape[0] != dense.shape[1]:
+
+
+def _read_whole(fh) -> np.ndarray:
+    """Parse every row of a matrix file in this process."""
+    with io.TextIOWrapper(fh, encoding="utf-8-sig") as text:
+        rows = _CsvRows(text)
+        n = rows.width()
+        dense = rows.parse()
+    if dense.shape[0] != n:
         raise ValueError("matrix file must be square")
-    if dense.shape[0] > MAX_N:
-        raise ValueError(f"matrix size must be at most {MAX_N}")
-    # from here on, at most one n x n temporary besides dense
-    if not np.isfinite(dense).all():
+    return dense
+
+
+def _symmetrized(dense: np.ndarray) -> np.ndarray:
+    """Check a square array is finite and symmetric, and mirror its upper
+    triangle in place, a block of rows at a time."""
+    n = dense.shape[0]
+    high, low = float(dense.max()), float(dense.min())  # NaN propagates
+    if not (math.isfinite(high) and math.isfinite(low)):
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(dense).max()))
-    with np.errstate(over="ignore"):  # an overflowing difference is inf: asymmetric
-        asymmetry = dense - dense.T
-    np.abs(asymmetry, out=asymmetry)
-    if float(asymmetry.max()) > 1e-9 * scale:
-        raise ValueError("matrix file is not symmetric")
-    del asymmetry
-    if dense.shape[0] < 2:
-        raise ValueError("matrix size must be at least 2")
-    dense = np.triu(dense)
-    dense += np.triu(dense, k=1).T
-    return SymmetricMatrix._trusted(dense, ensemble="matrix-file")
+    tolerance = 1e-9 * max(1.0, high, -low)  # max(1, max |a|)
+    step = max(1, (1 << 17) // n)  # rows per block: temporaries of 1 MiB
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        # rows start:stop from the diagonal on, against the same entries
+        # across the diagonal, which no earlier block has written
+        with np.errstate(over="ignore"):  # an overflowing difference is inf: asymmetric
+            asymmetry = dense[start:stop, start:] - dense[start:, start:stop].T
+        np.abs(asymmetry, out=asymmetry)
+        if float(asymmetry.max()) > tolerance:
+            raise ValueError("matrix file is not symmetric")
+        del asymmetry
+        dense[start:stop, :start] = dense[:start, start:stop].T
+        square = dense[start:stop, start:stop]
+        np.copyto(square, square.T, where=np.tri(stop - start, k=-1, dtype=bool))
+        # as x + 0.0 does, turn -0.0 into 0.0, the sign the stored matrix
+        # has always had
+        dense[start:stop] += 0.0
+    return dense
+
+
+def read_matrix_csv(path) -> SymmetricMatrix:
+    """Read a full symmetric matrix from CSV (as written by write_matrix_csv).
+
+    A leading UTF-8 byte-order mark is ignored, blank lines are skipped,
+    and every cell is parsed by ``numpy.loadtxt``
+    (no ``#`` comments, no ``_`` digit separators); an unparsable cell is
+    named by its file line and column, both from 1.  The size n is the
+    first row's cell count, refused outside 2 to ``MAX_N`` before any
+    cell is parsed.  Near-symmetric input (entries matching across the
+    diagonal to 1e-9, relative to the largest magnitude) is accepted; the
+    upper triangle wins and is mirrored so the stored matrix is exactly
+    symmetric.
+
+    A regular file of at least ``specfilt._twopart.SPLIT_MIN_BYTES``, on
+    a POSIX machine with two or more CPUs, is split just past the first
+    newline past its middle, and a worker process parses the second part
+    while this one parses the first.  A pipe or a small file is read in
+    one part, and so is the whole file again when either part fails in
+    any way: every error is raised here, with the message the one-part
+    read gives.  The worker is always waited for, and killed when this
+    process raises or is interrupted.
+    """
+    # imported here, so that a run that reads no matrix neither compiles
+    # nor holds the two-part reader
+    from . import _twopart
+
+    path = Path(path)
+    with open(path, "rb") as fh:
+        split = _twopart.split_point(fh)
+        dense = None if split is None else _twopart.read_in_two(fh, split, path)
+        if dense is None:
+            if split is not None:
+                fh.seek(0)
+            dense = _read_whole(fh)
+    return SymmetricMatrix._trusted(_symmetrized(dense), ensemble="matrix-file")

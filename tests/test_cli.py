@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specfilt._twopart as _twopart
 import specfilt.cli as cli
 import specfilt.curves as curves
 import specfilt.output as output
@@ -573,8 +574,8 @@ class TestMatrixFile:
                      "--p", "0.5", "--output", str(tmp_path)])
 
     def test_one_wide_row_is_not_square(self, tmp_path, capsys):
-        # the first row's width must not size an n x n array (75 GiB here)
-        code = self.run_matrix(tmp_path, ",".join(["0"] * 100_000) + "\n")
+        # the first row's width must not size an n x n array (32 GiB here)
+        code = self.run_matrix(tmp_path, ",".join(["0"] * MAX_N) + "\n")
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == (
             "specfilt: error: --matrix: matrix file must be square\n")
@@ -586,11 +587,13 @@ class TestMatrixFile:
             "specfilt: error: --matrix: matrix size must be at least 2\n")
 
     def test_more_rows_than_the_rank_matrix_holds(self, tmp_path, monkeypatch, capsys):
-        # a read-only view of one zero stands in for the parsed file: the
-        # size is refused before any n x n array is allocated
-        monkeypatch.setattr(output.np, "loadtxt",
-                            lambda *args, **kwargs: np.broadcast_to(0.0, (MAX_N + 1,) * 2))
-        assert self.run_matrix(tmp_path, "0,1\n1,0\n") == EXIT_USAGE
+        # the first row's cell count is the size, refused before any cell
+        # is parsed or any n x n array is allocated
+        def unreached(*args, **kwargs):
+            raise AssertionError("a cell was parsed")
+
+        monkeypatch.setattr(output.np, "loadtxt", unreached)
+        assert self.run_matrix(tmp_path, ",".join(["0"] * (MAX_N + 1)) + "\n1,0\n") == EXIT_USAGE
         assert capsys.readouterr().err == (
             f"specfilt: error: --matrix: matrix size must be at most {MAX_N}\n")
 
@@ -619,6 +622,28 @@ class TestMatrixFile:
         assert capsys.readouterr().err == (
             "specfilt: error: --matrix: could not convert string 'abc' to float64 "
             f"on line {line}, column {column}\n")
+
+    @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="no worker without posix_spawn")
+    def test_bad_cell_in_the_workers_part_is_one_usage_line(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # the file is split just past the newline past its middle, so the
+        # worker parses the last row
+        monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(_twopart, "_cpu_count", lambda: 2)
+        spawned = []
+        spawn = os.posix_spawn
+
+        def counted(*args, **kwargs):
+            spawned.append(spawn(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(os, "posix_spawn", counted)
+        text = "0,1,2,3\n1,0,4,5\n2,4,0,6\n3,5,abc,0\n"
+        assert self.run_matrix(tmp_path, text) == EXIT_USAGE
+        assert len(spawned) == 1
+        assert capsys.readouterr().err == (
+            "specfilt: error: --matrix: could not convert string 'abc' to float64 "
+            "on line 4, column 3\n")
 
     def test_out_of_memory_names_the_file(self, tmp_path, monkeypatch, capsys):
         # the size is not known before the file is read

@@ -1,12 +1,13 @@
 """CSV and SVG serialization: exact formats, round trips, determinism."""
 
+import os
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from specfilt import svg
+from specfilt import _twopart, output, svg
 from specfilt.curves import CurveSeries, DensityGrid, gap_curve
 from specfilt.ensembles import sample_gaussian_symmetric, sample_noisy_circle, distance_matrix
 from specfilt.output import (
@@ -205,6 +206,30 @@ class TestMatrixCsv:
         loaded = read_matrix_csv(path)
         assert loaded.dense.tolist() == [[0.0, 1.5, -2.0], [1.5, 0.0, 3.0], [-2.0, 3.0, 0.0]]
 
+    def test_negative_zero_is_stored_as_zero(self, tmp_path):
+        path = tmp_path / "matrix.csv"
+        path.write_text("-0,1,-0.0\n1,-0.0,2\n0,2,0\n")
+        loaded = read_matrix_csv(path).dense
+        assert loaded.tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]]
+        assert not np.signbit(loaded).any()
+
+    # n = 400 spans two row blocks; (390, 10) lies left of the second
+    # block's diagonal square, (380, 370) inside it
+    @pytest.mark.parametrize("entry", [(390, 10), (380, 370), (10, 390)])
+    def test_symmetry_is_checked_and_mirrored_across_row_blocks(self, tmp_path, entry):
+        dense = distance_matrix(sample_noisy_circle(400, seed=3)).dense
+        near = dense.copy()
+        near[entry] += 1e-12
+        far = dense.copy()
+        far[entry] += 1e-6
+        path = tmp_path / "matrix.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in near.tolist()))
+        upper = np.triu(near)
+        assert np.array_equal(read_matrix_csv(path).dense, upper + np.triu(near, k=1).T)
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in far.tolist()))
+        with pytest.raises(ValueError, match="not symmetric"):
+            read_matrix_csv(path)
+
     @pytest.mark.parametrize("text", ["0,1\n1,0,2\n", "0,1,2\n1,0\n2,0,1\n",
                                       "0,1\n1,0\n0,0\n", "0,1,2\n1,0,3\n"])
     def test_ragged_or_non_square_rows(self, tmp_path, text):
@@ -249,6 +274,169 @@ class TestMatrixCsv:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * dense.nbytes, (peak, dense.nbytes)
+
+
+def _csv_rows(dense):
+    return [",".join(map(repr, row)) for row in dense.tolist()]
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="the worker is started by posix_spawn")
+class TestMatrixCsvInTwoParts:
+    """A large regular file is parsed in two parts at once, the second by a worker."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        # every regular file is split, whatever its size and the host's
+        # CPUs; the list collects the pid of every worker started
+        monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(_twopart, "_cpu_count", lambda: 2)
+        started = []
+        spawn = os.posix_spawn
+
+        def counted(*args, **kwargs):
+            started.append(spawn(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(os, "posix_spawn", counted)
+        return started
+
+    @staticmethod
+    def write(path, rows):
+        """Write rows as CRLF lines after a byte-order mark, with no line end
+        after the last, and blank lines on both sides of the split."""
+        head = "".join(f"{row}\r\n" for row in rows[:len(rows) // 2])
+        tail = "\r\n".join(rows[len(rows) // 2:])
+        # enough 3-byte blank lines that the middle falls among them
+        blanks = " \r\n" * (abs(len(head) - len(tail)) // 3 + 5)
+        path.write_bytes(("\ufeff" + head + blanks + tail).encode())
+        with open(path, "rb") as fh:
+            split = _twopart.split_point(fh)
+        assert path.read_bytes()[split - 6:split + 6] == b" \r\n" * 4
+        return split
+
+    def test_two_parts_equal_one_part_bit_for_bit(self, tmp_path, workers):
+        # the parse alone: any array will do, square or not
+        dense = np.random.default_rng(5).standard_normal((40, 40)) * 1e-300
+        path = tmp_path / "matrix.csv"
+        split = self.write(path, _csv_rows(dense))
+        with open(path, "rb") as fh:
+            two = _twopart.read_in_two(fh, split, path)
+        with open(path, "rb") as fh:
+            one = output._read_whole(fh)
+        assert len(workers) == 1
+        assert np.array_equal(two.view(np.int64), one.view(np.int64))
+        assert np.array_equal(two.view(np.int64), dense.view(np.int64))
+
+    def test_read_takes_the_second_part_from_the_worker(self, tmp_path, workers, monkeypatch):
+        dense = distance_matrix(sample_noisy_circle(40, seed=6)).dense
+        path = tmp_path / "matrix.csv"
+        self.write(path, _csv_rows(dense))
+        parse_whole = output._read_whole
+
+        def unreached(fh):
+            raise AssertionError("read in one part")
+
+        monkeypatch.setattr(output, "_read_whole", unreached)
+        two = read_matrix_csv(path).dense
+        monkeypatch.setattr(output, "_read_whole", parse_whole)
+        monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 10**18)
+        one = read_matrix_csv(path).dense
+        assert len(workers) == 1
+        assert np.array_equal(two.view(np.int64), one.view(np.int64))
+        assert np.array_equal(two, dense)
+
+    # "wider" and "longer" parse cleanly in the worker, which then sends
+    # a shape other than the rows the first part leaves
+    @pytest.mark.parametrize("fault", ["cell", "ragged", "byte", "wider", "longer"])
+    def test_error_in_the_second_part_is_the_one_part_error(self, tmp_path, workers,
+                                                           monkeypatch, fault):
+        rows = _csv_rows(distance_matrix(sample_noisy_circle(40, seed=7)).dense)
+        cells = rows[35].split(",")
+        if fault in ("cell", "ragged", "byte"):
+            cells[6] = {"cell": "abc", "ragged": f"{cells[6]},0", "byte": "1@"}[fault]
+            rows[35] = ",".join(cells)
+        elif fault == "wider":
+            rows[20:] = [f"{row},0" for row in rows[20:]]
+        else:
+            rows.append(rows[0])
+        path = tmp_path / "matrix.csv"
+        self.write(path, rows)
+        path.write_bytes(path.read_bytes().replace(b"@", b"\xff"))
+        with pytest.raises(ValueError) as two:
+            read_matrix_csv(path)
+        assert len(workers) == 1
+        monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 10**18)
+        with pytest.raises(ValueError) as one:
+            read_matrix_csv(path)
+        assert len(workers) == 1
+        assert (type(two.value), str(two.value)) == (type(one.value), str(one.value))
+        if fault == "cell":
+            line = path.read_bytes().split(b"\r\n").index(rows[35].encode()) + 1
+            assert str(two.value) == (
+                f"could not convert string 'abc' to float64 on line {line}, column 7")
+
+    @pytest.mark.parametrize("worker", ["import sys; sys.exit(3)",
+                                        "import sys; sys.stdout.buffer.write(bytes(16))",
+                                        "import sys; sys.stdout.buffer.write(b'short')"])
+    def test_a_failing_worker_leaves_the_file_to_one_part(self, tmp_path, workers,
+                                                          monkeypatch, worker):
+        dense = distance_matrix(sample_noisy_circle(40, seed=8)).dense
+        path = tmp_path / "matrix.csv"
+        self.write(path, _csv_rows(dense))
+        monkeypatch.setattr(_twopart, "_WORKER", worker)
+        assert np.array_equal(read_matrix_csv(path).dense, dense)
+        assert len(workers) == 1
+
+    def test_a_worker_that_cannot_start_leaves_the_file_to_one_part(self, tmp_path, workers,
+                                                                    monkeypatch):
+        dense = distance_matrix(sample_noisy_circle(40, seed=8)).dense
+        path = tmp_path / "matrix.csv"
+        self.write(path, _csv_rows(dense))
+
+        def refused(*args, **kwargs):
+            raise OSError("no process")
+
+        monkeypatch.setattr(os, "posix_spawn", refused)
+        assert np.array_equal(read_matrix_csv(path).dense, dense)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_pipe_is_read_in_one_part(self, workers):
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as fh:
+            fh.write("\n".join(_csv_rows(np.eye(40))).encode())
+        try:
+            loaded = read_matrix_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert np.array_equal(loaded.dense, np.eye(40))
+        assert workers == []
+
+    def test_small_file_or_one_cpu_is_one_part(self, tmp_path, monkeypatch):
+        path = tmp_path / "matrix.csv"
+        path.write_text("0,1\n1,0\n \n")
+        monkeypatch.setattr(_twopart, "_cpu_count", lambda: 2)
+        with open(path, "rb") as fh:
+            assert _twopart.split_point(fh) is None  # below SPLIT_MIN_BYTES
+            monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 0)
+            assert _twopart.split_point(fh) == 8  # past the newline past byte 5
+            monkeypatch.setattr(_twopart, "_cpu_count", lambda: 1)
+            assert _twopart.split_point(fh) is None
+
+    @pytest.mark.parametrize("bad_row", [None, 3, 35])
+    def test_no_worker_outlives_the_call(self, tmp_path, workers, bad_row):
+        rows = _csv_rows(distance_matrix(sample_noisy_circle(40, seed=9)).dense)
+        if bad_row is not None:
+            rows[bad_row] = "abc" + rows[bad_row][rows[bad_row].index(","):]
+        path = tmp_path / "matrix.csv"
+        self.write(path, rows)
+        if bad_row is None:
+            read_matrix_csv(path)
+        else:
+            with pytest.raises(ValueError, match="could not convert"):
+                read_matrix_csv(path)
+        assert len(workers) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("writer", ["csv", "svg", "matrix"])
