@@ -52,8 +52,10 @@ for name, matrix in {
     print()
 
 # the gap curves can be rebuilt from the written clouds alone:
-# a distance matrix CSV round-trips through the matrix-file ensemble
+# a distance matrix CSV (one row per line, no header, reals rendered as
+# for the clouds) round-trips through the matrix-file ensemble
 mat_path = OUT / "circle-distances.csv"
-sf.write_matrix_csv(sf.distance_matrix(circle), mat_path)
+rows = [",".join(map(sf.format_real, row)) for row in sf.distance_matrix(circle).dense]
+mat_path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="")
 reloaded = sf.read_matrix_csv(mat_path)
 print(f"distance matrix round trip: n={reloaded.n}, ensemble={reloaded.ensemble}")

@@ -3,7 +3,10 @@
 :func:`specfilt.output.read_matrix_csv` imports this module when it reads
 a matrix, so a run that reads none neither compiles nor holds it.  The
 worker is the same interpreter running :func:`parse_tail`; it writes the
-shape of its rows (two int64) and their float64 values down a pipe.
+shape of its rows (two int64) and their float64 values down a pipe, which
+this process reads straight into the matrix.  The worker does not outlive
+its reader: the reader kills it when the read fails or is interrupted, and
+on Linux the kernel kills it when the reader itself is killed.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ SPLIT_MIN_BYTES = 20_000_000
 
 # the worker's command: it imports specfilt from where this process did,
 # unless the interpreter already finds it elsewhere first
-_WORKER = ("import sys; sys.path.append(sys.argv[1]); "
-           "from specfilt._twopart import parse_tail; parse_tail(sys.argv[2], int(sys.argv[3]))")
+_WORKER = ("import sys; sys.path.append(sys.argv[1]); from specfilt._twopart import parse_tail; "
+           "parse_tail(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))")
 
 
 class _Head(io.RawIOBase):
@@ -87,14 +90,16 @@ def read_in_two(fh, split: int, path) -> np.ndarray | None:
         except ValueError:
             return None
         read_end, write_end = os.pipe()
-        with open(read_end, "rb", buffering=0) as stream:
+        # buffered: each readinto below loops until its array is full or
+        # the pipe ends
+        with open(read_end, "rb") as stream:
             try:
                 # posix_spawn, not the subprocess module: importing that
                 # would add 0.3 MB to every matrix-file run's peak
                 pid = os.posix_spawn(
                     sys.executable,
                     [sys.executable, "-c", _WORKER, str(Path(__file__).resolve().parents[1]),
-                     os.fspath(path), str(split)],
+                     os.fspath(path), str(split), str(os.getpid())],
                     os.environ,
                     file_actions=[(os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
                                   (os.POSIX_SPAWN_DUP2, write_end, 1),
@@ -108,12 +113,12 @@ def read_in_two(fh, split: int, path) -> np.ndarray | None:
                 head = rows.parse()
                 k = len(head)
                 shape = np.empty(2, dtype=np.int64)
-                if not _fill(stream, shape) or tuple(shape) != (n - k, n):
+                if stream.readinto(shape) != shape.nbytes or tuple(shape) != (n - k, n):
                     return None
                 dense = np.empty((n, n))
                 dense[:k] = head
                 del head
-                if not _fill(stream, dense[k:]):
+                if stream.readinto(dense[k:]) != dense[k:].nbytes:
                     return None
                 status = os.waitpid(pid, 0)[1]
                 return dense if status == 0 else None
@@ -125,20 +130,29 @@ def read_in_two(fh, split: int, path) -> np.ndarray | None:
                     os.waitpid(pid, 0)
 
 
-def _fill(stream, array: np.ndarray) -> bool:
-    """Read a C-contiguous array's bytes from a stream; False at an early end."""
-    view = memoryview(array).cast("B")
-    while view:
-        count = stream.readinto(view)
-        if not count:
-            return False
-        view = view[count:]
-    return True
+def _end_with(parent: int) -> None:
+    """Have this process killed when ``parent`` ends, or end it now if
+    ``parent`` is already gone."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        # PR_SET_PDEATHSIG; should it fail, a worker whose parent is killed
+        # still ends at its first write to the closed pipe
+        prctl(1, signal.SIGKILL)
+    # a parent that died before the prctl call has left this process to
+    # another: that parent is not waiting for the rows
+    if os.getppid() != parent:
+        sys.exit(1)
 
 
-def parse_tail(path, offset: int) -> None:
+def parse_tail(path, offset: int, parent: int) -> None:
     """Worker entry: parse a matrix file's rows from ``offset`` on, and write
-    their shape (two int64) and their float64 values to standard output."""
+    their shape (two int64) and their float64 values to standard output.
+    The worker ends with ``parent``, the process that reads the rows."""
+    _end_with(parent)
     with open(path, "rb") as fh:
         fh.seek(offset)
         with io.TextIOWrapper(fh, encoding="utf-8") as text:

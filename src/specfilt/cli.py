@@ -21,7 +21,8 @@ are skipped.  A leading UTF-8 byte-order mark is ignored there and in
 the ``--matrix`` file.
 
 Exit status: 0 success, 1 usage error (including an n whose matrices do
-not fit in memory), 2 I/O failure, 3 numerical failure.
+not fit in memory), 2 I/O failure, 3 numerical failure, 130 interrupted
+(Ctrl-C).
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ from .output import read_matrix_csv, write_csv, write_svg
 from .spectra import DEFAULT_BINS, KINDS, Histogram, NumericalError
 
 __all__ = ["UsageError", "parse_args", "run", "main",
-           "EXIT_OK", "EXIT_USAGE", "EXIT_IO", "EXIT_NUMERICAL"]
+           "EXIT_OK", "EXIT_USAGE", "EXIT_IO", "EXIT_NUMERICAL", "EXIT_INTERRUPTED"]
 
 EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_NUMERICAL = 0, 1, 2, 3
+EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
 
 # far more bins than any spectrum has eigenvalues; at this limit a run of
 # both kinds writes about 210 MB of CSV and SVG, line by line, and peaks
@@ -134,7 +136,11 @@ def parse_args(argv) -> argparse.Namespace:
     """Parse and validate arguments; usage problems exit with status 1.
 
     The namespace holds one attribute per flag; ``output`` is taken from
-    ``SPECFILT_OUTPUT`` when that is set.
+    ``SPECFILT_OUTPUT`` when that is set, and ``grid`` is the
+    :class:`DensityGrid` that ``--grid`` names, or None without the flag.
+    A ``file:`` grid is read here, before any matrix is drawn: a file that
+    cannot be read exits 2, one that does not hold a grid exits 1, each
+    with one line and no usage block.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -176,22 +182,42 @@ def parse_args(argv) -> argparse.Namespace:
     if args.ensemble == "torus" and not np.inf > args.major > args.minor > 0:
         parser.error("--major must exceed --minor, both finite and positive")
     if args.grid is not None:
-        head, _, tail = args.grid.partition(":")
-        if head == "uniform":
-            try:
-                steps = int(tail)
-            except ValueError:
-                steps = 0
-            if not 1 <= steps <= MAX_GRID_STEPS:
-                parser.error(f"--grid uniform:K needs an integer K in [1, {MAX_GRID_STEPS}]")
-        elif head == "file":
-            if not tail:
-                parser.error("--grid file:PATH needs a path")
-        else:
-            parser.error("--grid must be uniform:K or file:PATH")
+        args.grid = _grid(parser, args.grid)
 
     args.output = os.environ.get("SPECFILT_OUTPUT") or args.output
     return args
+
+
+def _grid(parser: _Parser, spec: str) -> DensityGrid:
+    """The grid a ``--grid`` spec names; a bad spec or file exits here."""
+    head, _, tail = spec.partition(":")
+    if head == "uniform":
+        try:
+            steps = int(tail)
+        except ValueError:
+            steps = 0
+        if not 1 <= steps <= MAX_GRID_STEPS:
+            parser.error(f"--grid uniform:K needs an integer K in [1, {MAX_GRID_STEPS}]")
+        return DensityGrid.uniform(steps)
+    if head != "file":
+        parser.error("--grid must be uniform:K or file:PATH")
+    if not tail:
+        parser.error("--grid file:PATH needs a path")
+    # a file's errors are the run's: one line, no usage block
+    try:
+        points = []
+        for line in Path(tail).read_text(encoding="utf-8-sig").split("\n"):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                try:
+                    points.append(float(line))
+                except ValueError:
+                    raise ValueError(f"unparsable density {line!r}") from None
+        return DensityGrid(points)
+    except OSError as exc:
+        parser.exit(EXIT_IO, f"{parser.prog}: i/o error: {exc}\n")
+    except ValueError as exc:  # a UnicodeDecodeError too
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: --grid file: {exc}\n")
 
 
 def _seeds(config: argparse.Namespace):
@@ -225,34 +251,6 @@ def _sample(config: argparse.Namespace, seed: int):
         return distance_matrix(sample_noisy_torus(config.n, config.major,
                                                   config.minor, config.sigma, seed))
     raise UsageError(f"unknown ensemble {config.ensemble!r}")
-
-
-def _resolve_grid(config: argparse.Namespace, n: int) -> DensityGrid:
-    spec = config.grid
-    if spec is None:
-        if config.experiment == "std-curve":
-            return DensityGrid.with_zero_refinement(n)
-        return DensityGrid.uniform()
-    head, _, tail = spec.partition(":")
-    if head == "uniform":
-        return DensityGrid.uniform(int(tail))
-    try:
-        lines = Path(tail).read_text(encoding="utf-8-sig").split("\n")
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"--grid file: {exc}") from exc
-    points = []
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            points.append(float(line))
-        except ValueError as exc:
-            raise UsageError(f"--grid file: unparsable density {line!r}") from exc
-    try:
-        return DensityGrid(points)
-    except ValueError as exc:
-        raise UsageError(f"--grid file: {exc}") from exc
 
 
 def _compute(matrix, grid: DensityGrid | None, config: argparse.Namespace,
@@ -311,7 +309,7 @@ def run(config: argparse.Namespace) -> int:
     so memory does not grow with ``--repeats``.  Files are written once
     every matrix has been processed.
     """
-    n = grid = None
+    n, grid = None, config.grid
     try:
         kinds = KINDS if config.kind == "both" else (config.kind,)
         firsts, totals = {}, {}  # per kind: first draw's result, running total
@@ -321,8 +319,9 @@ def run(config: argparse.Namespace) -> int:
                 n = matrix.n
                 out_dir = Path(config.output)
                 out_dir.mkdir(parents=True, exist_ok=True)
-                if config.experiment != "density":
-                    grid = _resolve_grid(config, n)
+                if grid is None and config.experiment != "density":
+                    grid = (DensityGrid.with_zero_refinement(n)
+                            if config.experiment == "std-curve" else DensityGrid.uniform())
             for kind in kinds:
                 result = _compute(matrix, grid, config, kind)
                 values = result.counts if config.experiment == "density" else result.ys
@@ -360,4 +359,8 @@ def run(config: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    return run(parse_args(argv))
+    try:
+        return run(parse_args(argv))
+    except KeyboardInterrupt:
+        print("specfilt: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED

@@ -1,4 +1,4 @@
-"""CSV and SVG serialization for curves, histograms and matrices.
+"""CSV and SVG writers for curves and histograms; the matrix CSV reader.
 
 CSV conventions: UTF-8, header row, ``.`` decimal separator, no
 thousands separators, rows in ascending x order, trailing newline.
@@ -10,10 +10,10 @@ a written file always recovers the series to 1e-12.  That widening is
 common for eigenvalues, so their last bits reach the file: the bytes are
 the same for one numpy/BLAS build and BLAS thread count.
 
-A matrix file has no header.  A large one is parsed in two parts at
-once, the second by a worker process (see :func:`read_matrix_csv`).  No
-point-cloud writer is kept: the cloud demo renders its coordinates with
-:func:`format_real` itself.
+The matrix file that ``--matrix`` reads is described at
+:func:`read_matrix_csv`; a large one is parsed in two parts at once, the
+second by a worker process.  The library writes no matrix or point
+cloud: the cloud demo renders both with :func:`format_real` itself.
 
 Every writer checks its payload, then streams the file line by line, so
 memory does not grow with the size of the file.
@@ -39,7 +39,6 @@ __all__ = [
     "format_real",
     "write_csv",
     "write_svg",
-    "write_matrix_csv",
     "read_matrix_csv",
 ]
 
@@ -88,11 +87,6 @@ def write_svg(data, path, title: str) -> None:
     else:
         raise TypeError(f"cannot plot {type(data).__name__}")
     _write_lines(path, lines)
-
-
-def write_matrix_csv(matrix: SymmetricMatrix, path) -> None:
-    """Write the full dense matrix, one CSV row per matrix row, no header."""
-    _write_lines(path, (",".join(map(format_real, row)) for row in matrix.dense))
 
 
 class _CsvRows:
@@ -182,9 +176,10 @@ def _symmetrized(dense: np.ndarray) -> np.ndarray:
 
 
 def read_matrix_csv(path) -> SymmetricMatrix:
-    """Read a full symmetric matrix from CSV (as written by write_matrix_csv).
+    """Read a full symmetric matrix from CSV.
 
-    A leading UTF-8 byte-order mark is ignored, blank lines are skipped,
+    The file has no header and one comma-separated row per line.  A
+    leading UTF-8 byte-order mark is ignored, blank lines are skipped,
     and every cell is parsed by ``numpy.loadtxt``
     (no ``#`` comments, no ``_`` digit separators); an unparsable cell is
     named by its file line and column, both from 1.  The size n is the

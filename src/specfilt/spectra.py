@@ -309,9 +309,11 @@ def eigenvalues(matrix: TwinQuotient) -> Spectrum:
     its exact eigenvalues are merged in, so all n eigenvalues are
     returned.  They are ascending and clamped into [0, n] for the raw
     kind, [0, 2] for the normalized kind.  Values outside the range by
-    more than ``CLAMP_TOL_FACTOR * n``, and raw spectra whose smallest
+    more than ``CLAMP_TOL_FACTOR * n``, and spectra whose smallest
     eigenvalue is not 0 within the same band, raise
-    :class:`NumericalError`.
+    :class:`NumericalError`: the smallest eigenvalue of either kind is 0,
+    on the constant vector (raw), on D^1/2 1 or on an isolated vertex's
+    zero row (normalized).
     """
     kind, n = matrix.kind, matrix.n
     try:
@@ -326,9 +328,9 @@ def eigenvalues(matrix: TwinQuotient) -> Spectrum:
     if violation > band:
         raise NumericalError(
             f"{kind} eigenvalues leave [{lo:g}, {hi:g}] by {violation:.3e}")
-    if kind == RAW and values[0] > band:
+    if values[0] > band:
         raise NumericalError(
-            f"smallest raw Laplacian eigenvalue must be 0, not {values[0]:.3e}")
+            f"smallest {kind} Laplacian eigenvalue must be 0, not {values[0]:.3e}")
     clamped = np.clip(values, lo, hi)
     clamped.setflags(write=False)
     return Spectrum(

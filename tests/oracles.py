@@ -13,8 +13,8 @@ library's streamed trace formula.  Hand-built filtrations and graphs
 come from pair lists through :func:`filtration_from_order` and
 :func:`graph_from_edges`, which check the pairs before handing the
 library its own inputs.
-Written curves are read back, histogram bins looked up and lines fitted
-here too.
+Matrix CSVs are written, written curves read back, histogram bins looked
+up and lines fitted here too.
 """
 
 from __future__ import annotations
@@ -479,8 +479,20 @@ def sorted_pairs_by_entry(dense) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# reading written curves, locating histogram bins
+# writing matrix files, reading written curves, locating histogram bins
 # ---------------------------------------------------------------------------
+
+
+def matrix_csv_rows(dense, render=repr) -> list[str]:
+    """The lines of a matrix CSV, one per row, each cell as ``render``
+    renders it; with ``repr``, parsing the file recovers every bit."""
+    return [",".join(map(render, row)) for row in np.asarray(dense).tolist()]
+
+
+def write_matrix_file(path, dense, render=repr) -> None:
+    """Write a headerless matrix CSV, as ``--matrix`` reads it."""
+    Path(path).write_text("".join(f"{row}\n" for row in matrix_csv_rows(dense, render)),
+                          encoding="utf-8", newline="")
 
 
 def read_curve_csv(path) -> tuple[np.ndarray, np.ndarray]:

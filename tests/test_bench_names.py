@@ -13,7 +13,9 @@ import pytest
 import specfilt.cli as cli
 from specfilt import curves
 from specfilt.ensembles import distance_matrix, sample_gaussian_symmetric, sample_noisy_circle
-from specfilt.output import write_csv, write_matrix_csv, write_svg
+from specfilt.output import write_csv, write_svg
+
+from oracles import write_matrix_file
 
 CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
 
@@ -63,7 +65,7 @@ def test_workloads_reach_their_traced_names(child, workload, tmp_path, monkeypat
     # a wrapper installed after import sees every call
     argv, expected = WORKLOADS[workload]
     matrix = tmp_path / "matrix.csv"
-    write_matrix_csv(distance_matrix(sample_noisy_circle(40, 0.1, 5)), matrix)
+    write_matrix_file(matrix, distance_matrix(sample_noisy_circle(40, 0.1, 5)).dense)
     reached = set()
     for module, table in child.PATCHES.items():
         for name in table:

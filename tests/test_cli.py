@@ -16,14 +16,15 @@ import specfilt._twopart as _twopart
 import specfilt.cli as cli
 import specfilt.curves as curves
 import specfilt.output as output
-from specfilt.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main, parse_args, run
+from specfilt.cli import (EXIT_INTERRUPTED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+                          main, parse_args, run)
 from specfilt.curves import CurveSeries, DensityGrid, gap_curve
 from specfilt.ensembles import sample_gaussian_symmetric, sample_wishart_rank_one
 from specfilt.filtration import MAX_N, EdgeFiltration
-from specfilt.output import write_csv, write_matrix_csv
+from specfilt.output import write_csv
 from specfilt.spectra import NumericalError
 
-from oracles import read_curve_csv
+from oracles import read_curve_csv, write_matrix_file
 
 
 def file_digest(path):
@@ -84,7 +85,7 @@ class TestParseArgs:
     def test_grid_steps_bounded(self, capsys):
         base = ["gap-curve", "--ensemble", "gaussian", "--n", "10", "--grid"]
         limit = cli.MAX_GRID_STEPS
-        assert parse_args(base + [f"uniform:{limit}"]).grid == f"uniform:{limit}"
+        assert len(parse_args(base + [f"uniform:{limit}"]).grid) == limit + 1
         for steps in (str(limit + 1), "100000000000000"):
             with pytest.raises(SystemExit) as info:
                 parse_args(base + [f"uniform:{steps}"])
@@ -311,55 +312,88 @@ class TestRun:
     def test_grid_resolved_once_for_both_kinds(self, tmp_path, monkeypatch):
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("0\n0.5\n1\n")
-        calls = []
-        resolve = cli._resolve_grid
+        reads = []
+        read_text = Path.read_text
 
-        def counting(*args):
-            calls.append(args)
-            return resolve(*args)
+        def counting(self, *args, **kwargs):
+            if self == grid_path:
+                reads.append(self)
+            return read_text(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_resolve_grid", counting)
+        monkeypatch.setattr(Path, "read_text", counting)
         code = main(
             ["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
              "--kind", "both", "--grid", f"file:{grid_path}",
              "--output", str(tmp_path)]
         )
         assert code == EXIT_OK
-        assert len(calls) == 1
+        assert len(reads) == 1
 
     def test_grid_file_unparsable_is_usage_error(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("0\nnot-a-number\n")
-        code = main(
-            ["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
-             "--grid", f"file:{grid_path}", "--output", str(tmp_path)]
-        )
-        assert code == EXIT_USAGE
+        with pytest.raises(SystemExit) as info:
+            main(["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
+                  "--grid", f"file:{grid_path}", "--output", str(tmp_path)])
+        assert info.value.code == EXIT_USAGE
         assert "--grid" in capsys.readouterr().err
 
     def test_grid_file_not_utf8_is_usage_error(self, tmp_path, capsys):
         grid_path = tmp_path / "grid.txt"
         grid_path.write_bytes(b"\xff0.5\n")
-        code = main(
-            ["gap-curve", "--ensemble", "gaussian", "--n", "10", "--seed", "1",
-             "--grid", f"file:{grid_path}", "--output", str(tmp_path)]
-        )
-        assert code == EXIT_USAGE
+        with pytest.raises(SystemExit) as info:
+            main(["gap-curve", "--ensemble", "gaussian", "--n", "10", "--seed", "1",
+                  "--grid", f"file:{grid_path}", "--output", str(tmp_path)])
+        assert info.value.code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("specfilt: error: --grid file: ")
         assert err.count("\n") == 1
 
     def test_missing_grid_file_is_io_error(self, tmp_path):
-        code = main(
-            ["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
-             "--grid", f"file:{tmp_path}/nope.txt", "--output", str(tmp_path)]
-        )
-        assert code == EXIT_IO
+        with pytest.raises(SystemExit) as info:
+            main(["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
+                  "--grid", f"file:{tmp_path}/nope.txt", "--output", str(tmp_path)])
+        assert info.value.code == EXIT_IO
+
+    # a spec error prints the usage block, a file error one line
+    @pytest.mark.parametrize("spec,contents,code,message", [
+        ("uniform:0", None, EXIT_USAGE,
+         f"error: --grid uniform:K needs an integer K in [1, {cli.MAX_GRID_STEPS}]"),
+        ("weird:3", None, EXIT_USAGE, "error: --grid must be uniform:K or file:PATH"),
+        ("file:", None, EXIT_USAGE, "error: --grid file:PATH needs a path"),
+        ("file:{path}", None, EXIT_IO,
+         "i/o error: [Errno 2] No such file or directory: '{path}'"),
+        ("file:{path}", b"\xff0.5\n", EXIT_USAGE,
+         "error: --grid file: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+        ("file:{path}", b"0\nx\n", EXIT_USAGE, "error: --grid file: unparsable density 'x'"),
+        ("file:{path}", b"# none\n\n", EXIT_USAGE,
+         "error: --grid file: a density grid needs at least one point"),
+        ("file:{path}", b"0\n1.5\n", EXIT_USAGE, "error: --grid file: densities must lie in [0, 1]"),
+    ], ids=["steps", "head", "empty-path", "missing", "not-utf8", "unparsable", "no-points",
+            "out-of-range"])
+    def test_bad_grid_exits_before_any_draw(self, tmp_path, monkeypatch, capsys, spec,
+                                            contents, code, message):
+        def unreached(*args):
+            raise AssertionError("a matrix was drawn")
+
+        monkeypatch.setattr(cli, "_draw", unreached)
+        path = tmp_path / "grid.txt"
+        if contents is not None:
+            path.write_bytes(contents)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["gap-curve", "--ensemble", "gaussian", "--n", "10",
+                  "--grid", spec.format(path=path), "--output", str(out)])
+        assert info.value.code == code
+        usage = "" if spec.startswith("file:{") else cli._build_parser().format_usage()
+        assert capsys.readouterr().err == usage + f"specfilt: {message.format(path=path)}\n"
+        assert not out.exists()
 
     def test_matrix_file_matches_direct_ensemble(self, tmp_path):
         mat = sample_wishart_rank_one(24, 9)
         matrix_path = tmp_path / "matrix.csv"
-        write_matrix_csv(mat, matrix_path)
+        write_matrix_file(matrix_path, mat.dense)
         code = main(
             ["gap-curve", "--ensemble", "matrix-file", "--matrix", str(matrix_path),
              "--kind", "raw", "--grid", "uniform:8", "--output", str(tmp_path)]
@@ -453,6 +487,16 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"{expected}: {message}\n" if message else f"{expected}\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_interrupt_is_one_line_and_status_130(self, tmp_path, monkeypatch, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "sample_gaussian_symmetric", interrupted)
+        code = main(["gap-curve", "--ensemble", "gaussian", "--n", "10",
+                     "--output", str(tmp_path)])
+        assert code == EXIT_INTERRUPTED == 130
+        assert capsys.readouterr().err == "specfilt: interrupted\n"
 
 
 class TestOneFiltrationPerMatrix:
@@ -657,7 +701,7 @@ class TestMatrixFile:
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         path = tmp_path / "matrix.csv"
-        write_matrix_csv(sample_wishart_rank_one(15, 3), path)
+        write_matrix_file(path, sample_wishart_rank_one(15, 3).dense)
         bom_path = tmp_path / "bom.csv"
         bom_path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         written = {}
@@ -671,7 +715,7 @@ class TestMatrixFile:
 
     def test_matrix_from_stdin(self, tmp_path):
         path = tmp_path / "matrix.csv"
-        write_matrix_csv(sample_wishart_rank_one(15, 3), path)
+        write_matrix_file(path, sample_wishart_rank_one(15, 3).dense)
         argv = ["gap-curve", "--ensemble", "matrix-file", "--kind", "raw",
                 "--grid", "uniform:6"]
         assert main(argv + ["--matrix", str(path), "--output", str(tmp_path / "file")]) == EXIT_OK

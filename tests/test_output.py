@@ -1,8 +1,13 @@
 """CSV and SVG serialization: exact formats, round trips, determinism."""
 
 import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +19,11 @@ from specfilt.output import (
     format_real,
     read_matrix_csv,
     write_csv,
-    write_matrix_csv,
     write_svg,
 )
 from specfilt.spectra import RAW, Histogram
 
-from oracles import read_curve_csv
+from oracles import matrix_csv_rows, read_curve_csv, write_matrix_file
 
 
 class TestFormatReal:
@@ -153,7 +157,8 @@ class TestMatrixCsv:
     def test_round_trip(self, tmp_path):
         mat = distance_matrix(sample_noisy_circle(12, seed=5))
         path = tmp_path / "matrix.csv"
-        write_matrix_csv(mat, path)
+        # each cell as the point-cloud demo writes it
+        write_matrix_file(path, mat.dense, format_real)
         loaded = read_matrix_csv(path)
         assert loaded.n == 12
         bound = 1e-12 * np.maximum(1.0, np.abs(mat.dense))
@@ -183,13 +188,13 @@ class TestMatrixCsv:
     def test_repr_values_round_trip_bit_exactly(self, tmp_path):
         dense = distance_matrix(sample_noisy_circle(30, seed=8)).dense
         path = tmp_path / "matrix.csv"
-        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in dense.tolist()))
+        write_matrix_file(path, dense)
         loaded = read_matrix_csv(path)
         assert np.array_equal(loaded.dense.view(np.int64), dense.view(np.int64))
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
         path = tmp_path / "matrix.csv"
-        write_matrix_csv(distance_matrix(sample_noisy_circle(10, seed=2)), path)
+        write_matrix_file(path, distance_matrix(sample_noisy_circle(10, seed=2)).dense)
         bom_path = tmp_path / "bom.csv"
         bom_path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert np.array_equal(read_matrix_csv(bom_path).dense, read_matrix_csv(path).dense)
@@ -223,10 +228,10 @@ class TestMatrixCsv:
         far = dense.copy()
         far[entry] += 1e-6
         path = tmp_path / "matrix.csv"
-        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in near.tolist()))
+        write_matrix_file(path, near)
         upper = np.triu(near)
         assert np.array_equal(read_matrix_csv(path).dense, upper + np.triu(near, k=1).T)
-        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in far.tolist()))
+        write_matrix_file(path, far)
         with pytest.raises(ValueError, match="not symmetric"):
             read_matrix_csv(path)
 
@@ -266,7 +271,7 @@ class TestMatrixCsv:
     def test_peak_memory_is_at_most_one_temporary_besides_the_matrix(self, tmp_path):
         dense = distance_matrix(sample_noisy_circle(400, seed=4)).dense
         path = tmp_path / "matrix.csv"
-        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in dense.tolist()))
+        write_matrix_file(path, dense)
         tracemalloc.start()
         try:
             read_matrix_csv(path)
@@ -274,10 +279,6 @@ class TestMatrixCsv:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * dense.nbytes, (peak, dense.nbytes)
-
-
-def _csv_rows(dense):
-    return [",".join(map(repr, row)) for row in dense.tolist()]
 
 
 @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="the worker is started by posix_spawn")
@@ -318,7 +319,7 @@ class TestMatrixCsvInTwoParts:
         # the parse alone: any array will do, square or not
         dense = np.random.default_rng(5).standard_normal((40, 40)) * 1e-300
         path = tmp_path / "matrix.csv"
-        split = self.write(path, _csv_rows(dense))
+        split = self.write(path, matrix_csv_rows(dense))
         with open(path, "rb") as fh:
             two = _twopart.read_in_two(fh, split, path)
         with open(path, "rb") as fh:
@@ -330,7 +331,7 @@ class TestMatrixCsvInTwoParts:
     def test_read_takes_the_second_part_from_the_worker(self, tmp_path, workers, monkeypatch):
         dense = distance_matrix(sample_noisy_circle(40, seed=6)).dense
         path = tmp_path / "matrix.csv"
-        self.write(path, _csv_rows(dense))
+        self.write(path, matrix_csv_rows(dense))
         parse_whole = output._read_whole
 
         def unreached(fh):
@@ -345,12 +346,27 @@ class TestMatrixCsvInTwoParts:
         assert np.array_equal(two.view(np.int64), one.view(np.int64))
         assert np.array_equal(two, dense)
 
+    def test_rows_that_arrive_in_pieces_are_read_whole(self, tmp_path, workers, monkeypatch):
+        # each readinto of the pipe must wait for the whole array, however
+        # the worker's writes are cut and spaced
+        dense = distance_matrix(sample_noisy_circle(200, seed=6)).dense
+        path = tmp_path / "matrix.csv"
+        self.write(path, matrix_csv_rows(dense))
+        monkeypatch.setattr(_twopart, "_WORKER", _TRICKLING_WORKER)
+
+        def unreached(fh):
+            raise AssertionError("read in one part")
+
+        monkeypatch.setattr(output, "_read_whole", unreached)
+        assert np.array_equal(read_matrix_csv(path).dense, dense)
+        assert len(workers) == 1
+
     # "wider" and "longer" parse cleanly in the worker, which then sends
     # a shape other than the rows the first part leaves
     @pytest.mark.parametrize("fault", ["cell", "ragged", "byte", "wider", "longer"])
     def test_error_in_the_second_part_is_the_one_part_error(self, tmp_path, workers,
                                                            monkeypatch, fault):
-        rows = _csv_rows(distance_matrix(sample_noisy_circle(40, seed=7)).dense)
+        rows = matrix_csv_rows(distance_matrix(sample_noisy_circle(40, seed=7)).dense)
         cells = rows[35].split(",")
         if fault in ("cell", "ragged", "byte"):
             cells[6] = {"cell": "abc", "ragged": f"{cells[6]},0", "byte": "1@"}[fault]
@@ -382,7 +398,7 @@ class TestMatrixCsvInTwoParts:
                                                           monkeypatch, worker):
         dense = distance_matrix(sample_noisy_circle(40, seed=8)).dense
         path = tmp_path / "matrix.csv"
-        self.write(path, _csv_rows(dense))
+        self.write(path, matrix_csv_rows(dense))
         monkeypatch.setattr(_twopart, "_WORKER", worker)
         assert np.array_equal(read_matrix_csv(path).dense, dense)
         assert len(workers) == 1
@@ -391,7 +407,7 @@ class TestMatrixCsvInTwoParts:
                                                                     monkeypatch):
         dense = distance_matrix(sample_noisy_circle(40, seed=8)).dense
         path = tmp_path / "matrix.csv"
-        self.write(path, _csv_rows(dense))
+        self.write(path, matrix_csv_rows(dense))
 
         def refused(*args, **kwargs):
             raise OSError("no process")
@@ -403,7 +419,7 @@ class TestMatrixCsvInTwoParts:
     def test_a_pipe_is_read_in_one_part(self, workers):
         read_end, write_end = os.pipe()
         with open(write_end, "wb") as fh:
-            fh.write("\n".join(_csv_rows(np.eye(40))).encode())
+            fh.write("\n".join(matrix_csv_rows(np.eye(40))).encode())
         try:
             loaded = read_matrix_csv(f"/dev/fd/{read_end}")
         finally:
@@ -424,7 +440,7 @@ class TestMatrixCsvInTwoParts:
 
     @pytest.mark.parametrize("bad_row", [None, 3, 35])
     def test_no_worker_outlives_the_call(self, tmp_path, workers, bad_row):
-        rows = _csv_rows(distance_matrix(sample_noisy_circle(40, seed=9)).dense)
+        rows = matrix_csv_rows(distance_matrix(sample_noisy_circle(40, seed=9)).dense)
         if bad_row is not None:
             rows[bad_row] = "abc" + rows[bad_row][rows[bad_row].index(","):]
         path = tmp_path / "matrix.csv"
@@ -438,8 +454,101 @@ class TestMatrixCsvInTwoParts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_the_worker_parses_only_for_its_parent(self, tmp_path):
+        # the worker's command run from here: this process is its parent
+        path = tmp_path / "matrix.csv"
+        write_matrix_file(path, np.eye(4))
+        for parent, rows in ((os.getpid(), np.eye(4)), (os.getppid(), None)):
+            proc = subprocess.run([sys.executable, "-c", _twopart._WORKER, str(SRC), str(path),
+                                   "0", str(parent)], capture_output=True, timeout=60)
+            if rows is None:  # another parent: it has gone, nothing is parsed
+                assert (proc.returncode, proc.stdout) == (1, b"")
+            else:
+                assert proc.returncode == 0, proc.stderr
+                assert proc.stdout == np.array(rows.shape).tobytes() + rows.tobytes()
 
-@pytest.mark.parametrize("writer", ["csv", "svg", "matrix"])
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux's")
+    def test_the_worker_ends_with_a_killed_reader(self, tmp_path):
+        # a reader killed outright runs no cleanup: the kernel must end its
+        # worker, here one that takes 5 s over its part
+        path = tmp_path / "matrix.csv"
+        write_matrix_file(path, np.eye(40))
+        started = tmp_path / "worker.pid"
+        reader = subprocess.Popen([sys.executable, "-c", _SLOW_READER, str(SRC), str(path),
+                                   str(started)], stdout=subprocess.DEVNULL)
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while not started.exists():
+                assert reader.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            worker = int(started.read_text())
+            reader.kill()
+            reader.wait()
+            deadline = time.monotonic() + 0.1
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert not _running(worker)
+        finally:
+            reader.kill()
+            reader.wait()
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
+SRC = Path(_twopart.__file__).resolve().parents[1]
+
+# the worker's output, written in pieces of 4097 bytes 1 ms apart
+_TRICKLING_WORKER = """
+import io, sys, time
+sys.path.insert(0, sys.argv[1])
+from specfilt import _twopart
+pipe, sys.stdout = sys.stdout.buffer, io.TextIOWrapper(io.BytesIO())
+_twopart.parse_tail(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
+data = sys.stdout.buffer.getvalue()
+for start in range(0, len(data), 4097):
+    pipe.write(data[start:start + 4097])
+    pipe.flush()
+    time.sleep(0.001)
+"""
+
+# reads every file in two parts; its worker, once its parse has begun
+# (past the parent-death setup), writes its pid to argv[3] and sleeps 5 s
+_SLOW_READER = '''
+import sys
+sys.path.insert(0, sys.argv[1])
+from specfilt import _twopart, output
+_twopart.SPLIT_MIN_BYTES = 0
+_twopart._cpu_count = lambda: 2
+_twopart._WORKER = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+from specfilt import _twopart, output
+parse = output._CsvRows.parse
+def slow(rows):
+    with open(STARTED + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(STARTED + ".tmp", STARTED)
+    time.sleep(5)
+    return parse(rows)
+output._CsvRows.parse = slow
+_twopart.parse_tail(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
+""".replace("STARTED", repr(sys.argv[3]))
+output.read_matrix_csv(sys.argv[2])
+'''
+
+
+def _running(pid) -> bool:
+    """Whether a process exists and has not ended (a zombie has ended)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@pytest.mark.parametrize("writer", ["csv", "svg"])
 def test_writers_hold_less_than_the_file_they_write(tmp_path, writer):
     # every writer streams its lines, so its peak is a small buffer,
     # not the whole file (joining the lines first holds it 3 to 4 times)
@@ -448,7 +557,6 @@ def test_writers_hold_less_than_the_file_they_write(tmp_path, writer):
     write, data = {
         "csv": (write_csv, hist),
         "svg": (lambda data, path: write_svg(data, path, "ten thousand bins"), hist),
-        "matrix": (write_matrix_csv, distance_matrix(sample_noisy_circle(300, seed=2))),
     }[writer]
     path = tmp_path / "out"
     tracemalloc.start()

@@ -231,9 +231,12 @@ class TestEigenvalues:
         mat = TwinQuotient(NORMALIZED, 5.0 * np.eye(3), none)
         with pytest.raises(NumericalError, match=r"leave \[0, 2\] by 3\.000e\+00$"):
             eigenvalues(mat)
-        mat = TwinQuotient(RAW, 0.5 * np.eye(3), none)
-        with pytest.raises(NumericalError, match=r"must be 0, not 5\.000e-01$"):
-            eigenvalues(mat)
+        # either kind's smallest eigenvalue is 0
+        for kind in (RAW, NORMALIZED):
+            with pytest.raises(NumericalError,
+                               match=rf"smallest {kind} Laplacian eigenvalue must be 0, "
+                                     r"not 5\.000e-01$"):
+                eigenvalues(TwinQuotient(kind, 0.5 * np.eye(3), none))
         # the same matrix is a valid raw spectrum and out of the normalized range
         dense = np.diag([0.0, 2.5, 2.5])
         assert eigenvalues(TwinQuotient(RAW, dense, none)).values.tolist() == [0.0, 2.5, 2.5]
