@@ -1,12 +1,14 @@
 """Parse a large matrix CSV in two parts at once, the second in a worker.
 
 :func:`specfilt.output.read_matrix_csv` imports this module when it reads
-a matrix, so a run that reads none neither compiles nor holds it.  The
-worker is the same interpreter running :func:`parse_tail`; it writes the
-shape of its rows (two int64) and their float64 values down a pipe, which
-this process reads straight into the matrix.  The worker does not outlive
-its reader: the reader kills it when the read fails or is interrupted, and
-on Linux the kernel kills it when the reader itself is killed.
+a matrix, so a run that reads none neither compiles nor holds it.  Each
+part goes through ``output._parse``.  The worker is the same interpreter
+running :func:`parse_tail`; it writes the shape of its rows (two int64)
+and their float64 values down a pipe, which this process reads straight
+into the matrix.  Any failure is raised; the caller then reads the file in
+one part, whose error is the one shown.  The worker does not outlive its
+reader: the reader kills it when the read fails or is interrupted, and on
+Linux the kernel kills it when the reader itself is killed.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .output import _CsvRows
+from .output import _parse
 
 __all__: list[str] = []
 
@@ -66,7 +68,7 @@ def split_point(fh) -> int | None:
     past its middle.  None for a pipe, a small file or a single CPU."""
     info = os.fstat(fh.fileno())
     if (not stat.S_ISREG(info.st_mode) or info.st_size < SPLIT_MIN_BYTES
-            or _cpu_count() < 2 or not sys.executable or not hasattr(os, "posix_spawn")):
+            or _cpu_count() < 2 or not hasattr(os, "posix_spawn")):
         return None
     fh.seek(info.st_size // 2)
     while (piece := fh.readline(1 << 16)) and not piece.endswith(b"\n"):
@@ -76,58 +78,51 @@ def split_point(fh) -> int | None:
     return split if split < info.st_size else None
 
 
-def read_in_two(fh, split: int, path) -> np.ndarray | None:
+def read_in_two(fh, split: int, path) -> np.ndarray:
     """Parse the rows before ``split`` here while a worker parses the rest.
 
-    None where the first part does not start a matrix of 2 to ``MAX_N``
-    columns, or either part fails in any way; the caller then reads the
-    whole file in one part, which raises the error the file holds.
+    Raises ValueError where either part fails or the two do not make an
+    n x n matrix, and OSError or ValueError where the worker cannot
+    start; the caller then reads the whole file in one part, which raises
+    the error the file holds.
     """
-    with io.TextIOWrapper(io.BufferedReader(_Head(fh, split)), encoding="utf-8-sig") as text:
-        rows = _CsvRows(text)
+    read_end, write_end = os.pipe()
+    # buffered: each readinto below loops until its array is full or the
+    # pipe ends
+    with open(read_end, "rb") as stream:
         try:
-            n = rows.width()
-        except ValueError:
-            return None
-        read_end, write_end = os.pipe()
-        # buffered: each readinto below loops until its array is full or
-        # the pipe ends
-        with open(read_end, "rb") as stream:
-            try:
-                # posix_spawn, not the subprocess module: importing that
-                # would add 0.3 MB to every matrix-file run's peak
-                pid = os.posix_spawn(
-                    sys.executable,
-                    [sys.executable, "-c", _WORKER, str(Path(__file__).resolve().parents[1]),
-                     os.fspath(path), str(split), str(os.getpid())],
-                    os.environ,
-                    file_actions=[(os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
-                                  (os.POSIX_SPAWN_DUP2, write_end, 1),
-                                  (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
-            except OSError:
-                return None
-            finally:
-                os.close(write_end)
-            status = None
-            try:
-                head = rows.parse()
-                k = len(head)
-                shape = np.empty(2, dtype=np.int64)
-                if stream.readinto(shape) != shape.nbytes or tuple(shape) != (n - k, n):
-                    return None
-                dense = np.empty((n, n))
-                dense[:k] = head
-                del head
-                if stream.readinto(dense[k:]) != dense[k:].nbytes:
-                    return None
-                status = os.waitpid(pid, 0)[1]
-                return dense if status == 0 else None
-            except ValueError:  # a bad row in the first part
-                return None
-            finally:
-                if status is None:  # not reaped yet, so pid is still the worker's
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
+            # posix_spawn, not the subprocess module: importing that would
+            # add 0.3 MB to every matrix-file run's peak
+            pid = os.posix_spawn(
+                sys.executable,
+                [sys.executable, "-c", _WORKER, str(Path(__file__).resolve().parents[1]),
+                 os.fspath(path), str(split), str(os.getpid())],
+                os.environ,
+                file_actions=[(os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
+                              (os.POSIX_SPAWN_DUP2, write_end, 1),
+                              (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
+        finally:
+            os.close(write_end)
+        status = None
+        try:
+            n, head = _parse(io.BufferedReader(_Head(fh, split)))
+            k = len(head)
+            shape = np.empty(2, dtype=np.int64)
+            if stream.readinto(shape) != shape.nbytes or tuple(shape) != (n - k, n):
+                raise ValueError("the parts do not make an n x n matrix")
+            dense = np.empty((n, n))
+            dense[:k] = head
+            del head
+            if stream.readinto(dense[k:]) != dense[k:].nbytes:
+                raise ValueError("the worker's rows end early")
+            status = os.waitpid(pid, 0)[1]
+            if status != 0:
+                raise ValueError(f"the worker ended with status {status}")
+            return dense
+        finally:
+            if status is None:  # not reaped yet, so pid is still the worker's
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _end_with(parent: int) -> None:
@@ -155,10 +150,7 @@ def parse_tail(path, offset: int, parent: int) -> None:
     _end_with(parent)
     with open(path, "rb") as fh:
         fh.seek(offset)
-        with io.TextIOWrapper(fh, encoding="utf-8") as text:
-            rows = _CsvRows(text)
-            rows.width()
-            part = rows.parse()
+        part = _parse(fh, "utf-8")[1]
     out = sys.stdout.buffer
     out.write(np.array(part.shape, dtype=np.int64).tobytes())
     out.write(memoryview(part).cast("B"))

@@ -114,7 +114,7 @@ class DensityGrid:
             raise ValueError("n must be at least 2")
         refinement = (10.0 / n) * 0.5 ** np.arange(8)
         refinement = refinement[refinement <= 1.0]
-        return cls(np.concatenate([np.arange(51) / 50, refinement]))
+        return cls(np.concatenate([cls.uniform().points, refinement]))
 
 
 @dataclass(frozen=True)

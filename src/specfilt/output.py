@@ -11,9 +11,11 @@ common for eigenvalues, so their last bits reach the file: the bytes are
 the same for one numpy/BLAS build and BLAS thread count.
 
 The matrix file that ``--matrix`` reads is described at
-:func:`read_matrix_csv`; a large one is parsed in two parts at once, the
-second by a worker process.  The library writes no matrix or point
-cloud: the cloud demo renders both with :func:`format_real` itself.
+:func:`read_matrix_csv`.  One parser reads it: the whole file, or, for a
+large one, each of two parts at once, the second in a worker process;
+any failure of either part is raised as the one-part error.  The library
+writes no matrix or point cloud: the cloud demo renders both with
+:func:`format_real` itself.
 
 Every writer checks its payload, then streams the file line by line, so
 memory does not grow with the size of the file.
@@ -89,41 +91,32 @@ def write_svg(data, path, title: str) -> None:
     _write_lines(path, lines)
 
 
-class _CsvRows:
-    """The non-blank lines of a CSV text stream, parsed by numpy.loadtxt."""
+def _parse(raw, encoding: str = "utf-8-sig") -> tuple[int, np.ndarray]:
+    """Parse the non-blank lines of a matrix CSV byte stream into a 2-D
+    float64 array, with n, the first row's cell count, checked as the
+    matrix size before any cell is parsed."""
+    line = 0  # the file line (from 1) of the last line read
 
-    def __init__(self, text):
-        self.line = 0  # the file line (from 1) of the last line read
-        self._numbered = enumerate(text, 1)
-        self.first = next(self, None)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        for self.line, row in self._numbered:
+    def nonblank(text):
+        nonlocal line
+        for line, row in enumerate(text, 1):
             if row.strip():
-                return row
-        raise StopIteration
+                yield row
 
-    def width(self) -> int:
-        """The first row's cell count, checked as the matrix size."""
-        if self.first is None:  # before numpy, which would warn "input contained no data"
+    with io.TextIOWrapper(raw, encoding=encoding) as text:
+        rows = nonblank(text)
+        first = next(rows, None)
+        if first is None:  # before numpy, which would warn "input contained no data"
             raise ValueError("matrix file is empty")
-        n = self.first.count(",") + 1  # numpy splits at every comma
+        n = first.count(",") + 1  # numpy splits at every comma
         if n > MAX_N:
             raise ValueError(f"matrix size must be at most {MAX_N}")
         if n < 2:
             raise ValueError("matrix size must be at least 2")
-        return n
-
-    def parse(self) -> np.ndarray:
-        """Parse the first row and every row after it into a 2-D float64 array."""
         try:
             # comments=None keeps "#" an unparsable character, not the start
             # of a comment
-            return np.loadtxt(chain([self.first], self), delimiter=",", ndmin=2,
-                              comments=None)
+            return n, np.loadtxt(chain([first], rows), delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:
             if isinstance(exc, UnicodeDecodeError):
                 raise
@@ -132,19 +125,8 @@ class _CsvRows:
                 # numpy pulls one row at a time and stops at the bad one, but
                 # counts rows from 0 among the non-blank lines only
                 raise ValueError(re.sub(r" at row \d+, column (\d+)\.$",
-                                        rf" on line {self.line}, column \1", message)) from None
+                                        rf" on line {line}, column \1", message)) from None
             raise ValueError("matrix file must be square") from exc  # ragged rows
-
-
-def _read_whole(fh) -> np.ndarray:
-    """Parse every row of a matrix file in this process."""
-    with io.TextIOWrapper(fh, encoding="utf-8-sig") as text:
-        rows = _CsvRows(text)
-        n = rows.width()
-        dense = rows.parse()
-    if dense.shape[0] != n:
-        raise ValueError("matrix file must be square")
-    return dense
 
 
 def _symmetrized(dense: np.ndarray) -> np.ndarray:
@@ -192,11 +174,12 @@ def read_matrix_csv(path) -> SymmetricMatrix:
     A regular file of at least ``specfilt._twopart.SPLIT_MIN_BYTES``, on
     a POSIX machine with two or more CPUs, is split just past the first
     newline past its middle, and a worker process parses the second part
-    while this one parses the first.  A pipe or a small file is read in
-    one part, and so is the whole file again when either part fails in
-    any way: every error is raised here, with the message the one-part
-    read gives.  The worker is always waited for, and killed when this
-    process raises or is interrupted.
+    while this one parses the first, both with the one-part parser.  A
+    pipe or a small file is read in one part, and so is the whole file
+    again when either part fails in any way or the worker cannot start:
+    every error is raised here, with the message the one-part read gives.
+    The worker is always waited for, and killed when this process raises
+    or is interrupted.
     """
     # imported here, so that a run that reads no matrix neither compiles
     # nor holds the two-part reader
@@ -204,10 +187,14 @@ def read_matrix_csv(path) -> SymmetricMatrix:
 
     path = Path(path)
     with open(path, "rb") as fh:
-        split = _twopart.split_point(fh)
-        dense = None if split is None else _twopart.read_in_two(fh, split, path)
-        if dense is None:
-            if split is not None:
+        dense = None
+        if (split := _twopart.split_point(fh)) is not None:
+            try:
+                dense = _twopart.read_in_two(fh, split, path)
+            except (ValueError, OSError):
                 fh.seek(0)
-            dense = _read_whole(fh)
+        if dense is None:
+            n, dense = _parse(fh)
+            if len(dense) != n:
+                raise ValueError("matrix file must be square")
     return SymmetricMatrix._trusted(_symmetrized(dense), ensemble="matrix-file")

@@ -57,7 +57,6 @@ __all__ = [
     "RAW",
     "NORMALIZED",
     "KINDS",
-    "ZERO_TOL_FACTOR",
     "CLAMP_TOL_FACTOR",
     "DEFAULT_BINS",
     "NumericalError",
@@ -76,9 +75,8 @@ RAW = "raw"
 NORMALIZED = "normalized"
 KINDS = (RAW, NORMALIZED)
 
-# |lam| <= ZERO_TOL_FACTOR * n counts as the eigenvalue zero; values within
-# CLAMP_TOL_FACTOR * n of the theoretical range are clamped into it.
-ZERO_TOL_FACTOR = 1e-8
+# |lam| <= CLAMP_TOL_FACTOR * n counts as the eigenvalue zero, and values
+# within CLAMP_TOL_FACTOR * n of the theoretical range are clamped into it.
 CLAMP_TOL_FACTOR = 1e-8
 
 DEFAULT_BINS = 100
@@ -403,6 +401,6 @@ def spectrum_std(spectrum: Spectrum) -> float:
 
 
 def zero_multiplicity(spectrum: Spectrum) -> int:
-    """Number of eigenvalues equal to 0 within ``ZERO_TOL_FACTOR * n``."""
-    tol = ZERO_TOL_FACTOR * spectrum.n
+    """Number of eigenvalues equal to 0 within ``CLAMP_TOL_FACTOR * n``."""
+    tol = CLAMP_TOL_FACTOR * spectrum.n
     return int(np.count_nonzero(np.abs(spectrum.values) <= tol))

@@ -15,6 +15,7 @@ import pytest
 from specfilt import _twopart, output, svg
 from specfilt.curves import CurveSeries, DensityGrid, gap_curve
 from specfilt.ensembles import sample_gaussian_symmetric, sample_noisy_circle, distance_matrix
+from specfilt.filtration import MAX_N
 from specfilt.output import (
     format_real,
     read_matrix_csv,
@@ -301,6 +302,20 @@ class TestMatrixCsvInTwoParts:
         monkeypatch.setattr(os, "posix_spawn", counted)
         return started
 
+    @pytest.fixture
+    def in_two(self, monkeypatch):
+        # every matrix read_in_two returns; one that raised, and so left the
+        # file to a one-part read, adds none
+        read_in_two = _twopart.read_in_two
+        returned = []
+
+        def recorded(*args):
+            returned.append(read_in_two(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(_twopart, "read_in_two", recorded)
+        return returned
+
     @staticmethod
     def write(path, rows):
         """Write rows as CRLF lines after a byte-order mark, with no line end
@@ -323,56 +338,55 @@ class TestMatrixCsvInTwoParts:
         with open(path, "rb") as fh:
             two = _twopart.read_in_two(fh, split, path)
         with open(path, "rb") as fh:
-            one = output._read_whole(fh)
+            one = output._parse(fh)[1]
         assert len(workers) == 1
         assert np.array_equal(two.view(np.int64), one.view(np.int64))
         assert np.array_equal(two.view(np.int64), dense.view(np.int64))
 
-    def test_read_takes_the_second_part_from_the_worker(self, tmp_path, workers, monkeypatch):
+    def test_read_takes_the_second_part_from_the_worker(self, tmp_path, workers, in_two,
+                                                        monkeypatch):
         dense = distance_matrix(sample_noisy_circle(40, seed=6)).dense
         path = tmp_path / "matrix.csv"
         self.write(path, matrix_csv_rows(dense))
-        parse_whole = output._read_whole
-
-        def unreached(fh):
-            raise AssertionError("read in one part")
-
-        monkeypatch.setattr(output, "_read_whole", unreached)
         two = read_matrix_csv(path).dense
-        monkeypatch.setattr(output, "_read_whole", parse_whole)
         monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 10**18)
         one = read_matrix_csv(path).dense
         assert len(workers) == 1
+        assert len(in_two) == 1 and isinstance(in_two[0], np.ndarray)
         assert np.array_equal(two.view(np.int64), one.view(np.int64))
         assert np.array_equal(two, dense)
 
-    def test_rows_that_arrive_in_pieces_are_read_whole(self, tmp_path, workers, monkeypatch):
+    def test_rows_that_arrive_in_pieces_are_read_whole(self, tmp_path, workers, in_two,
+                                                       monkeypatch):
         # each readinto of the pipe must wait for the whole array, however
         # the worker's writes are cut and spaced
         dense = distance_matrix(sample_noisy_circle(200, seed=6)).dense
         path = tmp_path / "matrix.csv"
         self.write(path, matrix_csv_rows(dense))
         monkeypatch.setattr(_twopart, "_WORKER", _TRICKLING_WORKER)
-
-        def unreached(fh):
-            raise AssertionError("read in one part")
-
-        monkeypatch.setattr(output, "_read_whole", unreached)
         assert np.array_equal(read_matrix_csv(path).dense, dense)
         assert len(workers) == 1
+        assert len(in_two) == 1 and isinstance(in_two[0], np.ndarray)
 
     # "wider" and "longer" parse cleanly in the worker, which then sends
-    # a shape other than the rows the first part leaves
-    @pytest.mark.parametrize("fault", ["cell", "ragged", "byte", "wider", "longer"])
+    # a shape other than the rows the first part leaves; a fault in the
+    # first part ("-3": in row 3, or a first row too wide) raises while
+    # the worker parses, and the worker is killed
+    @pytest.mark.parametrize("fault", ["cell", "ragged", "byte", "wider", "longer",
+                                       "cell-3", "byte-3", "wide"])
     def test_error_in_the_second_part_is_the_one_part_error(self, tmp_path, workers,
                                                            monkeypatch, fault):
         rows = matrix_csv_rows(distance_matrix(sample_noisy_circle(40, seed=7)).dense)
-        cells = rows[35].split(",")
+        row = 3 if fault.endswith("-3") else 35
+        fault = fault.removesuffix("-3")
+        cells = rows[row].split(",")
         if fault in ("cell", "ragged", "byte"):
             cells[6] = {"cell": "abc", "ragged": f"{cells[6]},0", "byte": "1@"}[fault]
-            rows[35] = ",".join(cells)
+            rows[row] = ",".join(cells)
         elif fault == "wider":
-            rows[20:] = [f"{row},0" for row in rows[20:]]
+            rows[20:] = [f"{text},0" for text in rows[20:]]
+        elif fault == "wide":
+            rows[0] = ",".join(["0"] * (MAX_N + 1))
         else:
             rows.append(rows[0])
         path = tmp_path / "matrix.csv"
@@ -381,15 +395,29 @@ class TestMatrixCsvInTwoParts:
         with pytest.raises(ValueError) as two:
             read_matrix_csv(path)
         assert len(workers) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 10**18)
         with pytest.raises(ValueError) as one:
             read_matrix_csv(path)
         assert len(workers) == 1
         assert (type(two.value), str(two.value)) == (type(one.value), str(one.value))
         if fault == "cell":
-            line = path.read_bytes().split(b"\r\n").index(rows[35].encode()) + 1
+            line = path.read_bytes().split(b"\r\n").index(rows[row].encode()) + 1
             assert str(two.value) == (
                 f"could not convert string 'abc' to float64 on line {line}, column 7")
+        if fault == "wide":
+            assert str(two.value) == f"matrix size must be at most {MAX_N}"
+
+    def test_a_first_part_of_blank_lines_is_read_in_one_part(self, tmp_path, workers):
+        path = tmp_path / "matrix.csv"
+        path.write_text(" \n" * 100 + "".join(f"{row}\n" for row in matrix_csv_rows(np.eye(3))))
+        with open(path, "rb") as fh:
+            assert _twopart.split_point(fh) < 200
+        assert np.array_equal(read_matrix_csv(path).dense, np.eye(3))
+        assert len(workers) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("worker", ["import sys; sys.exit(3)",
                                         "import sys; sys.stdout.buffer.write(bytes(16))",
@@ -414,6 +442,18 @@ class TestMatrixCsvInTwoParts:
 
         monkeypatch.setattr(os, "posix_spawn", refused)
         assert np.array_equal(read_matrix_csv(path).dense, dense)
+
+    def test_an_empty_interpreter_path_leaves_the_file_to_one_part(self, tmp_path, workers,
+                                                                  monkeypatch):
+        # posix_spawn refuses an empty program path with ValueError
+        dense = distance_matrix(sample_noisy_circle(40, seed=8)).dense
+        path = tmp_path / "matrix.csv"
+        self.write(path, matrix_csv_rows(dense))
+        monkeypatch.setattr(sys, "executable", "")
+        assert np.array_equal(read_matrix_csv(path).dense, dense)
+        assert workers == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_a_pipe_is_read_in_one_part(self, workers):
@@ -524,15 +564,15 @@ _twopart._cpu_count = lambda: 2
 _twopart._WORKER = """
 import os, sys, time
 sys.path.insert(0, sys.argv[1])
-from specfilt import _twopart, output
-parse = output._CsvRows.parse
-def slow(rows):
+from specfilt import _twopart
+parse = _twopart._parse
+def slow(raw, encoding):
     with open(STARTED + ".tmp", "w") as fh:
         fh.write(str(os.getpid()))
     os.replace(STARTED + ".tmp", STARTED)
     time.sleep(5)
-    return parse(rows)
-output._CsvRows.parse = slow
+    return parse(raw, encoding)
+_twopart._parse = slow
 _twopart.parse_tail(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
 """.replace("STARTED", repr(sys.argv[3]))
 output.read_matrix_csv(sys.argv[2])
