@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .curves import _cpu_count
 from .output import _parse
 
 __all__: list[str] = []
@@ -54,13 +55,6 @@ class _Head(io.RawIOBase):
         count = self._fh.readinto(memoryview(buffer)[:self._left])
         self._left -= count
         return count
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def split_point(fh) -> int | None:

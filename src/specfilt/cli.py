@@ -253,10 +253,7 @@ def _sample(config: argparse.Namespace, seed: int):
     raise UsageError(f"unknown ensemble {config.ensemble!r}")
 
 
-def _compute(matrix, grid: DensityGrid | None, config: argparse.Namespace,
-             kind: str):
-    if config.experiment == "density":
-        return density_snapshot(matrix, config.p, kind, bins=config.bins)
+def _curve(matrix, grid: DensityGrid, config: argparse.Namespace, kind: str) -> CurveSeries:
     if config.experiment == "std-curve":
         return std_curve(matrix, grid, kind)
     return gap_curve(matrix, grid, kind)
@@ -304,33 +301,44 @@ def run(config: argparse.Namespace) -> int:
 
     Matrices are drawn one at a time: every kind is computed from a matrix,
     sharing its filtration, and the matrix is dropped before the next one
-    is drawn.  Each result is added to one running total per kind as soon
-    as it is computed (histogram counts are summed, curves are averaged),
-    so memory does not grow with ``--repeats``.  Files are written once
-    every matrix has been processed.
+    is drawn.  A density run hands :func:`density_snapshot` its only
+    reference to the matrix, with every kind at once, so the matrix and
+    its filtration are freed before the eigensolves, which run two at a
+    time on two or more CPUs when the BLAS is pinned to one thread (the
+    bytes are the same either way).  Each result is added to one running
+    total per kind as soon as it is computed (histogram counts are
+    summed, curves are averaged), so memory does not grow with
+    ``--repeats``.  Files are written once every matrix has been
+    processed.
     """
     n, grid = None, config.grid
     try:
         kinds = KINDS if config.kind == "both" else (config.kind,)
         firsts, totals = {}, {}  # per kind: first draw's result, running total
         for seed in _seeds(config):
-            matrix = _draw(config, seed)
+            # a list, so that a density run can pass the matrix on without
+            # keeping a reference to it here
+            drawn = [_draw(config, seed)]
             if n is None:
-                n = matrix.n
+                n = drawn[0].n
                 out_dir = Path(config.output)
                 out_dir.mkdir(parents=True, exist_ok=True)
                 if grid is None and config.experiment != "density":
                     grid = (DensityGrid.with_zero_refinement(n)
                             if config.experiment == "std-curve" else DensityGrid.uniform())
-            for kind in kinds:
-                result = _compute(matrix, grid, config, kind)
+            if config.experiment == "density":
+                results = density_snapshot(drawn.pop(), config.p, kinds, bins=config.bins)
+            else:
+                results = [_curve(drawn[0], grid, config, kind) for kind in kinds]
+            for kind, result in zip(kinds, results):
                 values = result.counts if config.experiment == "density" else result.ys
                 if kind in totals:
                     totals[kind] += values
                 else:
                     # a writable copy: a result's arrays are read-only
                     firsts[kind], totals[kind] = result, values.copy()
-            del matrix, result, values  # only the first results and totals outlive a draw
+            # only the first results and totals outlive a draw
+            del drawn, results, result, values
         for kind in kinds:
             result = _pooled(firsts[kind], totals[kind], config)
             stem = f"{config.experiment}-{config.ensemble}-{kind}"

@@ -31,11 +31,21 @@ the normalized kind, the sum over edges of ``1 / (d_i d_j)``, walking
 the filtration's pairs in order once per kind
 (:attr:`specfilt.filtration.EdgeFiltration.pair_order`) and adding each
 new segment's endpoints to a running degree vector.
+
+The density histogram of several kinds builds one snapshot, letting go
+of the matrix and then of its filtration on the way, assembles every
+kind's quotient, and lets go of the snapshot before any solve.  On two or more CPUs, with the BLAS
+pinned to one thread, a worker thread solves the second kind while the
+calling thread solves the first (:func:`_concurrent_solves`).  Each
+solve is the same single-threaded LAPACK call either way, so the spectra
+are the same to the bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,18 +261,91 @@ def sqrt_curve(series: CurveSeries) -> CurveSeries:
     return CurveSeries(f"sqrt-{series.statistic}", series.xs, np.sqrt(series.ys))
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# OpenBLAS takes its thread count from the first of these set to a
+# positive integer
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _concurrent_solves() -> bool:
+    """Whether two eigensolves may run at once: the process may run on two
+    or more CPUs and the environment pins the BLAS to one thread.  With
+    more BLAS threads, or none set, each solve already has every core."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1 and _cpu_count() >= 2
+    return False
+
+
+def _solve(quotients: list) -> list:
+    """The spectra of the quotients, in order.
+
+    With :func:`_concurrent_solves`, a daemon worker thread solves every
+    quotient but the first while this thread solves the first; otherwise
+    they are solved one after the other.  Either way the first failure in
+    quotient order is raised, and an interrupt here does not wait for the
+    worker.
+    """
+    if len(quotients) < 2 or not _concurrent_solves():
+        return [eigenvalues(quotient) for quotient in quotients]
+    rest = []  # the worker's spectra, or the exception that stopped it
+
+    def solve_rest():
+        try:
+            rest.extend(eigenvalues(quotient) for quotient in quotients[1:])
+        except BaseException as exc:  # raised again by the calling thread
+            rest.append(exc)
+
+    worker = threading.Thread(target=solve_rest, name="specfilt-solve", daemon=True)
+    worker.start()
+    first = eigenvalues(quotients[0])
+    worker.join()
+    if rest and isinstance(rest[-1], BaseException):
+        raise rest[-1]
+    return [first, *rest]
+
+
 def density_snapshot(
     matrix: SymmetricMatrix,
     density: float,
-    kind: str,
+    kind: str | tuple[str, ...],
     bins: int = DEFAULT_BINS,
-) -> Histogram:
-    """Histogram of the spectrum at one density, over the default range."""
-    graph = graph_at_density(_filtration(matrix), density)
+) -> Histogram | tuple[Histogram, ...]:
+    """Histogram of the spectrum at one density, over the default range.
+
+    ``kind`` is one kind, giving one :class:`Histogram`, or a tuple of
+    kinds, giving one histogram per kind in that order.  One snapshot
+    serves every kind.  This call drops its reference to the matrix once
+    it holds the filtration, and the filtration once it holds the
+    snapshot, so a caller that passed its only reference frees the
+    entries and the rank matrix (12 B per n^2) before any quotient is
+    assembled (on Python 3.10 the caller's stack keeps the argument until
+    the call returns).  Every kind's quotient is assembled, the snapshot
+    is dropped, and the quotients are solved as :func:`_solve` does: two
+    at once on two or more CPUs with a one-thread BLAS, with the same
+    bytes as one after the other.
+    """
+    kinds = (kind,) if isinstance(kind, str) else kind
+    filtration = _filtration(matrix)
+    del matrix
+    graph = graph_at_density(filtration, density)
+    del filtration
+    quotients = [laplacian(graph, each) for each in kinds]
+    del graph
     try:
-        spectrum = eigenvalues(laplacian(graph, kind))
+        spectra = _solve(quotients)
     except NumericalError as exc:
         exc.density = float(density)
         raise
-    return spectrum_histogram(spectrum, bins=bins)
-
+    histograms = tuple(spectrum_histogram(spectrum, bins=bins) for spectrum in spectra)
+    return histograms[0] if isinstance(kind, str) else histograms

@@ -95,15 +95,18 @@ def _parse(raw, encoding: str = "utf-8-sig") -> tuple[int, np.ndarray]:
     """Parse the non-blank lines of a matrix CSV byte stream into a 2-D
     float64 array, with n, the first row's cell count, checked as the
     matrix size before any cell is parsed."""
-    line = 0  # the file line (from 1) of the last line read
+    line, row = 0, ""  # the file line (from 1) and the text of the last line read
 
     def nonblank(text):
-        nonlocal line
+        nonlocal line, row
         for line, row in enumerate(text, 1):
             if row.strip():
                 yield row
 
-    with io.TextIOWrapper(raw, encoding=encoding) as text:
+    # surrogateescape decodes each byte that is not UTF-8 to one of
+    # U+DC80..U+DCFF, so the line that holds it fails to parse like any
+    # bad cell, wherever the decoder's chunks end
+    with io.TextIOWrapper(raw, encoding=encoding, errors="surrogateescape") as text:
         rows = nonblank(text)
         first = next(rows, None)
         if first is None:  # before numpy, which would warn "input contained no data"
@@ -118,12 +121,14 @@ def _parse(raw, encoding: str = "utf-8-sig") -> tuple[int, np.ndarray]:
             # of a comment
             return n, np.loadtxt(chain([first], rows), delimiter=",", ndmin=2, comments=None)
         except ValueError as exc:
-            if isinstance(exc, UnicodeDecodeError):
-                raise
+            # numpy pulls one row at a time and stops at the bad one
+            if byte := re.search("[\udc80-\udcff]", row):
+                raise ValueError(
+                    f"byte 0x{ord(byte[0]) - 0xdc00:02x} on line {line}, column "
+                    f"{row.count(',', 0, byte.start()) + 1} is not UTF-8") from None
             message = str(exc)
             if "could not convert" in message:
-                # numpy pulls one row at a time and stops at the bad one, but
-                # counts rows from 0 among the non-blank lines only
+                # numpy counts rows from 0 among the non-blank lines only
                 raise ValueError(re.sub(r" at row \d+, column (\d+)\.$",
                                         rf" on line {line}, column \1", message)) from None
             raise ValueError("matrix file must be square") from exc  # ragged rows
@@ -163,8 +168,9 @@ def read_matrix_csv(path) -> SymmetricMatrix:
     The file has no header and one comma-separated row per line.  A
     leading UTF-8 byte-order mark is ignored, blank lines are skipped,
     and every cell is parsed by ``numpy.loadtxt``
-    (no ``#`` comments, no ``_`` digit separators); an unparsable cell is
-    named by its file line and column, both from 1.  The size n is the
+    (no ``#`` comments, no ``_`` digit separators); an unparsable cell,
+    or a byte that is not UTF-8, is named by its file line and column,
+    both from 1, alike from a file and from a pipe.  The size n is the
     first row's cell count, refused outside 2 to ``MAX_N`` before any
     cell is parsed.  Near-symmetric input (entries matching across the
     diagonal to 1e-9, relative to the largest magnitude) is accepted; the

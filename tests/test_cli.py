@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -19,7 +20,8 @@ import specfilt.output as output
 from specfilt.cli import (EXIT_INTERRUPTED, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                           main, parse_args, run)
 from specfilt.curves import CurveSeries, DensityGrid, gap_curve
-from specfilt.ensembles import sample_gaussian_symmetric, sample_wishart_rank_one
+from specfilt.ensembles import (distance_matrix, sample_gaussian_symmetric,
+                                sample_noisy_circle, sample_wishart_rank_one)
 from specfilt.filtration import MAX_N, EdgeFiltration
 from specfilt.output import write_csv
 from specfilt.spectra import NumericalError
@@ -609,6 +611,173 @@ class TestPooledRepeats:
             assert written.read_bytes() == expected.read_bytes()
 
 
+class TestSolvesAtOnce:
+    """A density run of both kinds solves the second on a worker thread when
+    the process may run on two CPUs with a one-thread BLAS; its bytes,
+    messages and exit codes are those of one solve after the other."""
+
+    @staticmethod
+    def threads_started(monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        return started
+
+    @staticmethod
+    def density(tmp_path, *argv):
+        return main(["density", "--ensemble", "gaussian", "--n", "20", "--seed", "2",
+                     "--p", "0.3", "--kind", "both", *argv, "--output", str(tmp_path)])
+
+    @pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
+    def test_same_bytes_as_one_after_the_other(self, tmp_path, monkeypatch, capsys, ensemble):
+        if ensemble == "matrix-file":
+            path = tmp_path / "matrix.csv"
+            write_matrix_file(path, distance_matrix(sample_noisy_circle(40, 0.1, 4)).dense)
+            size, repeats = ["--matrix", str(path)], ["1"]
+        else:
+            size, repeats = ["--n", "40"], ["1", "3"]
+        started = self.threads_started(monkeypatch)
+        for p in ("0", "0.05", "0.2", "1"):
+            for draws in repeats:
+                written = {}
+                for at_once in (False, True):
+                    monkeypatch.setattr(curves, "_concurrent_solves", lambda: at_once)
+                    out = tmp_path / f"{p}-{draws}-{at_once}"
+                    started.clear()
+                    assert main(["density", "--ensemble", ensemble, *size, "--seed", "5",
+                                 "--p", p, "--repeats", draws, "--kind", "both",
+                                 "--output", str(out)]) == EXIT_OK
+                    assert len(started) == at_once * int(draws)
+                    written[at_once] = ({f.name: f.read_bytes() for f in out.iterdir()},
+                                        capsys.readouterr().out)
+                assert len(written[True][0]) == 4
+                assert written[True] == written[False], (p, draws)
+
+    @pytest.mark.parametrize("failing", [("raw",), ("normalized",), ("raw", "normalized")],
+                             ids=["first", "second", "both"])
+    def test_numerical_failure_is_the_serial_line(self, tmp_path, monkeypatch, capsys,
+                                                  failing):
+        solve = curves.eigenvalues
+
+        def failing_solve(quotient):
+            if quotient.kind in failing:
+                raise NumericalError(f"synthetic {quotient.kind} failure")
+            return solve(quotient)
+
+        monkeypatch.setattr(curves, "eigenvalues", failing_solve)
+        reported = {}
+        for at_once in (False, True):
+            monkeypatch.setattr(curves, "_concurrent_solves", lambda: at_once)
+            assert self.density(tmp_path) == EXIT_NUMERICAL
+            reported[at_once] = capsys.readouterr()
+        assert reported[True] == reported[False]
+        assert reported[True].out == ""
+        assert reported[True].err == (
+            f"specfilt: numerical failure at p=0.3: synthetic {failing[0]} failure\n")
+
+    def test_out_of_memory_in_the_worker_is_one_usage_line(self, tmp_path, monkeypatch,
+                                                           capsys):
+        solve, threads = curves.eigenvalues, []
+
+        def exhausted(quotient):
+            if quotient.kind == "normalized":
+                threads.append(threading.current_thread())
+                raise MemoryError()
+            return solve(quotient)
+
+        monkeypatch.setattr(curves, "eigenvalues", exhausted)
+        for at_once in (False, True):
+            monkeypatch.setattr(curves, "_concurrent_solves", lambda: at_once)
+            assert self.density(tmp_path) == EXIT_USAGE
+            assert capsys.readouterr().err == "specfilt: error: not enough memory for n=20\n"
+        assert threads[0] is threading.main_thread() is not threads[1]
+
+    def test_interrupt_does_not_wait_for_the_worker(self, tmp_path, monkeypatch, capsys):
+        solve, release, solved = curves.eigenvalues, threading.Event(), []
+
+        def interrupted(quotient):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            release.wait(timeout=30)  # a solve that outlasts the main thread's
+            solved.append(solve(quotient))
+            return solved[-1]
+
+        monkeypatch.setattr(curves, "eigenvalues", interrupted)
+        monkeypatch.setattr(curves, "_concurrent_solves", lambda: True)
+        started = self.threads_started(monkeypatch)
+        try:
+            assert self.density(tmp_path) == EXIT_INTERRUPTED
+            assert solved == []
+        finally:
+            release.set()
+            for worker in started:
+                worker.join(timeout=30)
+        assert [(worker.daemon, worker.is_alive()) for worker in started] == [(True, False)]
+        assert len(solved) == 1
+        assert capsys.readouterr().err == "specfilt: interrupted\n"
+
+    @pytest.mark.parametrize("cpus,env,at_once", [
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, True),
+        (4, {"GOTO_NUM_THREADS": "1"}, True),
+        (2, {"OMP_NUM_THREADS": "1"}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (2, {}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "2"}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ], ids=["openblas", "goto", "omp", "openblas-0", "one-cpu", "unset", "two-threads",
+            "first-set-wins"])
+    def test_threads_only_on_two_cpus_with_one_blas_thread(self, tmp_path, monkeypatch,
+                                                           cpus, env, at_once):
+        # the variables are read as OpenBLAS reads them at load time; the
+        # library's own BLAS is not affected by setting them here
+        for var in curves._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(curves, "_cpu_count", lambda: cpus)
+        assert curves._concurrent_solves() is at_once
+        started = self.threads_started(monkeypatch)
+        assert self.density(tmp_path) == EXIT_OK
+        assert len(started) == at_once
+
+    def test_single_kind_starts_no_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(curves, "_concurrent_solves", lambda: True)
+        started = self.threads_started(monkeypatch)
+        assert self.density(tmp_path, "--kind", "raw") == EXIT_OK
+        assert started == []
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 the caller's stack holds a call's arguments")
+    def test_matrix_is_freed_before_the_quotients_are_assembled(self, tmp_path,
+                                                                monkeypatch):
+        made, freed = [], []  # weak references to each matrix and filtration
+        assemble = curves.laplacian
+
+        def tracked(fn):
+            def tracking(*args):
+                result = fn(*args)
+                made.append(weakref.ref(result))
+                return result
+
+            return tracking
+
+        def checking(graph, kind):
+            freed.append([ref() for ref in made[-2:]] == [None, None])
+            return assemble(graph, kind)
+
+        monkeypatch.setattr(cli, "_draw", tracked(cli._draw))
+        monkeypatch.setattr(curves, "build_filtration", tracked(curves.build_filtration))
+        monkeypatch.setattr(curves, "laplacian", checking)
+        assert self.density(tmp_path, "--repeats", "2") == EXIT_OK
+        assert freed == [True] * 4
+
+
 class TestMatrixFile:
     @staticmethod
     def run_matrix(tmp_path, text):
@@ -809,3 +978,22 @@ def test_curve_runs_do_not_import_numpy_ma(tmp_path, experiment):
                           env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
+
+def test_density_runs_import_no_pool_modules(tmp_path):
+    # concurrent.futures and multiprocessing take milliseconds to import; the
+    # second solve runs on a plain threading.Thread, and threading is loaded
+    # by numpy already
+    script = (
+        "import sys, specfilt.cli\n"
+        "code = specfilt.cli.main(['density', '--ensemble', 'gaussian', '--n', '20',"
+        f" '--p', '0.5', '--kind', 'both', '--output', {str(tmp_path)!r}])\n"
+        "print(code, [name for name in ('concurrent.futures', 'multiprocessing')"
+        " if name in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"

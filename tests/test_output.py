@@ -262,12 +262,28 @@ class TestMatrixCsv:
 
     def test_undecodable_byte_is_not_a_shape_error(self, tmp_path):
         # the bad byte lies past the first decoded chunk, so it is met while
-        # numpy is reading lines, not while the first line is looked for
+        # numpy is reading lines, not while the first line is looked for;
+        # it is named by its line and column, not by its offset in a chunk
         path = tmp_path / "bad.csv"
         rows = [",".join(["0"] * 100)] * 100
         path.write_bytes("\n".join(rows).encode() + b"\xff\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ValueError) as info:
             read_matrix_csv(path)
+        assert str(info.value) == "byte 0xff on line 100, column 100 is not UTF-8"
+
+    @pytest.mark.parametrize("contents,message", [
+        (b"\xfe0,1\n1,0\n", "byte 0xfe on line 1, column 1"),
+        (b"0,1\n\n1,\x800\n", "byte 0x80 on line 3, column 2"),
+        (b"0,1\n\xff\n", "byte 0xff on line 2, column 1"),  # a row of one cell
+        (b"0,1\n1,0\xc3\n", "byte 0xc3 on line 2, column 2"),  # a sequence cut short
+    ], ids=["first-row", "after-blank", "alone", "cut-short"])
+    def test_byte_that_is_not_utf8_is_named_by_line_and_column(self, tmp_path, contents,
+                                                               message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(contents)
+        with pytest.raises(ValueError) as info:
+            read_matrix_csv(path)
+        assert str(info.value) == f"{message} is not UTF-8"
 
     def test_peak_memory_is_at_most_one_temporary_besides_the_matrix(self, tmp_path):
         dense = distance_matrix(sample_noisy_circle(400, seed=4)).dense
