@@ -39,8 +39,7 @@ ensembles = {
 grid = sf.DensityGrid.uniform(50)
 
 for name, matrix in ensembles.items():
-    for kind in (sf.RAW, sf.NORMALIZED):
-        series = sf.gap_curve(matrix, grid, kind)
+    for kind, series in zip(sf.KINDS, sf.gap_curve(matrix, grid, sf.KINDS)):
         path = OUT / f"gap-{name}-{kind}.svg"
         sf.write_svg(series, path, f"{kind} spectral gap ({name}, n={N})")
         sf.write_csv(series, path.with_suffix(".csv"))

@@ -43,8 +43,7 @@ for name, matrix in {
     "torus": sf.distance_matrix(torus),
     "positive-rank1": reference,
 }.items():
-    for kind in (sf.RAW, sf.NORMALIZED):
-        series = sf.gap_curve(matrix, grid, kind)
+    for kind, series in zip(sf.KINDS, sf.gap_curve(matrix, grid, sf.KINDS)):
         path = OUT / f"cloud-gap-{name}-{kind}.svg"
         sf.write_svg(series, path, f"{kind} spectral gap ({name}, n={N})")
         half = series.ys[len(series.ys) // 2]

@@ -34,8 +34,7 @@ ensembles = {
 
 for name, matrix in ensembles.items():
     for p in (0.05, 0.2, 0.6):
-        for kind in (sf.RAW, sf.NORMALIZED):
-            hist = sf.density_snapshot(matrix, p, kind)
+        for kind, hist in zip(sf.KINDS, sf.density_snapshot(matrix, p, sf.KINDS)):
             path = OUT / f"density-{name}-{kind}-p{int(p * 100):02d}.svg"
             sf.write_svg(hist, path, f"{kind} spectral density at p={p:g} ({name})")
             top = int(hist.counts.argmax())

@@ -39,7 +39,7 @@ matrix = sf.sample_positive_rank_one(N, SEED)
 points = np.arange(51) / 50
 grid = sf.DensityGrid(points[(points >= 0.1) & (points <= 0.9)])
 
-gap = sf.gap_curve(matrix, grid, sf.RAW)
+gap, = sf.gap_curve(matrix, grid, (sf.RAW,))
 root = sf.sqrt_curve(gap)
 
 sf.write_svg(gap, OUT / "posrank1-gap.svg", f"raw spectral gap (positive-rank1, n={N})")

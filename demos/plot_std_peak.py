@@ -32,7 +32,7 @@ for name, matrix in {
     "positive-rank1": sf.sample_positive_rank_one(N, SEED),
     "wishart-rank1": sf.sample_wishart_rank_one(N, SEED),
 }.items():
-    series = sf.std_curve(matrix, grid, sf.NORMALIZED)
+    series, = sf.std_curve(matrix, grid, (sf.NORMALIZED,))
     path = OUT / f"std-{name}-normalized.svg"
     sf.write_svg(series, path, f"normalized spectrum std vs density ({name}, n={N})")
     sf.write_csv(series, path.with_suffix(".csv"))

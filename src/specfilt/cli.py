@@ -65,8 +65,8 @@ EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
 # both kinds writes about 210 MB of CSV and SVG, line by line, and peaks
 # at 121 MB of memory (n = 2)
 MAX_BINS = 10**6
-# uniform:K grids with larger K would allocate K + 1 densities before the
-# sweep drops the ones that round to the same edge count
+# a larger uniform:K, or a grid file of more than K + 1 densities, would
+# allocate every density before the sweep drops those of a repeated edge count
 MAX_GRID_STEPS = 10**6
 # far more draws than an average needs: memory does not grow with the
 # draws, but at this limit the smallest run (n = 2, both kinds) already
@@ -112,9 +112,9 @@ def _build_parser() -> _Parser:
                         help=f"histogram bin count, 1 to {MAX_BINS} "
                              f"(default {DEFAULT_BINS})")
     parser.add_argument("--grid", default=None, metavar="uniform:K|file:PATH",
-                        help=f"density grid spec, K from 1 to {MAX_GRID_STEPS} "
-                             "(default uniform:50, with extra points near 0 "
-                             "for std-curve)")
+                        help=f"density grid spec: K from 1 to {MAX_GRID_STEPS}, a file of "
+                             "at most K + 1 densities (default uniform:50, with extra "
+                             "points near 0 for std-curve)")
     parser.add_argument("--repeats", type=int, default=1,
                         help=f"independent draws to average, 1 to {MAX_REPEATS} "
                              "(default 1)")
@@ -209,6 +209,8 @@ def _grid(parser: _Parser, spec: str) -> DensityGrid:
         for line in Path(tail).read_text(encoding="utf-8-sig").split("\n"):
             line = line.strip()
             if line and not line.startswith("#"):
+                if len(points) > MAX_GRID_STEPS:
+                    raise ValueError(f"more than {MAX_GRID_STEPS + 1} densities")
                 try:
                     points.append(float(line))
                 except ValueError:
@@ -253,12 +255,6 @@ def _sample(config: argparse.Namespace, seed: int):
     raise UsageError(f"unknown ensemble {config.ensemble!r}")
 
 
-def _curve(matrix, grid: DensityGrid, config: argparse.Namespace, kind: str) -> CurveSeries:
-    if config.experiment == "std-curve":
-        return std_curve(matrix, grid, kind)
-    return gap_curve(matrix, grid, kind)
-
-
 def _pooled(first, total, config: argparse.Namespace):
     # the one result of a kind: the first draw's bins or grid, with the
     # summed counts, or the summed values divided by the number of draws
@@ -299,25 +295,25 @@ def _title(config: argparse.Namespace, kind: str, n: int) -> str:
 def run(config: argparse.Namespace) -> int:
     """Execute one experiment; returns the process exit status.
 
-    Matrices are drawn one at a time: every kind is computed from a matrix,
-    sharing its filtration, and the matrix is dropped before the next one
-    is drawn.  A density run hands :func:`density_snapshot` its only
-    reference to the matrix, with every kind at once, so the matrix and
-    its filtration are freed before the eigensolves, which run two at a
-    time on two or more CPUs when the BLAS is pinned to one thread (the
-    bytes are the same either way).  Each result is added to one running
-    total per kind as soon as it is computed (histogram counts are
-    summed, curves are averaged), so memory does not grow with
-    ``--repeats``.  Files are written once every matrix has been
-    processed.
+    Matrices are drawn one at a time, and each is handed, as the only
+    reference, to one experiment call for every kind at once
+    (:func:`gap_curve`, :func:`std_curve` or :func:`density_snapshot`),
+    which sorts it into one filtration and lets go of it before the first
+    snapshot.  A density run also frees the filtration before its
+    eigensolves, which run two at a time on two or more CPUs when the BLAS
+    is pinned to one thread (the bytes are the same either way).  Each
+    result is added to one running total per kind as soon as it is
+    computed (histogram counts are summed, curves are averaged), so memory
+    does not grow with ``--repeats``.  Files are written once every matrix
+    has been processed.
     """
     n, grid = None, config.grid
     try:
         kinds = KINDS if config.kind == "both" else (config.kind,)
         firsts, totals = {}, {}  # per kind: first draw's result, running total
         for seed in _seeds(config):
-            # a list, so that a density run can pass the matrix on without
-            # keeping a reference to it here
+            # a list, so that the matrix is passed on without keeping a
+            # reference to it here
             drawn = [_draw(config, seed)]
             if n is None:
                 n = drawn[0].n
@@ -328,8 +324,10 @@ def run(config: argparse.Namespace) -> int:
                             if config.experiment == "std-curve" else DensityGrid.uniform())
             if config.experiment == "density":
                 results = density_snapshot(drawn.pop(), config.p, kinds, bins=config.bins)
+            elif config.experiment == "std-curve":
+                results = std_curve(drawn.pop(), grid, kinds)
             else:
-                results = [_curve(drawn[0], grid, config, kind) for kind in kinds]
+                results = gap_curve(drawn.pop(), grid, kinds)
             for kind, result in zip(kinds, results):
                 values = result.counts if config.experiment == "density" else result.ys
                 if kind in totals:

@@ -6,11 +6,12 @@ per edge count.  The result is a :class:`CurveSeries` of (density,
 value) pairs ready for CSV or SVG output.  Fitting a curve is left to
 the caller (the square-root demo calls ``numpy.polyfit`` itself).
 
-The filtration is built on the first call for a matrix and kept with
-it, so every curve and snapshot of one matrix shares one sort, and both
-kinds of gap curve share the one spanning tree that gives the
-filtration's connectivity index.  Filtrations and snapshots come only
-from :mod:`specfilt.filtration`'s builders, never from pair lists.
+Every experiment takes a tuple of kinds and returns one result per kind,
+in that order.  It builds the matrix's filtration and lets go of the
+matrix; each snapshot then serves every kind, and the kinds of a gap
+curve share the spanning tree that gives the connectivity index.
+Filtrations and snapshots come only from :mod:`specfilt.filtration`'s
+builders, never from pair lists.
 
 The gap curve and the density histogram take each spectrum they need
 from :func:`specfilt.spectra.laplacian`, which checks the kind and
@@ -26,19 +27,12 @@ spanning tree of the rank matrix,
 is exactly 0, and those snapshots are not even built.
 
 The width (std) curve builds no snapshot and runs no eigensolve: it
-takes the Laplacian's traces (:func:`_width`) from the degrees and, for
-the normalized kind, the sum over edges of ``1 / (d_i d_j)``, walking
-the filtration's pairs in order once per kind
-(:attr:`specfilt.filtration.EdgeFiltration.pair_order`) and adding each
-new segment's endpoints to a running degree vector.
+walks the filtration's pairs in order once, counting a running degree
+vector, and takes every kind's width from the Laplacian's traces
+(:func:`_width`).
 
-The density histogram of several kinds builds one snapshot, letting go
-of the matrix and then of its filtration on the way, assembles every
-kind's quotient, and lets go of the snapshot before any solve.  On two or more CPUs, with the BLAS
-pinned to one thread, a worker thread solves the second kind while the
-calling thread solves the first (:func:`_concurrent_solves`).  Each
-solve is the same single-threaded LAPACK call either way, so the spectra
-are the same to the bit.
+The density histogram solves its quotients as :func:`_solve` does, two
+at once on two CPUs with a one-thread BLAS; sweeps solve one at a time.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ import numpy as np
 
 from .ensembles import SymmetricMatrix
 from .filtration import (
-    EdgeFiltration,
     _edge_counts,
     build_filtration,
     graph_at_density,
@@ -60,6 +53,7 @@ from .filtration import (
 )
 from .spectra import (
     DEFAULT_BINS,
+    KINDS,
     Histogram,
     NumericalError,
     RAW,
@@ -162,38 +156,40 @@ def _checkpoints(grid: DensityGrid, n: int) -> tuple[np.ndarray, np.ndarray]:
     return counts[first], grid.points[first]
 
 
-def _filtration(matrix: SymmetricMatrix) -> EdgeFiltration:
-    # built on first use and kept with the matrix, whose entries are read-only
-    filtration = getattr(matrix, "_filtration", None)
-    if filtration is None:
-        filtration = matrix._filtration = build_filtration(matrix)
-    return filtration
+def _check_kinds(kinds: tuple[str, ...]) -> tuple[str, ...]:
+    if isinstance(kinds, str) or not kinds:  # a string would be split into letters
+        raise ValueError(f"kinds must be a nonempty tuple such as {KINDS}, got {kinds!r}")
+    return tuple(map(_check_kind, kinds))
 
 
-def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSeries:
-    """Spectral gap (second-smallest eigenvalue) as a function of density.
+def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid,
+              kinds: tuple[str, ...]) -> tuple[CurveSeries, ...]:
+    """Spectral gap (second-smallest eigenvalue) vs density, per kind.
 
     The gap is exactly 0.0 at every checkpoint below the connectivity
     index (the disconnected ones), where no snapshot is built and nothing
-    is solved; each connected snapshot's spectrum comes from
-    :func:`specfilt.spectra.laplacian`, exact integers when certified
+    is solved; each connected snapshot is built once, and each kind's
+    spectrum of it, in kind order, comes from
+    :func:`specfilt.spectra.laplacian`: exact integers when certified
     (raw kind), solved over its twin classes otherwise.  At p = 1 the
     complete graph's gap is exactly n for the raw kind and n/(n - 1) for
     the normalized kind.
     """
-    _check_kind(kind)
-    filtration = _filtration(matrix)
-    counts, densities = _checkpoints(grid, matrix.n)
+    kinds = _check_kinds(kinds)
+    filtration = build_filtration(matrix)
+    del matrix
+    counts, densities = _checkpoints(grid, filtration.n)
     skip = int(np.searchsorted(counts, filtration.connectivity_index))
-    ys = [0.0] * skip
+    values = [[0.0] * skip for _ in kinds]
     snapshots = stream_prefixes(filtration, counts[skip:])
     for p, graph in zip(densities[skip:].tolist(), snapshots):
         try:
-            ys.append(spectral_gap(eigenvalues(laplacian(graph, kind))))
+            for kind, ys in zip(kinds, values):
+                ys.append(spectral_gap(eigenvalues(laplacian(graph, kind))))
         except NumericalError as exc:
             exc.density = p
             raise
-    return CurveSeries(statistic="gap", xs=densities, ys=np.array(ys))
+    return tuple(CurveSeries("gap", densities, np.array(ys)) for ys in values)
 
 
 def _width(degrees: np.ndarray, kind: str, order: np.ndarray, m: int) -> float:
@@ -225,14 +221,15 @@ def _width(degrees: np.ndarray, kind: str, order: np.ndarray, m: int) -> float:
     return math.sqrt(n2_var) / n
 
 
-def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSeries:
-    """Standard deviation of the eigenvalue distribution vs density.
+def std_curve(matrix: SymmetricMatrix, grid: DensityGrid,
+              kinds: tuple[str, ...]) -> tuple[CurveSeries, ...]:
+    """Standard deviation of the eigenvalue distribution vs density, per kind.
 
     One walk along the filtration's pair order
     (:attr:`specfilt.filtration.EdgeFiltration.pair_order`), with no
     snapshot and no eigensolve: at each checkpoint the endpoints of the
     pairs added since the last one are counted into a running degree
-    vector, and the width comes from the Laplacian's traces
+    vector, and every kind's width comes from the Laplacian's traces
     (:func:`_width`).  The raw width is exact.  The normalized sum S
     gathers at most C(n, 2) / 2 pairs; its terms are positive, so its
     rounding error is small against the side summed, which on the larger
@@ -240,18 +237,21 @@ def std_curve(matrix: SymmetricMatrix, grid: DensityGrid, kind: str) -> CurveSer
     differed by at most 2.3e-15 relative (Gaussian, circle, both rank-one
     ensembles and a tie-heavy rounded Gaussian, at n = 2-40 and 200).
     """
-    _check_kind(kind)
-    filtration = _filtration(matrix)
-    counts, densities = _checkpoints(grid, matrix.n)
+    kinds = _check_kinds(kinds)
+    filtration = build_filtration(matrix)
+    del matrix
+    n = filtration.n
+    counts, densities = _checkpoints(grid, n)
     order = filtration.pair_order
-    degrees = np.zeros(matrix.n, dtype=np.int64)
-    ys, added = [], 0
+    degrees = np.zeros(n, dtype=np.int64)
+    values, added = [[] for _ in kinds], 0
     for m in counts.tolist():
         for ends in order[:, added:m]:  # the i, then the j, of each new pair
-            degrees += np.bincount(ends, minlength=matrix.n)
+            degrees += np.bincount(ends, minlength=n)
         added = m
-        ys.append(_width(degrees, kind, order, m))
-    return CurveSeries(statistic="std", xs=densities, ys=np.array(ys))
+        for kind, ys in zip(kinds, values):
+            ys.append(_width(degrees, kind, order, m))
+    return tuple(CurveSeries("std", densities, np.array(ys)) for ys in values)
 
 
 def sqrt_curve(series: CurveSeries) -> CurveSeries:
@@ -318,34 +318,32 @@ def _solve(quotients: list) -> list:
 def density_snapshot(
     matrix: SymmetricMatrix,
     density: float,
-    kind: str | tuple[str, ...],
+    kinds: tuple[str, ...],
     bins: int = DEFAULT_BINS,
-) -> Histogram | tuple[Histogram, ...]:
-    """Histogram of the spectrum at one density, over the default range.
+) -> tuple[Histogram, ...]:
+    """Histogram of the spectrum at one density, over the default range,
+    per kind.
 
-    ``kind`` is one kind, giving one :class:`Histogram`, or a tuple of
-    kinds, giving one histogram per kind in that order.  One snapshot
-    serves every kind.  This call drops its reference to the matrix once
-    it holds the filtration, and the filtration once it holds the
-    snapshot, so a caller that passed its only reference frees the
-    entries and the rank matrix (12 B per n^2) before any quotient is
-    assembled (on Python 3.10 the caller's stack keeps the argument until
-    the call returns).  Every kind's quotient is assembled, the snapshot
-    is dropped, and the quotients are solved as :func:`_solve` does: two
-    at once on two or more CPUs with a one-thread BLAS, with the same
-    bytes as one after the other.
+    This call drops its reference to the matrix once it holds the
+    filtration, and the filtration once it holds the snapshot, so a caller
+    that passed its only reference frees the entries and the rank matrix
+    (12 B per n^2) before any quotient is assembled (on Python 3.10 the
+    caller's stack keeps the argument until the call returns).  The
+    snapshot is dropped once every kind's quotient is assembled, and the
+    quotients are solved as :func:`_solve` does: two at once on two or
+    more CPUs with a one-thread BLAS, with the same bytes as one after the
+    other.
     """
-    kinds = (kind,) if isinstance(kind, str) else kind
-    filtration = _filtration(matrix)
+    kinds = _check_kinds(kinds)
+    filtration = build_filtration(matrix)
     del matrix
     graph = graph_at_density(filtration, density)
     del filtration
-    quotients = [laplacian(graph, each) for each in kinds]
+    quotients = [laplacian(graph, kind) for kind in kinds]
     del graph
     try:
         spectra = _solve(quotients)
     except NumericalError as exc:
         exc.density = float(density)
         raise
-    histograms = tuple(spectrum_histogram(spectrum, bins=bins) for spectrum in spectra)
-    return histograms[0] if isinstance(kind, str) else histograms
+    return tuple(spectrum_histogram(spectrum, bins=bins) for spectrum in spectra)

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used across the test suite.
 
 Nothing here touches the library's eigensolver path.  Eigenvalues are
-recomputed from scratch: exact characteristic polynomial over rationals
-(Faddeev-LeVerrier), exact square-free factorization (Yun's algorithm),
-then high-precision root finding with mpmath on the simple-root factors.
+recomputed from scratch: exact characteristic polynomial of an integer
+matrix (Berkowitz, division free), exact square-free factorization over
+rationals (Yun's algorithm), then high-precision root finding with
+mpmath on the simple-root factors.
 Graph quantities (components, two-colouring, bipartite prefix, twin
 classes, threshold peeling) use their own independent algorithms.
 The Laplacians are also scattered from an edge list, a bit-for-bit
@@ -108,43 +109,38 @@ def _square_free_factors(p):
 
 
 def _charpoly(matrix):
-    """Exact characteristic polynomial via Faddeev-LeVerrier.
+    """Exact characteristic polynomial by Berkowitz's division-free method.
 
-    ``matrix`` is a square list of lists of Fractions; returns monic
-    coefficients of det(xI - A), highest degree first.
+    ``matrix`` is a square list of lists of ints; returns the integer
+    coefficients of det(xI - A), highest degree first.  The polynomial of
+    each leading principal block is the Toeplitz matrix of
+    1, -a_kk, -R C, -R A C, ..., -R A^(k-1) C (A the block before, R and C
+    the new row and column) times the polynomial of the block before.
     """
-    n = len(matrix)
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-    def mat_mul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def mat_add_scalar(a, s):
-        return [
-            [a[i][j] + (s if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-
-    coeffs = [Fraction(1)]
-    work = ident
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        work = mat_mul(matrix, mat_add_scalar(work, c) if k > 1 else ident)
-        trace = sum(work[i][i] for i in range(n))
-        c = -trace / k
-        coeffs.append(c)
+    coeffs = [1]
+    for k in range(len(matrix)):
+        row = matrix[k][:k]
+        column = [matrix[i][k] for i in range(k)]
+        toeplitz = [1, -matrix[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(r * c for r, c in zip(row, column)))
+            column = [sum(a * c for a, c in zip(matrix[i][:k], column)) for i in range(k)]
+        coeffs = [sum(toeplitz[i - j] * coeffs[j]
+                      for j in range(max(0, i - k - 1), min(i, k) + 1))
+                  for i in range(k + 2)]
     return coeffs
 
 
-def charpoly_eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues (with multiplicity) of a rational matrix, ascending.
+def charpoly_eigenvalues(matrix, scale: int = 1) -> np.ndarray:
+    """All eigenvalues (with multiplicity) of ``matrix / scale``, ascending.
 
-    Intended for matrices similar to a real symmetric one, so every root
-    is real; a complex root triggers an assertion failure.
+    ``matrix`` is a square list of lists of ints.  Intended for matrices
+    similar to a real symmetric one, so every root is real; a complex root
+    triggers an assertion failure.  The roots are divided by ``scale``
+    exactly, before any is found: coefficient k of the polynomial is
+    divided by ``scale**k``.
     """
-    coeffs = _charpoly(matrix)
+    coeffs = [Fraction(c, scale**k) for k, c in enumerate(_charpoly(matrix))]
     roots: list[float] = []
     with mpmath.workdps(50):
         for factor, multiplicity in _square_free_factors(coeffs):
@@ -160,36 +156,33 @@ def charpoly_eigenvalues(matrix) -> np.ndarray:
     return np.sort(np.array(roots))
 
 
-def raw_laplacian_fractions(graph):
-    """Integer raw Laplacian of a Graph as a Fraction matrix."""
+def raw_laplacian_integers(graph):
+    """Integer raw Laplacian of a Graph as a list of lists of ints."""
     n = graph.n
-    mat = [[Fraction(0) for _ in range(n)] for _ in range(n)]
+    mat = [[0] * n for _ in range(n)]
     for i in range(n):
-        mat[i][i] = Fraction(int(graph.degrees[i]))
+        mat[i][i] = int(graph.degrees[i])
     for i, j in edges_of(graph):
-        mat[i][j] = Fraction(-1)
-        mat[j][i] = Fraction(-1)
+        mat[i][j] = -1
+        mat[j][i] = -1
     return mat
 
 
-def normalized_similar_fractions(graph):
-    """Rational matrix with the same spectrum as the normalized Laplacian.
+def normalized_similar_integers(graph):
+    """An integer matrix and a scale l whose quotient has the spectrum of
+    the normalized Laplacian.
 
     Row i of the raw Laplacian divided by deg(i) (zero row for isolated
     vertices) is similar to D^{-1/2} L D^{-1/2} on the non-isolated
     block, and both conventions put exact zero rows on isolated
-    vertices, so the characteristic polynomials coincide.
+    vertices, so the characteristic polynomials coincide.  Those rows
+    times l, the least common multiple of the nonzero degrees, are
+    integers.
     """
-    raw = raw_laplacian_fractions(graph)
-    n = graph.n
-    out = []
-    for i in range(n):
-        d = int(graph.degrees[i])
-        if d == 0:
-            out.append([Fraction(0)] * n)
-        else:
-            out.append([entry / d for entry in raw[i]])
-    return out
+    degrees = [int(d) for d in graph.degrees]
+    scale = math.lcm(*(d for d in degrees if d))
+    return [[entry * (scale // d) if d else 0 for entry in row]
+            for d, row in zip(degrees, raw_laplacian_integers(graph))], scale
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,8 @@ def gaussian_baseline_500():
     """Gaussian normalized histograms at n=500 used as comparison mass."""
     matrix = sf.sample_gaussian_symmetric(500, 0)
     return {
-        0.2: sf.density_snapshot(matrix, 0.2, sf.NORMALIZED),
-        0.6: sf.density_snapshot(matrix, 0.6, sf.NORMALIZED),
+        0.2: sf.density_snapshot(matrix, 0.2, (sf.NORMALIZED,))[0],
+        0.6: sf.density_snapshot(matrix, 0.6, (sf.NORMALIZED,))[0],
     }
 
 
@@ -111,8 +111,8 @@ def test_c01_complete_graph_endpoints():
     n = DESK_N
     matrix = sf.sample_gaussian_symmetric(n, 0)
     grid = sf.DensityGrid([0.0, 1.0])
-    raw_end = sf.gap_curve(matrix, grid, sf.RAW).ys[-1]
-    norm_end = sf.gap_curve(matrix, grid, sf.NORMALIZED).ys[-1]
+    raw, norm = sf.gap_curve(matrix, grid, sf.KINDS)
+    raw_end, norm_end = raw.ys[-1], norm.ys[-1]
     raw_err = abs(raw_end - n)
     norm_err = abs(norm_end - n / (n - 1))
     ok = raw_err <= 1e-6 * n and norm_err <= 1e-6 * n
@@ -123,7 +123,7 @@ def test_c01_complete_graph_endpoints():
 def test_c02_er_raw_gap_linearity():
     matrix = sf.sample_gaussian_symmetric(300, 0)
     grid = sf.DensityGrid(np.linspace(0.2, 0.9, 30))
-    series = sf.gap_curve(matrix, grid, sf.RAW)
+    series, = sf.gap_curve(matrix, grid, (sf.RAW,))
     r2 = oracles.r_squared(series.xs, series.ys)
     _report(2, "ER raw gap linear on [0.2, 0.9] with R^2 >= 0.99",
             r2 >= 0.99, f"R^2 = {r2:.5f}")
@@ -147,7 +147,7 @@ def test_c04_positive_rank_one_sqrt_gap_fit():
     points = np.arange(51) / 50
     grid = sf.DensityGrid(points[(points >= 0.1) & (points <= 0.9)])
     series = [
-        sf.gap_curve(sf.sample_positive_rank_one(n, seed), grid, sf.RAW)
+        sf.gap_curve(sf.sample_positive_rank_one(n, seed), grid, (sf.RAW,))[0]
         for seed in range(5)
     ]
     mean = sf.CurveSeries("gap", series[0].xs, np.mean([s.ys for s in series], axis=0))
@@ -392,7 +392,7 @@ def test_c08_er_std_peak_near_one_over_n():
     n = DESK_N
     matrix = sf.sample_gaussian_symmetric(n, 0)
     grid = sf.DensityGrid.with_zero_refinement(n)
-    series = sf.std_curve(matrix, grid, sf.NORMALIZED)
+    series, = sf.std_curve(matrix, grid, (sf.NORMALIZED,))
     peak = float(series.xs[int(np.argmax(series.ys))])
     lo, hi = 1.0 / (3 * n), 3.0 / n
     _report(8, "ER normalized std-dev peaks within [1/(3n), 3/n]",
@@ -401,7 +401,7 @@ def test_c08_er_std_peak_near_one_over_n():
 
 def test_c09_rank_one_concentration_at_one(gaussian_baseline_500):
     n = 500
-    hist = sf.density_snapshot(sf.sample_positive_rank_one(n, 0), 0.2, sf.NORMALIZED)
+    hist, = sf.density_snapshot(sf.sample_positive_rank_one(n, 0), 0.2, (sf.NORMALIZED,))
     ours = _bin_fraction(hist, 1.0)
     baseline = _bin_fraction(gaussian_baseline_500[0.2], 1.0)
     ratio = ours / max(baseline, 1e-12)
@@ -413,10 +413,10 @@ def test_c10_wishart_mass_at_zero_transition(gaussian_baseline_500):
     n = 500
     matrix = sf.sample_wishart_rank_one(n, 0)
     ratio_low = _bin_fraction(
-        sf.density_snapshot(matrix, 0.2, sf.NORMALIZED), 0.0
+        sf.density_snapshot(matrix, 0.2, (sf.NORMALIZED,))[0], 0.0
     ) / max(_bin_fraction(gaussian_baseline_500[0.2], 0.0), 1e-12)
     ratio_high = _bin_fraction(
-        sf.density_snapshot(matrix, 0.6, sf.NORMALIZED), 0.0
+        sf.density_snapshot(matrix, 0.6, (sf.NORMALIZED,))[0], 0.0
     ) / max(_bin_fraction(gaussian_baseline_500[0.6], 0.0), 1e-12)
     ok = ratio_low >= 5.0 and ratio_high < 2.0
     _report(10, "Wishart mass at 0: >= 5x Gaussian at p=0.2, < 2x at p=0.6",
@@ -434,11 +434,11 @@ def test_c11_small_instance_charpoly_oracle():
         for graph in sf.stream_prefixes(filtration, range(filtration.total_pairs + 1)):
             raw = sf.eigenvalues(sf.laplacian(graph, sf.RAW)).values
             raw_oracle = oracles.charpoly_eigenvalues(
-                oracles.raw_laplacian_fractions(graph)
+                oracles.raw_laplacian_integers(graph)
             )
             norm = sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED)).values
             norm_oracle = oracles.charpoly_eigenvalues(
-                oracles.normalized_similar_fractions(graph)
+                *oracles.normalized_similar_integers(graph)
             )
             worst = max(
                 worst,
@@ -501,15 +501,14 @@ def test_c13_point_cloud_similarity(gaussian_baseline_500):
     for name, make in clouds.items():
         matrix = make(0, n)
         threshold = _connectivity_density(matrix, grid)
-        for kind in (sf.RAW, sf.NORMALIZED):
-            series = sf.gap_curve(matrix, grid, kind)
+        for kind, series in zip(sf.KINDS, sf.gap_curve(matrix, grid, sf.KINDS)):
             tail = series.ys[series.xs >= threshold]
             if not (np.diff(tail) >= -1e-12).all():
                 failures.append(f"{name} {kind} gap not monotone past p={threshold:g}")
-        norm_end = sf.gap_curve(matrix, sf.DensityGrid([1.0]), sf.NORMALIZED).ys[-1]
+        norm_end = sf.gap_curve(matrix, sf.DensityGrid([1.0]), (sf.NORMALIZED,))[0].ys[-1]
         if abs(norm_end - n / (n - 1)) > 1e-6 * n:
             failures.append(f"{name} normalized endpoint {norm_end}")
-        hist = sf.density_snapshot(make(0, 500), 0.2, sf.NORMALIZED)
+        hist, = sf.density_snapshot(make(0, 500), 0.2, (sf.NORMALIZED,))
         ratio = _bin_fraction(hist, 1.0) / max(
             _bin_fraction(gaussian_baseline_500[0.2], 1.0), 1e-12
         )

@@ -101,7 +101,7 @@ def test_traced_results_carry_their_counts(child, tmp_path):
     # a writer's byte count is read as soon as it returns, so its file
     # must be complete and closed by then
     tracer = child.Tracer()
-    histogram = curves.density_snapshot(matrix, 0.5, "raw", bins=50)
+    histogram, = curves.density_snapshot(matrix, 0.5, ("raw",), bins=50)
     for name, fn, args in (("write_csv", write_csv, (histogram, tmp_path / "h.csv")),
                            ("write_svg", write_svg, (histogram, tmp_path / "h.svg", "t"))):
         tracer.wrap("output.write", name, fn, child.COUNTS["output.write"])(*args)

@@ -351,6 +351,22 @@ class TestRun:
         assert err.startswith("specfilt: error: --grid file: ")
         assert err.count("\n") == 1
 
+    def test_grid_file_holds_at_most_one_more_density_than_steps(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_GRID_STEPS", 3)
+        grid_path = tmp_path / "grid.txt"
+        argv = ["gap-curve", "--ensemble", "gaussian", "--n", "10", "--kind", "raw",
+                "--grid", f"file:{grid_path}"]
+        grid_path.write_text("# four densities\n0\n0.25\n\n0.5\n1\n")
+        assert main(argv + ["--output", str(tmp_path / "four")]) == EXIT_OK
+        capsys.readouterr()
+        grid_path.write_text("0\n0.25\n0.5\n0.75\n1\n")
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--output", str(tmp_path / "five")])
+        assert info.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == "specfilt: error: --grid file: more than 4 densities\n"
+        assert not (tmp_path / "five").exists()
+
     def test_missing_grid_file_is_io_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
@@ -503,7 +519,7 @@ class TestRun:
 
 class TestOneFiltrationPerMatrix:
     """Every kind computed from one matrix shares one sort and, for the gap
-    curve, one connectivity pass."""
+    curve, one connectivity pass and one snapshot per checkpoint."""
 
     @staticmethod
     def count_calls(monkeypatch, module, name):
@@ -537,6 +553,25 @@ class TestOneFiltrationPerMatrix:
                      "--kind", "both", "--grid", "uniform:20", "--output", str(tmp_path)])
         assert code == EXIT_OK
         assert len(passes) == 1
+
+    def test_gap_curve_both_kinds_one_snapshot_per_checkpoint(self, tmp_path, monkeypatch):
+        streamed = []  # every Graph the sweep builds
+        stream = curves.stream_prefixes
+
+        def recording(filtration, checkpoints):
+            for graph in stream(filtration, checkpoints):
+                streamed.append(graph)
+                yield graph
+
+        monkeypatch.setattr(curves, "stream_prefixes", recording)
+        code = main(["gap-curve", "--ensemble", "wishart-rank1", "--n", "30", "--seed", "2",
+                     "--kind", "both", "--grid", "uniform:20", "--output", str(tmp_path)])
+        assert code == EXIT_OK
+        filtration = curves.build_filtration(sample_wishart_rank_one(30, 2))
+        counts, _ = curves._checkpoints(DensityGrid.uniform(20), 30)
+        connected = [m for m in counts.tolist() if m >= filtration.connectivity_index]
+        assert 0 < len(connected) < len(counts)
+        assert [graph.edge_count for graph in streamed] == connected
 
     def test_repeats_hold_one_matrix_at_a_time(self, tmp_path, monkeypatch):
         drawn = []
@@ -602,7 +637,7 @@ class TestPooledRepeats:
                      "--grid", "uniform:10", "--output", str(tmp_path / "cli")])
         assert code == EXIT_OK
         for kind in ("raw", "normalized"):
-            draws = [gap_curve(sample_gaussian_symmetric(20, seed + k), grid, kind)
+            draws = [gap_curve(sample_gaussian_symmetric(20, seed + k), grid, (kind,))[0]
                      for k in range(repeats)]
             mean = CurveSeries("gap", draws[0].xs, np.mean([d.ys for d in draws], axis=0))
             expected = tmp_path / f"{kind}.csv"
@@ -899,6 +934,31 @@ class TestMatrixFile:
 
 
 class TestReproducibility:
+    @pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+    @pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
+    def test_each_kind_of_both_is_its_single_kind_run(self, tmp_path, capsys, experiment,
+                                                      ensemble):
+        if ensemble == "matrix-file":
+            path = tmp_path / "matrix.csv"
+            write_matrix_file(path, distance_matrix(sample_noisy_circle(24, 0.1, 4)).dense)
+            size = ["--matrix", str(path)]
+        else:
+            size = ["--n", "24", "--seed", "4"]
+        extra = ["--p", "0.3"] if experiment == "density" else []
+        runs = {}
+        for kind in ("both", "raw", "normalized"):
+            out = tmp_path / kind
+            assert main([experiment, "--ensemble", ensemble, *size, *extra, "--kind", kind,
+                         "--output", str(out)]) == EXIT_OK
+            runs[kind] = ({f.name: f.read_bytes() for f in out.iterdir()},
+                          capsys.readouterr().out.splitlines())
+        files, lines = runs["both"]
+        assert len(files) == 4 and len(lines) == 2
+        for index, kind in enumerate(("raw", "normalized")):
+            assert {name: data for name, data in files.items()
+                    if name.rsplit(".", 1)[0].endswith(f"-{kind}")} == runs[kind][0]
+            assert [lines[index]] == runs[kind][1]
+
     def test_same_arguments_same_bytes(self, tmp_path):
         argv = ["density", "--ensemble", "wishart-rank1", "--n", "50", "--seed", "6",
                 "--p", "0.3", "--output", str(tmp_path)]

@@ -30,6 +30,7 @@ from specfilt.filtration import (
     stream_prefixes,
 )
 from specfilt.spectra import (
+    KINDS,
     NORMALIZED,
     RAW,
     NumericalError,
@@ -108,10 +109,9 @@ class TestGapCurve:
         n = 30
         mat = sample_gaussian_symmetric(n, 5)
         grid = DensityGrid([0.0, 1.0])
-        raw = gap_curve(mat, grid, RAW)
+        raw, norm = gap_curve(mat, grid, (RAW, NORMALIZED))
         assert raw.ys[0] == 0.0
         assert abs(raw.ys[-1] - n) <= 1e-6 * n
-        norm = gap_curve(mat, grid, NORMALIZED)
         assert norm.ys[0] == 0.0
         assert abs(norm.ys[-1] - n / (n - 1)) <= 1e-9
 
@@ -119,15 +119,15 @@ class TestGapCurve:
         # on 4 vertices many densities share an edge count
         mat = sample_gaussian_symmetric(4, 1)
         grid = DensityGrid(np.linspace(0, 1, 101))
-        series = gap_curve(mat, grid, RAW)
+        series, = gap_curve(mat, grid, (RAW,))
         assert len(series) == 7  # C(4,2) + 1 distinct counts
         assert series.xs[0] == 0.0
 
     def test_determinism(self):
         mat = sample_gaussian_symmetric(20, 9)
         grid = DensityGrid.uniform(10)
-        a = gap_curve(mat, grid, RAW)
-        b = gap_curve(mat, grid, RAW)
+        a, = gap_curve(mat, grid, (RAW,))
+        b, = gap_curve(mat, grid, (RAW,))
         assert np.array_equal(a.ys, b.ys)
         assert np.array_equal(a.xs, b.xs)
 
@@ -137,7 +137,7 @@ class TestGapCurve:
         k = int((mat.v < 0).sum())
         stage = k * (n - k)
         total = n * (n - 1) // 2
-        series = gap_curve(mat, DensityGrid([stage / total]), RAW)
+        series, = gap_curve(mat, DensityGrid([stage / total]), (RAW,))
         assert abs(series.ys[0] - min(k, n - k)) <= 1e-6
 
     def test_raw_gap_monotone_under_edge_insertion(self):
@@ -149,7 +149,7 @@ class TestGapCurve:
         for name, make in ENSEMBLES.items():
             for n in (40, 100):
                 for seed in (1, 2, 3):
-                    steps = np.diff(gap_curve(make(n, seed), grid, RAW).ys)
+                    steps = np.diff(gap_curve(make(n, seed), grid, (RAW,))[0].ys)
                     assert steps.min() >= -1e-12 * n, (name, n, seed, steps.min())
 
     def test_numerical_error_carries_density(self, monkeypatch):
@@ -159,14 +159,45 @@ class TestGapCurve:
         monkeypatch.setattr(curves_mod, "eigenvalues", explode)
         mat = sample_gaussian_symmetric(10, 0)
         with pytest.raises(NumericalError) as info:
-            gap_curve(mat, DensityGrid([0.4]), RAW)
+            gap_curve(mat, DensityGrid([0.4]), (RAW,))
         assert info.value.density == 0.4
+
+    @pytest.mark.parametrize("raw_at, normalized_at, reported", [
+        (1, 0, NORMALIZED), (0, 0, RAW), (0, 1, RAW)],
+        ids=["normalized-first", "same-snapshot", "raw-first"])
+    def test_numerical_error_is_the_first_in_density_order(self, monkeypatch, raw_at,
+                                                           normalized_at, reported):
+        # both kinds are taken from each snapshot in turn, so the first
+        # failing snapshot is reported, raw before normalized at one snapshot
+        mat = sample_gaussian_symmetric(20, 3)
+        grid = DensityGrid.uniform(10)
+        index = build_filtration(mat).connectivity_index
+        counts, densities = curves_mod._checkpoints(grid, 20)
+        connected = [(m, p) for m, p in zip(counts.tolist(), densities.tolist()) if m >= index]
+        failing = {RAW: connected[raw_at][0], NORMALIZED: connected[normalized_at][0]}
+        assemble, solve, assembled = curves_mod.laplacian, curves_mod.eigenvalues, []
+
+        def tracking(graph, kind):
+            assembled.append(graph.edge_count)
+            return assemble(graph, kind)
+
+        def failing_solve(quotient):
+            if assembled[-1] == failing[quotient.kind]:
+                raise NumericalError(f"{quotient.kind} failure")
+            return solve(quotient)
+
+        monkeypatch.setattr(curves_mod, "laplacian", tracking)
+        monkeypatch.setattr(curves_mod, "eigenvalues", failing_solve)
+        with pytest.raises(NumericalError) as info:
+            gap_curve(mat, grid, KINDS)
+        assert str(info.value) == f"{reported} failure"
+        assert info.value.density == connected[min(raw_at, normalized_at)][1]
 
     def test_rejects_unknown_kind_on_disconnected_grid(self):
         # no snapshot of this grid is connected, so none builds a Laplacian
         mat = sample_gaussian_symmetric(30, 0)
         with pytest.raises(ValueError, match="kind"):
-            gap_curve(mat, DensityGrid([0.0, 0.01]), "weighted")
+            gap_curve(mat, DensityGrid([0.0, 0.01]), (RAW, "weighted"))
 
 
 @pytest.mark.parametrize("make", list(ENSEMBLES.values()), ids=list(ENSEMBLES))
@@ -174,10 +205,9 @@ def test_endpoint_consistency_for_every_ensemble(make):
     n = 20
     mat = make(n, 6)
     grid = DensityGrid([0.0, 1.0])
-    raw = gap_curve(mat, grid, RAW)
+    raw, norm = gap_curve(mat, grid, (RAW, NORMALIZED))
     assert raw.ys[0] == 0.0
     assert abs(raw.ys[-1] - n) <= 1e-6 * n
-    norm = gap_curve(mat, grid, NORMALIZED)
     assert norm.ys[0] == 0.0
     assert abs(norm.ys[-1] - n / (n - 1)) <= 1e-9
 
@@ -187,8 +217,7 @@ def test_gap_positive_exactly_when_connected():
     grid = DensityGrid.uniform(30)
     for mat in (sample_gaussian_symmetric(n, 14), sample_wishart_rank_one(n, 14)):
         filtration = build_filtration(mat)
-        for kind in (RAW, NORMALIZED):
-            series = gap_curve(mat, grid, kind)
+        for series in gap_curve(mat, grid, KINDS):
             counts = [edge_count_at_density(n, float(p)) for p in series.xs]
             disconnected = 0
             for gap, graph in zip(series.ys, stream_prefixes(filtration, counts)):
@@ -222,7 +251,7 @@ def test_gap_solves_only_from_the_connectivity_index(monkeypatch):
     for kind in (RAW, NORMALIZED):
         built.clear()
         solved.clear()
-        gap_curve(mat, grid, kind)
+        gap_curve(mat, grid, (kind,))
         connected = [m for m in counts if m >= index]
         assert 0 < len(connected) < len(counts)
         assert [m for m, _ in built] == connected
@@ -244,13 +273,14 @@ def test_checkpoints_are_the_first_density_of_each_edge_count():
             checkpoints, densities = curves_mod._checkpoints(grid, n)
             assert checkpoints.tolist() == counts, (n, len(grid))
             assert densities.tolist() == xs, (n, len(grid))
-            assert std_curve(mat, grid, RAW).xs.tolist() == xs, (n, len(grid))
+            assert std_curve(mat, grid, (RAW,))[0].xs.tolist() == xs, (n, len(grid))
     # half way: 0.25 * C(4, 2) = 1.5 rounds up to 2 edges, as 0.3 does
     grid = DensityGrid([0.2, 0.25, 0.3])
     checkpoints, densities = curves_mod._checkpoints(grid, 4)
     assert densities.tolist() == [0.2, 0.25]
     assert checkpoints.tolist() == [1, 2]
-    assert std_curve(sample_gaussian_symmetric(4, 0), grid, RAW).xs.tolist() == [0.2, 0.25]
+    assert std_curve(sample_gaussian_symmetric(4, 0), grid, (RAW,))[0].xs.tolist() == [
+        0.2, 0.25]
 
 
 def _tied_gaussian(n, seed):
@@ -284,8 +314,7 @@ def test_std_stream_equals_the_width_of_each_snapshot(ensemble):
                 # both sides of the normalized sum: the added pairs, and
                 # all pairs less the ones not yet added
                 assert {2 * m <= total for m in counts.tolist()} == {True, False}
-            for kind in (RAW, NORMALIZED):
-                series = std_curve(mat, grid, kind)
+            for kind, series in zip(KINDS, std_curve(mat, grid, KINDS)):
                 for p, value in zip(series.xs.tolist(), series.ys.tolist()):
                     graph = graph_at_density(filtration, p)
                     n2_var = laplacian_n2_variance(
@@ -311,35 +340,78 @@ def test_gap_builds_no_snapshot_below_the_connectivity_index(monkeypatch):
         mat = make(60, 8)
         index = build_filtration(mat).connectivity_index
         counts = [edge_count_at_density(60, float(p)) for p in grid.points]
-        for kind in (RAW, NORMALIZED):
+        for kinds in ((RAW,), (NORMALIZED,), KINDS):
             streamed.clear()
-            series = gap_curve(mat, grid, kind)
+            curves = gap_curve(mat, grid, kinds)
             below = [m < index for m in counts]
             assert 0 < sum(below) < len(counts)
+            # one snapshot per connected checkpoint, however many kinds
             assert streamed == [m for m in counts if m >= index]
-            assert series.ys[below].tolist() == [0.0] * sum(below)
-            assert (series.ys[~np.array(below)] > 0.0).all()
+            for series in curves:
+                assert series.ys[below].tolist() == [0.0] * sum(below)
+                assert (series.ys[~np.array(below)] > 0.0).all()
+
+
+EXPERIMENTS = {
+    "gap": lambda mat, kinds: gap_curve(mat, DensityGrid.uniform(10), kinds),
+    "std": lambda mat, kinds: std_curve(mat, DensityGrid.uniform(10), kinds),
+    "density": lambda mat, kinds: density_snapshot(mat, 0.5, kinds, bins=10),
+}
+
+
+def _same(a, b) -> bool:
+    fields = ("bin_edges", "counts") if hasattr(a, "counts") else ("statistic", "xs", "ys")
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, field), getattr(b, field)) for field in fields)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_kinds_at_once_equal_one_at_a_time(experiment):
+    for name, make in ENSEMBLES.items():
+        mat = make(30, 2)
+        singles = [EXPERIMENTS[experiment](mat, (kind,)) for kind in KINDS]
+        assert all(len(single) == 1 for single in singles)
+        singles = [single for single, in singles]
+        both = EXPERIMENTS[experiment](mat, KINDS)
+        assert len(both) == 2 and all(map(_same, both, singles)), name
+        flipped = EXPERIMENTS[experiment](mat, KINDS[::-1])
+        assert all(map(_same, flipped, singles[::-1])), name
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("kinds", [RAW, NORMALIZED, (), []], ids=["raw", "normalized",
+                                                                 "empty", "empty-list"])
+def test_kinds_are_a_nonempty_tuple_checked_at_entry(monkeypatch, experiment, kinds):
+    # a bare string would otherwise be split into characters ('r', 'a', ...)
+    def unreached(matrix):
+        raise AssertionError("a filtration was built before the kinds were checked")
+
+    monkeypatch.setattr(curves_mod, "build_filtration", unreached)
+    with pytest.raises(ValueError, match=r"nonempty tuple such as \('raw', 'normalized'\), got"):
+        EXPERIMENTS[experiment](sample_gaussian_symmetric(6, 1), kinds)
+    with pytest.raises(ValueError, match="kind must be one of"):
+        EXPERIMENTS[experiment](sample_gaussian_symmetric(6, 1), (RAW, "signless"))
 
 
 class TestStdCurve:
     def test_empty_graph_has_zero_std(self):
         mat = sample_gaussian_symmetric(10, 2)
-        series = std_curve(mat, DensityGrid([0.0]), RAW)
+        series, = std_curve(mat, DensityGrid([0.0]), (RAW,))
         assert series.ys[0] == 0.0
 
     def test_complete_graph_normalized_value(self):
         mat = sample_gaussian_symmetric(4, 2)
-        series = std_curve(mat, DensityGrid([1.0]), NORMALIZED)
+        series, = std_curve(mat, DensityGrid([1.0]), (NORMALIZED,))
         assert abs(series.ys[0] - np.sqrt(1.0 / 3.0)) <= 1e-12
 
     def test_statistic_label(self):
         mat = sample_gaussian_symmetric(6, 2)
-        series = std_curve(mat, DensityGrid([0.0, 1.0]), RAW)
+        series, = std_curve(mat, DensityGrid([0.0, 1.0]), (RAW,))
         assert series.statistic == "std"
 
     def test_rejects_invalid_kind(self):
         with pytest.raises(ValueError):
-            std_curve(sample_gaussian_symmetric(4, 2), DensityGrid([0.0, 1.0]), "signless")
+            std_curve(sample_gaussian_symmetric(4, 2), DensityGrid([0.0, 1.0]), ("signless",))
 
     def test_no_eigensolve(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -350,8 +422,7 @@ class TestStdCurve:
         grid = DensityGrid.with_zero_refinement(15)
         monkeypatch.setattr(curves_mod, "eigenvalues", forbidden)
         monkeypatch.setattr(curves_mod, "laplacian", forbidden)
-        for kind in (RAW, NORMALIZED):
-            series = std_curve(mat, grid, kind)
+        for kind, series in zip(KINDS, std_curve(mat, grid, KINDS)):
             for p, value in zip(series.xs, series.ys):
                 graph = graph_at_density(filtration, float(p))
                 oracle = spectrum_std(eigenvalues(laplacian(graph, kind)))
@@ -379,14 +450,13 @@ class TestSqrtCurve:
 class TestDensitySnapshot:
     def test_zero_density_mass_at_zero(self):
         mat = sample_gaussian_symmetric(20, 8)
-        hist = density_snapshot(mat, 0.0, NORMALIZED, bins=10)
+        hist, = density_snapshot(mat, 0.0, (NORMALIZED,), bins=10)
         assert hist.counts[bin_of(hist, 0.0)] == 20
         assert hist.total == 20
 
     def test_total_conservation(self):
         mat = sample_gaussian_symmetric(30, 8)
-        for kind in (RAW, NORMALIZED):
-            hist = density_snapshot(mat, 0.35, kind, bins=40)
+        for hist in density_snapshot(mat, 0.35, KINDS, bins=40):
             assert hist.total == 30
 
     def test_numerical_error_carries_density(self, monkeypatch):
@@ -395,7 +465,7 @@ class TestDensitySnapshot:
 
         monkeypatch.setattr(curves_mod, "eigenvalues", explode)
         with pytest.raises(NumericalError) as info:
-            density_snapshot(sample_gaussian_symmetric(10, 0), 0.35, NORMALIZED)
+            density_snapshot(sample_gaussian_symmetric(10, 0), 0.35, (NORMALIZED,))
         assert info.value.density == 0.35
         assert NumericalError("where it is raised").density is None
 

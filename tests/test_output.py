@@ -60,7 +60,7 @@ class TestCurveCsv:
 
     def test_round_trip(self, tmp_path):
         mat = sample_gaussian_symmetric(25, 44)
-        series = gap_curve(mat, DensityGrid.uniform(20), RAW)
+        series, = gap_curve(mat, DensityGrid.uniform(20), (RAW,))
         path = tmp_path / "gap.csv"
         write_csv(series, path)
         xs, ys = read_curve_csv(path)

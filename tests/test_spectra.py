@@ -190,14 +190,14 @@ class TestEigenvalues:
             raw = eigenvalues(laplacian(g, RAW)).values
             np.testing.assert_allclose(
                 raw,
-                oracles.charpoly_eigenvalues(oracles.raw_laplacian_fractions(g)),
+                oracles.charpoly_eigenvalues(oracles.raw_laplacian_integers(g)),
                 atol=1e-6,
             )
             norm = eigenvalues(laplacian(g, NORMALIZED)).values
             np.testing.assert_allclose(
                 norm,
                 oracles.charpoly_eigenvalues(
-                    oracles.normalized_similar_fractions(g)
+                    *oracles.normalized_similar_integers(g)
                 ),
                 atol=1e-6,
             )
