@@ -36,8 +36,9 @@ __all__: list[str] = []
 SPLIT_MIN_BYTES = 20_000_000
 
 # the worker's command: it imports specfilt from where this process did,
-# unless the interpreter already finds it elsewhere first
-_WORKER = ("import sys; sys.path.append(sys.argv[1]); from specfilt._twopart import parse_tail; "
+# ahead of the working directory, which -c puts first on the path
+_WORKER = ("import sys; sys.path.insert(0, sys.argv[1]); "
+           "from specfilt._twopart import parse_tail; "
            "parse_tail(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))")
 
 

@@ -300,8 +300,8 @@ def run(config: argparse.Namespace) -> int:
     (:func:`gap_curve`, :func:`std_curve` or :func:`density_snapshot`),
     which sorts it into one filtration and lets go of it before the first
     snapshot.  A density run also frees the filtration before its
-    eigensolves, which run two at a time on two or more CPUs when the BLAS
-    is pinned to one thread (the bytes are the same either way).  Each
+    eigensolves.  A snapshot's two kinds are solved at once where both
+    quotients are large, on two or more CPUs with a one-thread BLAS.  Each
     result is added to one running total per kind as soon as it is
     computed (histogram counts are summed, curves are averaged), so memory
     does not grow with ``--repeats``.  Files are written once every matrix

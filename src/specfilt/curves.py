@@ -31,8 +31,8 @@ walks the filtration's pairs in order once, counting a running degree
 vector, and takes every kind's width from the Laplacian's traces
 (:func:`_width`).
 
-The density histogram solves its quotients as :func:`_solve` does, two
-at once on two CPUs with a one-thread BLAS; sweeps solve one at a time.
+Every snapshot's quotients go through :func:`_solve`, which solves two
+large ones at once on two or more CPUs with a one-thread BLAS.
 """
 
 from __future__ import annotations
@@ -168,10 +168,8 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid,
 
     The gap is exactly 0.0 at every checkpoint below the connectivity
     index (the disconnected ones), where no snapshot is built and nothing
-    is solved; each connected snapshot is built once, and each kind's
-    spectrum of it, in kind order, comes from
-    :func:`specfilt.spectra.laplacian`: exact integers when certified
-    (raw kind), solved over its twin classes otherwise.  At p = 1 the
+    is solved; each connected snapshot is built once, and :func:`_solve`
+    solves its quotients, one per kind, in kind order.  At p = 1 the
     complete graph's gap is exactly n for the raw kind and n/(n - 1) for
     the normalized kind.
     """
@@ -183,12 +181,9 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid,
     values = [[0.0] * skip for _ in kinds]
     snapshots = stream_prefixes(filtration, counts[skip:])
     for p, graph in zip(densities[skip:].tolist(), snapshots):
-        try:
-            for kind, ys in zip(kinds, values):
-                ys.append(spectral_gap(eigenvalues(laplacian(graph, kind))))
-        except NumericalError as exc:
-            exc.density = p
-            raise
+        spectra = _solve([laplacian(graph, kind) for kind in kinds], p)
+        for spectrum, ys in zip(spectra, values):
+            ys.append(spectral_gap(spectrum))
     return tuple(CurveSeries("gap", densities, np.array(ys)) for ys in values)
 
 
@@ -287,32 +282,43 @@ def _concurrent_solves() -> bool:
     return False
 
 
-def _solve(quotients: list) -> list:
-    """The spectra of the quotients, in order.
+# a thread's start and join take about 71 us; with one BLAS thread,
+# eigvalsh takes about 89 us at q = 32 and 254 us at q = 64
+_MIN_CONCURRENT_Q = 64
 
-    With :func:`_concurrent_solves`, a daemon worker thread solves every
-    quotient but the first while this thread solves the first; otherwise
-    they are solved one after the other.  Either way the first failure in
-    quotient order is raised, and an interrupt here does not wait for the
-    worker.
+
+def _solve(quotients: list, density: float) -> list:
+    """The spectra of the quotients of the snapshot at ``density``, in order.
+
+    With :func:`_concurrent_solves` and two quotients of at least
+    ``_MIN_CONCURRENT_Q`` classes, a daemon worker thread solves every
+    quotient but the first while this thread solves the first, with the
+    same bytes as one after the other.  Either way the first failure in
+    quotient order is raised, a :class:`NumericalError` with ``density``
+    set, and an interrupt here does not wait for the worker.
     """
-    if len(quotients) < 2 or not _concurrent_solves():
-        return [eigenvalues(quotient) for quotient in quotients]
-    rest = []  # the worker's spectra, or the exception that stopped it
+    try:
+        if (sum(q.dense.shape[0] >= _MIN_CONCURRENT_Q for q in quotients) < 2
+                or not _concurrent_solves()):
+            return [eigenvalues(quotient) for quotient in quotients]
+        rest = []  # the worker's spectra, or the exception that stopped it
 
-    def solve_rest():
-        try:
-            rest.extend(eigenvalues(quotient) for quotient in quotients[1:])
-        except BaseException as exc:  # raised again by the calling thread
-            rest.append(exc)
+        def solve_rest():
+            try:
+                rest.extend(eigenvalues(quotient) for quotient in quotients[1:])
+            except BaseException as exc:  # raised again by the calling thread
+                rest.append(exc)
 
-    worker = threading.Thread(target=solve_rest, name="specfilt-solve", daemon=True)
-    worker.start()
-    first = eigenvalues(quotients[0])
-    worker.join()
-    if rest and isinstance(rest[-1], BaseException):
-        raise rest[-1]
-    return [first, *rest]
+        worker = threading.Thread(target=solve_rest, name="specfilt-solve", daemon=True)
+        worker.start()
+        first = eigenvalues(quotients[0])
+        worker.join()
+        if rest and isinstance(rest[-1], BaseException):
+            raise rest[-1]
+        return [first, *rest]
+    except NumericalError as exc:
+        exc.density = density
+        raise
 
 
 def density_snapshot(
@@ -329,10 +335,7 @@ def density_snapshot(
     that passed its only reference frees the entries and the rank matrix
     (12 B per n^2) before any quotient is assembled (on Python 3.10 the
     caller's stack keeps the argument until the call returns).  The
-    snapshot is dropped once every kind's quotient is assembled, and the
-    quotients are solved as :func:`_solve` does: two at once on two or
-    more CPUs with a one-thread BLAS, with the same bytes as one after the
-    other.
+    snapshot is dropped before :func:`_solve` solves the quotients.
     """
     kinds = _check_kinds(kinds)
     filtration = build_filtration(matrix)
@@ -341,9 +344,5 @@ def density_snapshot(
     del filtration
     quotients = [laplacian(graph, kind) for kind in kinds]
     del graph
-    try:
-        spectra = _solve(quotients)
-    except NumericalError as exc:
-        exc.density = float(density)
-        raise
+    spectra = _solve(quotients, float(density))
     return tuple(spectrum_histogram(spectrum, bins=bins) for spectrum in spectra)

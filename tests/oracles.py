@@ -15,7 +15,8 @@ come from pair lists through :func:`filtration_from_order` and
 :func:`graph_from_edges`, which check the pairs before handing the
 library its own inputs.
 Matrix CSVs are written, written curves read back, histogram bins looked
-up and lines fitted here too.
+up and lines fitted here too, and the exact law of the Gaussian
+filtration's no-isolated-vertex index is summed in Python integers.
 """
 
 from __future__ import annotations
@@ -459,6 +460,17 @@ def first_odd_cycle_index(order) -> int:
             parent[ri] = rj
             parity[ri] = pi ^ pj ^ 1
     return len(order) + 1
+
+
+def no_isolated_vertex_law(n: int, m: int) -> Fraction:
+    """P(tau_1 <= m) in the random graph process on n vertices: the chance
+    that m pairs drawn uniformly without replacement from the C(n, 2)
+    leave no vertex isolated.  Inclusion-exclusion over the k vertices
+    forced isolated, whose complement holds C(n - k, 2) pairs:
+    sum_k (-1)^k C(n, k) C(C(n - k, 2), m) / C(C(n, 2), m)."""
+    hits = sum((-1) ** k * math.comb(n, k) * math.comb(math.comb(n - k, 2), m)
+               for k in range(n + 1))
+    return Fraction(hits, math.comb(math.comb(n, 2), m))
 
 
 def sorted_pairs_by_entry(dense) -> list[tuple[int, int]]:

@@ -647,9 +647,19 @@ class TestPooledRepeats:
 
 
 class TestSolvesAtOnce:
-    """A density run of both kinds solves the second on a worker thread when
-    the process may run on two CPUs with a one-thread BLAS; its bytes,
-    messages and exit codes are those of one solve after the other."""
+    """A run of both kinds solves the second kind of a snapshot on a worker
+    thread when two of its quotients have at least 64 classes and the
+    process may run on two CPUs with a one-thread BLAS; its bytes, messages
+    and exit codes are those of one solve after the other.  Each case runs
+    as ``density`` here and as ``gap-curve`` in the subclass below."""
+
+    experiment = "density"
+    freed = [True, True]  # matrix and filtration, when the quotients are assembled
+
+    @staticmethod
+    def at(tmp_path, p):
+        """The options that put the run's one snapshot at density p."""
+        return ["--p", p]
 
     @staticmethod
     def threads_started(monkeypatch):
@@ -664,19 +674,33 @@ class TestSolvesAtOnce:
         return started
 
     @staticmethod
-    def density(tmp_path, *argv):
-        return main(["density", "--ensemble", "gaussian", "--n", "20", "--seed", "2",
-                     "--p", "0.3", "--kind", "both", *argv, "--output", str(tmp_path)])
+    def large_pairs(monkeypatch):
+        """Per call to _solve, whether two of its quotients have 64 or more
+        classes."""
+        large, solve = [], curves._solve
+
+        def recording(quotients, density):
+            large.append(sum(q.dense.shape[0] >= 64 for q in quotients) >= 2)
+            return solve(quotients, density)
+
+        monkeypatch.setattr(curves, "_solve", recording)
+        return large
+
+    def run(self, tmp_path, *argv, ensemble="gaussian", p="0.3"):
+        return main([self.experiment, "--ensemble", ensemble, "--n", "80", "--seed", "2",
+                     *self.at(tmp_path, p), "--kind", "both", *argv,
+                     "--output", str(tmp_path / "out")])
 
     @pytest.mark.parametrize("ensemble", cli.ENSEMBLES)
     def test_same_bytes_as_one_after_the_other(self, tmp_path, monkeypatch, capsys, ensemble):
         if ensemble == "matrix-file":
             path = tmp_path / "matrix.csv"
-            write_matrix_file(path, distance_matrix(sample_noisy_circle(40, 0.1, 4)).dense)
+            write_matrix_file(path, distance_matrix(sample_noisy_circle(80, 0.1, 4)).dense)
             size, repeats = ["--matrix", str(path)], ["1"]
         else:
-            size, repeats = ["--n", "40"], ["1", "3"]
+            size, repeats = ["--n", "80"], ["1", "3"]
         started = self.threads_started(monkeypatch)
+        large = self.large_pairs(monkeypatch)
         for p in ("0", "0.05", "0.2", "1"):
             for draws in repeats:
                 written = {}
@@ -684,14 +708,28 @@ class TestSolvesAtOnce:
                     monkeypatch.setattr(curves, "_concurrent_solves", lambda: at_once)
                     out = tmp_path / f"{p}-{draws}-{at_once}"
                     started.clear()
-                    assert main(["density", "--ensemble", ensemble, *size, "--seed", "5",
-                                 "--p", p, "--repeats", draws, "--kind", "both",
+                    large.clear()
+                    assert main([self.experiment, "--ensemble", ensemble, *size, "--seed", "5",
+                                 *self.at(tmp_path, p), "--repeats", draws, "--kind", "both",
                                  "--output", str(out)]) == EXIT_OK
-                    assert len(started) == at_once * int(draws)
+                    # a thread exactly where two quotients reach 64 classes:
+                    # never at p = 0 or 1, nor for the rank-one ensembles,
+                    # whose raw quotients are certified (0 classes)
+                    assert len(started) == at_once * sum(large)
+                    if p in ("0", "1") or ensemble.endswith("rank1"):
+                        assert not any(large)
+                    elif ensemble in ("gaussian", "torus") and p == "0.2":
+                        assert sum(large) == int(draws)
                     written[at_once] = ({f.name: f.read_bytes() for f in out.iterdir()},
                                         capsys.readouterr().out)
                 assert len(written[True][0]) == 4
                 assert written[True] == written[False], (p, draws)
+
+    def test_torus_snapshot_starts_one_thread(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(curves, "_concurrent_solves", lambda: True)
+        started = self.threads_started(monkeypatch)
+        assert self.run(tmp_path, ensemble="torus", p="0.2") == EXIT_OK
+        assert [thread.name for thread in started] == ["specfilt-solve"]
 
     @pytest.mark.parametrize("failing", [("raw",), ("normalized",), ("raw", "normalized")],
                              ids=["first", "second", "both"])
@@ -708,7 +746,7 @@ class TestSolvesAtOnce:
         reported = {}
         for at_once in (False, True):
             monkeypatch.setattr(curves, "_concurrent_solves", lambda: at_once)
-            assert self.density(tmp_path) == EXIT_NUMERICAL
+            assert self.run(tmp_path) == EXIT_NUMERICAL
             reported[at_once] = capsys.readouterr()
         assert reported[True] == reported[False]
         assert reported[True].out == ""
@@ -728,8 +766,8 @@ class TestSolvesAtOnce:
         monkeypatch.setattr(curves, "eigenvalues", exhausted)
         for at_once in (False, True):
             monkeypatch.setattr(curves, "_concurrent_solves", lambda: at_once)
-            assert self.density(tmp_path) == EXIT_USAGE
-            assert capsys.readouterr().err == "specfilt: error: not enough memory for n=20\n"
+            assert self.run(tmp_path) == EXIT_USAGE
+            assert capsys.readouterr().err == "specfilt: error: not enough memory for n=80\n"
         assert threads[0] is threading.main_thread() is not threads[1]
 
     def test_interrupt_does_not_wait_for_the_worker(self, tmp_path, monkeypatch, capsys):
@@ -746,7 +784,7 @@ class TestSolvesAtOnce:
         monkeypatch.setattr(curves, "_concurrent_solves", lambda: True)
         started = self.threads_started(monkeypatch)
         try:
-            assert self.density(tmp_path) == EXIT_INTERRUPTED
+            assert self.run(tmp_path) == EXIT_INTERRUPTED
             assert solved == []
         finally:
             release.set()
@@ -778,13 +816,13 @@ class TestSolvesAtOnce:
         monkeypatch.setattr(curves, "_cpu_count", lambda: cpus)
         assert curves._concurrent_solves() is at_once
         started = self.threads_started(monkeypatch)
-        assert self.density(tmp_path) == EXIT_OK
+        assert self.run(tmp_path) == EXIT_OK
         assert len(started) == at_once
 
     def test_single_kind_starts_no_thread(self, tmp_path, monkeypatch):
         monkeypatch.setattr(curves, "_concurrent_solves", lambda: True)
         started = self.threads_started(monkeypatch)
-        assert self.density(tmp_path, "--kind", "raw") == EXIT_OK
+        assert self.run(tmp_path, "--kind", "raw") == EXIT_OK
         assert started == []
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -803,14 +841,38 @@ class TestSolvesAtOnce:
             return tracking
 
         def checking(graph, kind):
-            freed.append([ref() for ref in made[-2:]] == [None, None])
+            freed.append([ref() is None for ref in made[-2:]] == self.freed)
             return assemble(graph, kind)
 
         monkeypatch.setattr(cli, "_draw", tracked(cli._draw))
         monkeypatch.setattr(curves, "build_filtration", tracked(curves.build_filtration))
         monkeypatch.setattr(curves, "laplacian", checking)
-        assert self.density(tmp_path, "--repeats", "2") == EXIT_OK
+        assert self.run(tmp_path, "--repeats", "2") == EXIT_OK
         assert freed == [True] * 4
+
+
+class TestGapCurveSolvesAtOnce(TestSolvesAtOnce):
+    """The cases above as ``gap-curve`` runs on a one-point grid, and the
+    benchmark's sweep, whose quotients are too small to solve at once."""
+
+    experiment = "gap-curve"
+    freed = [True, False]  # a sweep holds its filtration for the next snapshot
+
+    @staticmethod
+    def at(tmp_path, p):
+        grid = tmp_path / f"grid-{p}.txt"
+        grid.write_text(f"{p}\n")
+        return ["--grid", f"file:{grid}"]
+
+    def test_rank_one_sweep_starts_no_thread(self, tmp_path, monkeypatch):
+        # wishart-rank1, n = 500, uniform:50: every raw quotient has at
+        # most 6 classes
+        monkeypatch.setattr(curves, "_concurrent_solves", lambda: True)
+        started = self.threads_started(monkeypatch)
+        assert main(["gap-curve", "--ensemble", "wishart-rank1", "--n", "500", "--seed", "1",
+                     "--kind", "both", "--grid", "uniform:50",
+                     "--output", str(tmp_path)]) == EXIT_OK
+        assert started == []
 
 
 class TestMatrixFile:

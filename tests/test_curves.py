@@ -1,6 +1,7 @@
 """Density sweeps: grids, curve series and transforms."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from specfilt.spectra import (
     NORMALIZED,
     RAW,
     NumericalError,
+    TwinQuotient,
     eigenvalues,
     laplacian,
     spectrum_std,
@@ -392,6 +394,25 @@ def test_kinds_are_a_nonempty_tuple_checked_at_entry(monkeypatch, experiment, ki
     with pytest.raises(ValueError, match="kind must be one of"):
         EXPERIMENTS[experiment](sample_gaussian_symmetric(6, 1), (RAW, "signless"))
 
+
+
+@pytest.mark.parametrize("sizes,threads", [
+    ((64, 64), 1), ((63, 64), 0), ((64, 63), 0), ((0, 2000), 0), ((64,), 0),
+    ((1, 64, 64), 1), ((64, 64, 1), 1),
+], ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else str(value))
+def test_two_solves_at_once_from_64_classes(monkeypatch, sizes, threads):
+    started, start = [], threading.Thread.start
+
+    def counting(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    monkeypatch.setattr(curves_mod, "_concurrent_solves", lambda: True)
+    monkeypatch.setattr(curves_mod, "eigenvalues", lambda quotient: quotient.dense.shape[0])
+    quotients = [TwinQuotient(RAW, np.zeros((q, q)), np.zeros(0)) for q in sizes]
+    assert curves_mod._solve(quotients, 0.5) == list(sizes)
+    assert len(started) == threads
 
 class TestStdCurve:
     def test_empty_graph_has_zero_std(self):

@@ -1,7 +1,10 @@
 """Generator contracts: determinism, symmetry, distributions, geometry."""
 
+import functools
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +21,9 @@ from specfilt.ensembles import (
     sample_positive_rank_one,
     sample_wishart_rank_one,
 )
+from specfilt.filtration import build_filtration
+
+from oracles import no_isolated_vertex_law
 
 ALL_MATRIX_SAMPLERS = [
     sample_gaussian_symmetric,
@@ -285,3 +291,33 @@ class TestDistanceMatrix:
         assert np.array_equal(mat.dense, mat.dense.T)
         assert (mat.offdiagonal_upper() >= 0).all()
         assert mat.ensemble == "torus"
+
+
+class TestGaussianIsTheRandomGraphProcess:
+    """i.i.d. continuous entries make the pair order a uniform random
+    permutation, so the Gaussian filtration is the Erdos-Renyi random graph
+    process, and its no-isolated-vertex index tau_1 (the first edge count
+    at which every vertex has an edge) follows an exact finite-n law."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_law_counts_every_m_edge_graph(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        for m in range(len(pairs) + 1):
+            covering = sum(len(set(itertools.chain(*edges))) == n
+                           for edges in itertools.combinations(pairs, m))
+            assert no_isolated_vertex_law(n, m) == Fraction(covering, math.comb(len(pairs), m))
+
+    def test_index_follows_the_law(self):
+        # one-sample Kolmogorov-Smirnov at the 5% level, seeds and critical
+        # value fixed in advance; for a discrete law the test is conservative
+        draws = 300
+        taus = np.array([build_filtration(sample_gaussian_symmetric(100, seed)).rank
+                         .min(axis=1).max() + 1 for seed in range(1, draws + 1)])
+        values, counts = np.unique(taus, return_counts=True)
+        upto = np.cumsum(counts)
+        below, upto = (upto - counts) / draws, upto / draws
+        law = functools.cache(lambda m: float(no_isolated_vertex_law(100, m)))
+        # the sup of |F_300 - F| is reached at an observed value or just below one
+        distance = max(max(abs(u - law(x)), abs(b - law(x - 1)))
+                       for x, b, u in zip(values.tolist(), below, upto))
+        assert distance < 1.36 / math.sqrt(draws), distance

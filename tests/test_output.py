@@ -372,6 +372,20 @@ class TestMatrixCsvInTwoParts:
         assert np.array_equal(two.view(np.int64), one.view(np.int64))
         assert np.array_equal(two, dense)
 
+    def test_worker_imports_this_specfilt_before_the_working_directory(
+            self, tmp_path, workers, in_two, monkeypatch):
+        # python -c puts the working directory first on the worker's path
+        decoy = tmp_path / "cwd" / "specfilt"
+        decoy.mkdir(parents=True)
+        (decoy / "__init__.py").write_text('raise ImportError("a decoy specfilt")\n')
+        monkeypatch.chdir(decoy.parent)
+        dense = distance_matrix(sample_noisy_circle(40, seed=6)).dense
+        path = tmp_path / "matrix.csv"
+        self.write(path, matrix_csv_rows(dense))
+        assert np.array_equal(read_matrix_csv(path).dense, dense)
+        assert len(workers) == 1
+        assert len(in_two) == 1 and isinstance(in_two[0], np.ndarray)
+
     def test_rows_that_arrive_in_pieces_are_read_whole(self, tmp_path, workers, in_two,
                                                        monkeypatch):
         # each readinto of the pipe must wait for the whole array, however
