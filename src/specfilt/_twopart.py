@@ -28,11 +28,13 @@ from .output import _parse
 __all__: list[str] = []
 
 # A --matrix file of at least this many bytes is parsed in two parts at
-# once.  A worker process that imports specfilt starts in about 78 ms,
-# and numpy.loadtxt parses about 120 MB/s (2 CPUs, numpy 2.4), so a
-# file of S bytes takes about 0.078 s + S / 240 MB/s in two parts against
-# S / 120 MB/s in one: two parts gain once S > 2 x 0.078 s x 120 MB/s,
-# about 19 MB.
+# once.  With a worker that starts in t seconds and a parse rate of r, a
+# file of S bytes takes about t + S / 2r in two parts against S / r in
+# one, so two parts gain once S > 2 t r.  On a 2-CPU x86-64 host with
+# numpy 2.4, a posix_spawn of the interpreter plus
+# ``import specfilt._twopart`` took 0.12-0.19 s and a one-part read ran
+# at 65-80 MB/s, which puts the break-even at 16-30 MB; a 25.6 MB file
+# took 0.36 s in two parts against 0.40 s in one.
 SPLIT_MIN_BYTES = 20_000_000
 
 # the worker's command: it imports specfilt from where this process did,

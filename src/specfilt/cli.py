@@ -298,10 +298,12 @@ def run(config: argparse.Namespace) -> int:
     Matrices are drawn one at a time, and each is handed, as the only
     reference, to one experiment call for every kind at once
     (:func:`gap_curve`, :func:`std_curve` or :func:`density_snapshot`),
-    which sorts it into one filtration and lets go of it before the first
-    snapshot.  A density run also frees the filtration before its
-    eigensolves.  A snapshot's two kinds are solved at once where both
-    quotients are large, on two or more CPUs with a one-thread BLAS.  Each
+    which lets go of it before the first quotient is assembled: a sweep
+    once it has sorted the matrix into one filtration, a density run once
+    it has selected its one snapshot, with no sort.  A snapshot's two
+    kinds are solved at once where both quotients are large, on two or
+    more CPUs with a one-thread BLAS, and one after the other otherwise,
+    with one quotient held at a time.  Each
     result is added to one running total per kind as soon as it is
     computed (histogram counts are summed, curves are averaged), so memory
     does not grow with ``--repeats``.  Files are written once every matrix

@@ -7,11 +7,12 @@ value) pairs ready for CSV or SVG output.  Fitting a curve is left to
 the caller (the square-root demo calls ``numpy.polyfit`` itself).
 
 Every experiment takes a tuple of kinds and returns one result per kind,
-in that order.  It builds the matrix's filtration and lets go of the
-matrix; each snapshot then serves every kind, and the kinds of a gap
-curve share the spanning tree that gives the connectivity index.
-Filtrations and snapshots come only from :mod:`specfilt.filtration`'s
-builders, never from pair lists.
+in that order.  A sweep builds the matrix's filtration and lets go of
+the matrix; each snapshot then serves every kind, and the kinds of a gap
+curve share the spanning tree that gives the connectivity index.  A
+density snapshot selects its pairs from the matrix and builds no
+filtration.  Filtrations and snapshots come only from
+:mod:`specfilt.filtration`'s builders, never from pair lists.
 
 The gap curve and the density histogram take each spectrum they need
 from :func:`specfilt.spectra.laplacian`, which checks the kind and
@@ -31,8 +32,9 @@ walks the filtration's pairs in order once, counting a running degree
 vector, and takes every kind's width from the Laplacian's traces
 (:func:`_width`).
 
-Every snapshot's quotients go through :func:`_solve`, which solves two
-large ones at once on two or more CPUs with a one-thread BLAS.
+Every snapshot goes through :func:`_solve`, which assembles and solves
+one kind at a time, or, on two or more CPUs with a one-thread BLAS,
+solves two large quotients at once.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid,
     values = [[0.0] * skip for _ in kinds]
     snapshots = stream_prefixes(filtration, counts[skip:])
     for p, graph in zip(densities[skip:].tolist(), snapshots):
-        spectra = _solve([laplacian(graph, kind) for kind in kinds], p)
+        spectra = _solve([graph], kinds, p)
         for spectrum, ys in zip(spectra, values):
             ys.append(spectral_gap(spectrum))
     return tuple(CurveSeries("gap", densities, np.array(ys)) for ys in values)
@@ -287,19 +289,28 @@ def _concurrent_solves() -> bool:
 _MIN_CONCURRENT_Q = 64
 
 
-def _solve(quotients: list, density: float) -> list:
-    """The spectra of the quotients of the snapshot at ``density``, in order.
+def _solve(snapshot: list, kinds: tuple[str, ...], density: float) -> list:
+    """The spectra of the snapshot at ``density``, one per kind, in order.
 
-    With :func:`_concurrent_solves` and two quotients of at least
+    The snapshot is taken out of the one-element list ``snapshot``, so a
+    caller that keeps no other reference to it lets it go here.  Without
+    :func:`_concurrent_solves`, each kind's quotient is assembled and
+    solved before the next kind's is assembled, so one quotient is held at
+    a time.  With it, every quotient is assembled and the snapshot dropped
+    before any solve; where two quotients have at least
     ``_MIN_CONCURRENT_Q`` classes, a daemon worker thread solves every
     quotient but the first while this thread solves the first, with the
     same bytes as one after the other.  Either way the first failure in
-    quotient order is raised, a :class:`NumericalError` with ``density``
-    set, and an interrupt here does not wait for the worker.
+    kind order is raised, a :class:`NumericalError` with ``density`` set,
+    and an interrupt here does not wait for the worker.
     """
+    graph = snapshot.pop()
     try:
-        if (sum(q.dense.shape[0] >= _MIN_CONCURRENT_Q for q in quotients) < 2
-                or not _concurrent_solves()):
+        if not _concurrent_solves():
+            return [eigenvalues(laplacian(graph, kind)) for kind in kinds]
+        quotients = [laplacian(graph, kind) for kind in kinds]
+        del graph
+        if sum(q.dense.shape[0] >= _MIN_CONCURRENT_Q for q in quotients) < 2:
             return [eigenvalues(quotient) for quotient in quotients]
         rest = []  # the worker's spectra, or the exception that stopped it
 
@@ -330,19 +341,17 @@ def density_snapshot(
     """Histogram of the spectrum at one density, over the default range,
     per kind.
 
-    This call drops its reference to the matrix once it holds the
-    filtration, and the filtration once it holds the snapshot, so a caller
-    that passed its only reference frees the entries and the rank matrix
-    (12 B per n^2) before any quotient is assembled (on Python 3.10 the
-    caller's stack keeps the argument until the call returns).  The
-    snapshot is dropped before :func:`_solve` solves the quotients.
+    The snapshot is selected straight from the matrix
+    (:func:`specfilt.filtration.graph_at_density`, no sort and no
+    filtration), and this call drops its reference to the matrix once it
+    holds the snapshot, so a caller that passed its only reference frees
+    the entries before any quotient is assembled (on Python 3.10 the
+    caller's stack keeps the argument until the call returns).
+    :func:`_solve` then assembles and solves the quotients, and with two
+    solves at once drops the snapshot before them.
     """
     kinds = _check_kinds(kinds)
-    filtration = build_filtration(matrix)
+    snapshot = [graph_at_density(matrix, density)]
     del matrix
-    graph = graph_at_density(filtration, density)
-    del filtration
-    quotients = [laplacian(graph, kind) for kind in kinds]
-    del graph
-    spectra = _solve(quotients, float(density))
+    spectra = _solve(snapshot, kinds, float(density))
     return tuple(spectrum_histogram(spectrum, bins=bins) for spectrum in spectra)

@@ -283,29 +283,41 @@ def sample_noisy_torus(
     return PointCloud(points, ensemble="torus")
 
 
+# rows per block of the distance kernel: at n = 2000 a block and its
+# temporary are 256 KiB each.  On a 2-CPU x86-64 host with numpy 2.4, the
+# torus at n = 2000 took 28 ms in 8- to 32-row blocks and 34 ms in
+# 64-row blocks or in one n x n pass
+_DISTANCE_ROWS = 16
+
+
 def distance_matrix(cloud: PointCloud) -> SymmetricMatrix:
     """Euclidean distance matrix of a point cloud (zero diagonal).
 
-    Built in one n x n buffer: per coordinate the outer difference
-    x[i] - x[j] is squared and added, left to right over the coordinates,
-    then the square root is taken in place.  Negation is exact, so the
-    two triangles are bitwise equal, and each entry equals the pairwise
-    formula ``sqrt(sum((p[i] - p[j]) ** 2))``.  Finite coordinates can
-    still overflow the sum of squares, so the entries are checked for
-    finiteness once.
+    Built in one n x n buffer, ``_DISTANCE_ROWS`` rows at a time: per
+    coordinate the outer difference x[i] - x[j] is squared and added,
+    left to right over the coordinates, then the square root is taken in
+    place.  Negation is exact, so the two triangles are bitwise equal,
+    and each entry equals the pairwise formula
+    ``sqrt(sum((p[i] - p[j]) ** 2))``.  Finite coordinates can still
+    overflow the sum of squares, so each block's entries are checked for
+    finiteness.
     """
     x = cloud.points.T
-    dense = np.empty((cloud.n, cloud.n))
-    term = np.empty_like(dense)
+    n = cloud.n
+    dense = np.empty((n, n))
+    term = np.empty((min(_DISTANCE_ROWS, n), n))
     with np.errstate(over="ignore"):  # rejected below
-        np.subtract.outer(x[0], x[0], out=dense)
-        np.multiply(dense, dense, out=dense)
-        for coordinate in x[1:]:
-            np.subtract.outer(coordinate, coordinate, out=term)
-            np.multiply(term, term, out=term)
-            dense += term
-        del term
-        np.sqrt(dense, out=dense)
-    if not np.isfinite(dense).all():
-        raise ValueError("matrix entries must be finite")
+        for start in range(0, n, _DISTANCE_ROWS):
+            rows = slice(start, start + _DISTANCE_ROWS)
+            block = dense[rows]
+            part = term[:block.shape[0]]
+            np.subtract.outer(x[0, rows], x[0], out=block)
+            np.multiply(block, block, out=block)
+            for coordinate in x[1:]:
+                np.subtract.outer(coordinate[rows], coordinate, out=part)
+                np.multiply(part, part, out=part)
+                block += part
+            np.sqrt(block, out=block)
+            if not np.isfinite(block).all():
+                raise ValueError("matrix entries must be finite")
     return SymmetricMatrix._trusted(dense, ensemble=cloud.ensemble)

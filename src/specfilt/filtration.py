@@ -7,11 +7,16 @@ simple graph; sweeping m from 0 to C(n, 2) produces an increasing family
 of graphs that starts at the edgeless graph and ends at the complete
 graph.  Diagonal entries are never consulted.
 
-The order is one sort of the C(n, 2) entries above the diagonal: numpy's
-default (SIMD) ``argsort``, whose order within a run of equal entries is
-arbitrary, followed by an exact repair that re-sorts only the positions
-of such runs by pair index (see :func:`build_filtration`).  A stable
-sort gives the same order at about three times the cost.
+One snapshot needs only to know which m pairs come first, not the order
+of all of them: :func:`graph_at_density` selects them from the matrix
+with one partition of the entries above the diagonal, no sort.
+
+A sweep over many edge counts sorts once.  The order is one sort of the
+C(n, 2) entries above the diagonal: numpy's default (SIMD) ``argsort``,
+whose order within a run of equal entries is arbitrary, followed by an
+exact repair that re-sorts only the positions of such runs by pair index
+(see :func:`build_filtration`).  A stable sort gives the same order at
+about three times the cost.
 
 A filtration is held as its rank matrix R, the inverse of that sort:
 ``R[i, j] = R[j, i]`` is the position of pair (i, j) in the order, and
@@ -23,9 +28,10 @@ it on first use and keeps it (:attr:`EdgeFiltration.connectivity_index`).
 The pairs listed in that order, which the width curve walks, are derived
 from R the same way, on first use (:attr:`EdgeFiltration.pair_order`).
 
-Filtrations and snapshots are built only here, by :func:`build_filtration`
-and by thresholding its rank matrix, so their constructors take what the
-library computes and check nothing.
+Filtrations and snapshots are built only here, by :func:`build_filtration`,
+by thresholding its rank matrix and by :func:`graph_at_density`'s
+selection, so their constructors take what the library computes and
+check nothing.
 
 All arithmetic on edge counts is integer arithmetic; converting a target
 density p to an edge count rounds half up (see
@@ -207,18 +213,51 @@ def edge_count_at_density(n: int, density: float) -> int:
     return int(_edge_counts(n, density))
 
 
-def graph_at_density(filtration: EdgeFiltration, density: float) -> Graph:
-    """Snapshot on the first ``round(p * C(n, 2))`` filtration edges."""
-    return Graph(filtration.rank < edge_count_at_density(filtration.n, density))
+def graph_at_density(matrix, density: float) -> Graph:
+    """Snapshot on the first ``m = round(p * C(n, 2))`` pairs of the
+    matrix's order, selected without sorting.
+
+    t, the m-th smallest entry above the diagonal, is found by one
+    ``np.partition``.  The snapshot holds every pair whose entry is below
+    t and the first ``m - #{entry < t}`` pairs whose entry equals t in
+    (i, j) order, which are exactly the first m pairs of the (value, i, j)
+    order: its adjacency equals ``build_filtration(matrix).rank < m``.
+    Raises ``ValueError`` for a density outside [0, 1] or a NaN entry.
+    """
+    n = matrix.n
+    m = edge_count_at_density(n, density)
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    values = matrix.dense[upper]
+    if np.isnan(values).any():
+        raise ValueError("matrix contains NaN entries")
+    if m == 0:
+        return Graph(np.zeros((n, n), dtype=bool))
+    values.partition(m - 1)
+    t = values[m - 1]
+    # every entry below t lies before position m - 1
+    below = np.count_nonzero(values[:m - 1] < t)
+    if below + np.count_nonzero(values == t) == m:  # every tie at t is in
+        adjacency = matrix.dense <= t
+    else:
+        adjacency = matrix.dense < t
+        tied = matrix.dense == t
+        tied &= upper
+        # nonzero lists the tied pairs row by row, in (i, j) order
+        i, j = (ends[:m - below] for ends in np.nonzero(tied))
+        adjacency[i, j] = True
+        adjacency[j, i] = True
+    np.fill_diagonal(adjacency, False)
+    return Graph(adjacency)
 
 
 def stream_prefixes(filtration: EdgeFiltration, checkpoints):
     """Iterate graph snapshots at the given edge counts.
 
     ``checkpoints`` must be non-decreasing integers in [0, C(n, 2)];
-    anything else raises ``ValueError`` before the first snapshot.  Each
-    yielded graph equals the corresponding :func:`graph_at_density`
-    result; the costly sort is shared across all checkpoints.
+    anything else raises ``ValueError`` before the first snapshot.  The
+    graph at m edges equals :func:`graph_at_density` of the filtration's
+    matrix at density ``m / C(n, 2)``; the costly sort is shared across
+    all checkpoints.
     """
     counts = []
     for c in checkpoints:

@@ -78,9 +78,8 @@ def snapshot_battery():
     for ensemble in ALL_ENSEMBLES:
         for seed in range(4):
             matrix = _matrix_for(ensemble, n, seed)
-            filtration = sf.build_filtration(matrix)
             for density in (0.02, 0.05, 0.1, 0.3, 0.6):
-                graph = sf.graph_at_density(filtration, density)
+                graph = sf.graph_at_density(matrix, density)
                 raw = sf.eigenvalues(sf.laplacian(graph, sf.RAW))
                 norm = sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED))
                 battery.append((ensemble, graph, raw, norm))
@@ -132,7 +131,7 @@ def test_c02_er_raw_gap_linearity():
 def test_c03_er_normalized_gap_limit():
     n = 500
     matrix = sf.sample_gaussian_symmetric(n, 0)
-    graph = sf.graph_at_density(sf.build_filtration(matrix), 0.5)
+    graph = sf.graph_at_density(matrix, 0.5)
     gap = sf.spectral_gap(sf.eigenvalues(sf.laplacian(graph, sf.NORMALIZED)))
     lo = 1.0 - 5.0 / np.sqrt(n)
     _report(3, "ER normalized gap at p=0.5 in [1 - 5/sqrt(n), 1)",

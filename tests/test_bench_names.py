@@ -35,8 +35,9 @@ def test_every_traced_name_resolves(child):
 
 
 WRITERS = {"write_csv", "write_svg"}
-SNAPSHOT = {"density_snapshot", "build_filtration", "graph_at_density", "laplacian",
-            "eigenvalues", "spectrum_histogram"} | WRITERS
+# a density run selects its snapshot from the matrix: no filtration is built
+SNAPSHOT = {"density_snapshot", "graph_at_density", "laplacian", "eigenvalues",
+            "spectrum_histogram"} | WRITERS
 
 # the command shape of each benchmark workload (bench/run.py), at n = 40,
 # and every traced name it must reach
@@ -86,8 +87,8 @@ def test_traced_results_carry_their_counts(child, tmp_path):
     assert child.COUNTS["filtration.build"]((matrix,), filtration) == {
         "pairs": n * (n - 1) // 2}
     snapshot_count = child.COUNTS["filtration.snapshot"]
-    graph = curves.graph_at_density(filtration, 0.5)
-    assert snapshot_count((filtration, 0.5), graph) == {"edges": 33}
+    graph = curves.graph_at_density(matrix, 0.5)
+    assert snapshot_count((matrix, 0.5), graph) == {"edges": 33}
     for m, graph in zip([0, 7, 66], curves.stream_prefixes(filtration, [0, 7, 66])):
         assert snapshot_count((filtration, [0, 7, 66]), graph) == {"edges": m}
     eigensolve_count = child.COUNTS["spectra.eigensolve"]

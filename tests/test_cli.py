@@ -24,7 +24,7 @@ from specfilt.ensembles import (distance_matrix, sample_gaussian_symmetric,
                                 sample_noisy_circle, sample_wishart_rank_one)
 from specfilt.filtration import MAX_N, EdgeFiltration
 from specfilt.output import write_csv
-from specfilt.spectra import NumericalError
+from specfilt.spectra import NumericalError, laplacian
 
 from oracles import read_curve_csv, write_matrix_file
 
@@ -534,7 +534,8 @@ class TestOneFiltrationPerMatrix:
         return calls
 
     @pytest.mark.parametrize("argv, builds", [
-        (["density", "--ensemble", "torus", "--n", "30", "--p", "0.3"], 1),
+        # a density run selects its snapshot and sorts nothing
+        (["density", "--ensemble", "torus", "--n", "30", "--p", "0.3"], 0),
         (["std-curve", "--ensemble", "gaussian", "--n", "20"], 1),
         (["gap-curve", "--ensemble", "gaussian", "--n", "20", "--seed", "4",
           "--repeats", "3", "--grid", "uniform:10"], 3),
@@ -654,7 +655,6 @@ class TestSolvesAtOnce:
     as ``density`` here and as ``gap-curve`` in the subclass below."""
 
     experiment = "density"
-    freed = [True, True]  # matrix and filtration, when the quotients are assembled
 
     @staticmethod
     def at(tmp_path, p):
@@ -679,9 +679,10 @@ class TestSolvesAtOnce:
         classes."""
         large, solve = [], curves._solve
 
-        def recording(quotients, density):
-            large.append(sum(q.dense.shape[0] >= 64 for q in quotients) >= 2)
-            return solve(quotients, density)
+        def recording(snapshot, kinds, density):
+            sizes = [laplacian(snapshot[0], kind).dense.shape[0] for kind in kinds]
+            large.append(sum(q >= 64 for q in sizes) >= 2)
+            return solve(snapshot, kinds, density)
 
         monkeypatch.setattr(curves, "_solve", recording)
         return large
@@ -829,26 +830,51 @@ class TestSolvesAtOnce:
                         reason="before 3.11 the caller's stack holds a call's arguments")
     def test_matrix_is_freed_before_the_quotients_are_assembled(self, tmp_path,
                                                                 monkeypatch):
-        made, freed = [], []  # weak references to each matrix and filtration
-        assemble = curves.laplacian
+        made, freed = [], []  # a weak reference to each matrix drawn
+        draw, assemble = cli._draw, curves.laplacian
 
-        def tracked(fn):
-            def tracking(*args):
-                result = fn(*args)
-                made.append(weakref.ref(result))
-                return result
-
-            return tracking
+        def tracking(config, seed):
+            matrix = draw(config, seed)
+            made.append(weakref.ref(matrix))
+            return matrix
 
         def checking(graph, kind):
-            freed.append([ref() is None for ref in made[-2:]] == self.freed)
+            freed.append(made[-1]() is None)
             return assemble(graph, kind)
 
-        monkeypatch.setattr(cli, "_draw", tracked(cli._draw))
-        monkeypatch.setattr(curves, "build_filtration", tracked(curves.build_filtration))
+        monkeypatch.setattr(cli, "_draw", tracking)
         monkeypatch.setattr(curves, "laplacian", checking)
         assert self.run(tmp_path, "--repeats", "2") == EXIT_OK
         assert freed == [True] * 4
+
+    @pytest.mark.parametrize("ensemble", ["gaussian", "torus"])
+    def test_one_quotient_at_a_time_one_after_the_other(self, tmp_path, monkeypatch,
+                                                        capsys, ensemble):
+        # solved at once, both quotients are assembled before either solve
+        made, alive = [], []  # weak references to every quotient, live ones per assembly
+        assemble = curves.laplacian
+
+        def tracking(graph, kind):
+            quotient = assemble(graph, kind)
+            made.append(weakref.ref(quotient))
+            alive.append(sum(ref() is not None for ref in made))
+            return quotient
+
+        monkeypatch.setattr(curves, "laplacian", tracking)
+        written = {}
+        for at_once in (True, False):
+            monkeypatch.setattr(curves, "_concurrent_solves", lambda: at_once)
+            made.clear()
+            alive.clear()
+            work = tmp_path / str(at_once)
+            work.mkdir()
+            assert self.run(work, ensemble=ensemble) == EXIT_OK
+            assert alive == ([1, 2] if at_once else [1, 1])
+            out = work / "out"
+            written[at_once] = ({f.name: f.read_bytes() for f in out.iterdir()},
+                                capsys.readouterr().out)
+        assert len(written[False][0]) == 4
+        assert written[False] == written[True]
 
 
 class TestGapCurveSolvesAtOnce(TestSolvesAtOnce):
@@ -856,7 +882,6 @@ class TestGapCurveSolvesAtOnce(TestSolvesAtOnce):
     benchmark's sweep, whose quotients are too small to solve at once."""
 
     experiment = "gap-curve"
-    freed = [True, False]  # a sweep holds its filtration for the next snapshot
 
     @staticmethod
     def at(tmp_path, p):

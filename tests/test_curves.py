@@ -318,7 +318,7 @@ def test_std_stream_equals_the_width_of_each_snapshot(ensemble):
                 assert {2 * m <= total for m in counts.tolist()} == {True, False}
             for kind, series in zip(KINDS, std_curve(mat, grid, KINDS)):
                 for p, value in zip(series.xs.tolist(), series.ys.tolist()):
-                    graph = graph_at_density(filtration, p)
+                    graph = graph_at_density(mat, p)
                     n2_var = laplacian_n2_variance(
                         n, np.argwhere(np.triu(graph.adjacency)), kind)
                     oracle = math.sqrt(n2_var) / n
@@ -385,10 +385,11 @@ def test_kinds_at_once_equal_one_at_a_time(experiment):
                                                                  "empty", "empty-list"])
 def test_kinds_are_a_nonempty_tuple_checked_at_entry(monkeypatch, experiment, kinds):
     # a bare string would otherwise be split into characters ('r', 'a', ...)
-    def unreached(matrix):
-        raise AssertionError("a filtration was built before the kinds were checked")
+    def unreached(*args):
+        raise AssertionError("a filtration or snapshot was built before the kinds were checked")
 
     monkeypatch.setattr(curves_mod, "build_filtration", unreached)
+    monkeypatch.setattr(curves_mod, "graph_at_density", unreached)
     with pytest.raises(ValueError, match=r"nonempty tuple such as \('raw', 'normalized'\), got"):
         EXPERIMENTS[experiment](sample_gaussian_symmetric(6, 1), kinds)
     with pytest.raises(ValueError, match="kind must be one of"):
@@ -410,8 +411,11 @@ def test_two_solves_at_once_from_64_classes(monkeypatch, sizes, threads):
     monkeypatch.setattr(threading.Thread, "start", counting)
     monkeypatch.setattr(curves_mod, "_concurrent_solves", lambda: True)
     monkeypatch.setattr(curves_mod, "eigenvalues", lambda quotient: quotient.dense.shape[0])
+    # the kinds stand for quotients of the given sizes
     quotients = [TwinQuotient(RAW, np.zeros((q, q)), np.zeros(0)) for q in sizes]
-    assert curves_mod._solve(quotients, 0.5) == list(sizes)
+    monkeypatch.setattr(curves_mod, "laplacian", lambda graph, kind: quotients[kind])
+    kinds = tuple(range(len(sizes)))
+    assert curves_mod._solve(["graph"], kinds, 0.5) == list(sizes)
     assert len(started) == threads
 
 class TestStdCurve:
@@ -439,13 +443,12 @@ class TestStdCurve:
             raise AssertionError("std_curve must not build or solve a Laplacian")
 
         mat = sample_gaussian_symmetric(15, 4)
-        filtration = build_filtration(mat)
         grid = DensityGrid.with_zero_refinement(15)
         monkeypatch.setattr(curves_mod, "eigenvalues", forbidden)
         monkeypatch.setattr(curves_mod, "laplacian", forbidden)
         for kind, series in zip(KINDS, std_curve(mat, grid, KINDS)):
             for p, value in zip(series.xs, series.ys):
-                graph = graph_at_density(filtration, float(p))
+                graph = graph_at_density(mat, float(p))
                 oracle = spectrum_std(eigenvalues(laplacian(graph, kind)))
                 assert abs(value - oracle) <= 1e-12
 

@@ -270,20 +270,37 @@ class TestDistanceMatrix:
         assert mat.dense[0, 1] == 0.0
         assert mat.dense[0, 2] > 0
 
+    # the kernel works in blocks of ROWS rows: sizes below, at, one past and
+    # one past a multiple of a block, and a size of many blocks
+    ROWS = ensembles._DISTANCE_ROWS
+    SIZES = (2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1, 150)
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("sigma", [0.0, 0.1, 2.5])
     @pytest.mark.parametrize(
         "sample",
-        [lambda sigma, seed: sample_noisy_circle(150, sigma, seed),
-         lambda sigma, seed: sample_noisy_torus(150, 2.0, 1.0, sigma, seed)],
+        [lambda n, sigma, seed: sample_noisy_circle(n, sigma, seed),
+         lambda n, sigma, seed: sample_noisy_torus(n, 2.0, 1.0, sigma, seed)],
         ids=["circle", "torus"],
     )
     def test_bitwise_equal_to_pair_gather(self, sample, sigma, seed):
-        cloud = sample(sigma, seed)
-        dense = distance_matrix(cloud).dense
-        oracle = distances_by_pair_gather(cloud.points)
-        # compared as bits, so that -0.0 and 0.0 differ
-        assert np.array_equal(dense.view(np.int64), oracle.view(np.int64))
+        for n in self.SIZES:
+            cloud = sample(n, sigma, seed)
+            dense = distance_matrix(cloud).dense
+            oracle = distances_by_pair_gather(cloud.points)
+            # compared as bits, so that -0.0 and 0.0 differ
+            assert np.array_equal(dense.view(np.int64), oracle.view(np.int64)), n
+
+    @pytest.mark.parametrize("n", [2, ROWS, ROWS + 1, 2 * ROWS + 1])
+    def test_overflowing_distances_rejected(self, n):
+        # finite coordinates whose one overflowing distance is between the
+        # last two points; every other distance is finite
+        points = np.zeros((n, 2))
+        points[n - 2, 0], points[n - 1, 0] = 1e154, -1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                distance_matrix(PointCloud(points))
 
     def test_symmetry_and_provenance(self):
         cloud = sample_noisy_torus(20, seed=3)

@@ -13,6 +13,8 @@ from specfilt.ensembles import (
     distance_matrix,
     sample_gaussian_symmetric,
     sample_noisy_circle,
+    sample_noisy_torus,
+    sample_positive_rank_one,
     sample_wishart_rank_one,
 )
 from specfilt.filtration import (
@@ -76,7 +78,7 @@ class TestBuildFiltration:
         dense = np.zeros((3, 3))
         dense[0, 1] = dense[1, 0] = np.nan
         stub = types.SimpleNamespace(n=3, dense=dense)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matrix contains NaN entries"):
             build_filtration(stub)
 
     def test_rejects_n_past_the_int32_ranks_before_allocating(self):
@@ -174,9 +176,9 @@ class TestBuildFiltrationTies:
 
 class TestGraphAtDensity:
     def test_endpoints(self):
-        f = build_filtration(sample_gaussian_symmetric(10, 2))
-        empty = graph_at_density(f, 0.0)
-        full = graph_at_density(f, 1.0)
+        mat = sample_gaussian_symmetric(10, 2)
+        empty = graph_at_density(mat, 0.0)
+        full = graph_at_density(mat, 1.0)
         assert empty.edge_count == 0
         assert full.edge_count == 45
         assert components_by_bfs(10, edges_of(empty)) == 10
@@ -184,31 +186,87 @@ class TestGraphAtDensity:
 
     def test_half_density_on_four_vertices(self):
         mat = sample_gaussian_symmetric(4, 3)
-        f = build_filtration(mat)
-        g = graph_at_density(f, 0.5)
+        g = graph_at_density(mat, 0.5)
         assert g.edge_count == 3
         smallest = oracles.sorted_pairs_by_entry(mat.dense)[:3]
         assert set(edges_of(g)) == set(smallest)
 
     def test_rounding_is_half_up(self):
         # C(4,2) = 6, so p = 1/12 maps to 0.5 edges and rounds to 1
-        f = build_filtration(sample_gaussian_symmetric(4, 3))
-        assert graph_at_density(f, 1.0 / 12.0).edge_count == 1
+        mat = sample_gaussian_symmetric(4, 3)
+        assert graph_at_density(mat, 1.0 / 12.0).edge_count == 1
         assert edge_count_at_density(4, 0.25) == 2  # 1.5 rounds up
 
     def test_rejects_out_of_range(self):
-        f = build_filtration(sample_gaussian_symmetric(4, 3))
-        for p in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                graph_at_density(f, p)
+        mat = sample_gaussian_symmetric(4, 3)
+        for p in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValueError, match=r"density must lie in \[0, 1\]"):
+                graph_at_density(mat, p)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_rejects_nan(self, p):
+        dense = np.zeros((3, 3))
+        dense[0, 1] = dense[1, 0] = np.nan
+        stub = types.SimpleNamespace(n=3, dense=dense)
+        with pytest.raises(ValueError, match="matrix contains NaN entries"):
+            graph_at_density(stub, p)
 
     def test_snapshot_is_read_only_threshold_of_rank(self):
-        f = build_filtration(sample_gaussian_symmetric(10, 2))
-        for g in (graph_at_density(f, 0.3), *stream_prefixes(f, [0, 13, 45])):
+        mat = sample_gaussian_symmetric(10, 2)
+        f = build_filtration(mat)
+        for g in (graph_at_density(mat, 0.3), *stream_prefixes(f, [0, 13, 45])):
             assert np.array_equal(g.adjacency, f.rank < g.edge_count)
             assert np.count_nonzero(g.adjacency) == 2 * g.edge_count
             assert not g.adjacency.flags.writeable
             assert not g.degrees.flags.writeable
+
+
+def assert_every_prefix_selected(mat):
+    """graph_at_density(mat, m / C(n, 2)) is the filtration's prefix of m
+    edges, for every m from 0 to C(n, 2)."""
+    f = build_filtration(mat)
+    total = f.total_pairs
+    for m in range(total + 1):
+        g = graph_at_density(mat, m / total)
+        prefix = f.rank < m
+        assert g.edge_count == m
+        assert g.adjacency.dtype == bool
+        assert np.array_equal(g.adjacency, prefix), (mat.n, m)
+        assert np.array_equal(g.degrees, np.count_nonzero(prefix, axis=1))
+        assert not g.adjacency.flags.writeable
+        assert not g.degrees.flags.writeable
+
+
+class TestSelectionEqualsTheSortedPrefix:
+    """The selection against the sort, at every edge count: m = 0, m =
+    C(n, 2) and every m between."""
+
+    @pytest.mark.parametrize("spread", [1, 3], ids=["three-values", "seven-values"])
+    def test_small_integer_and_signed_zero_entries(self, spread):
+        # long runs of ties, -0.0 equal to 0.0, and a diagonal that holds the
+        # tied values too (it is never consulted)
+        rng = np.random.default_rng(30 + spread)
+        negative_zeros = 0
+        for n in range(2, 25):
+            values = rng.integers(-spread, spread + 1, n * (n - 1) // 2).astype(float)
+            zeros = np.flatnonzero(values == 0)
+            values[zeros[rng.random(zeros.size) < 0.5]] = -0.0
+            dense = symmetric_from_upper_values(values, n).dense.copy()
+            np.fill_diagonal(dense, rng.integers(-spread, spread + 1, n))
+            mat = SymmetricMatrix(dense)
+            negative_zeros += np.count_nonzero(np.signbit(mat.dense[mat.dense == 0]))
+            assert_every_prefix_selected(mat)
+        assert negative_zeros > 0
+
+    def test_every_ensemble_at_60(self):
+        for make in (sample_gaussian_symmetric, sample_positive_rank_one,
+                     sample_wishart_rank_one,
+                     # v = |k - 30|: equal entries in runs, and a zero row
+                     lambda n, seed: RankOneMatrix(np.abs(np.arange(1.0, n + 1) - n / 2)),
+                     lambda n, seed: distance_matrix(sample_noisy_circle(n, 0.1, seed)),
+                     lambda n, seed: distance_matrix(sample_noisy_torus(n, 2.0, 1.0, 0.1,
+                                                                        seed))):
+            assert_every_prefix_selected(make(60, 9))
 
 
 class TestGraphValidation:
@@ -278,11 +336,12 @@ class TestStreamPrefixes:
     def test_exhaustive_equality_with_from_scratch(self):
         for seed in range(4):
             n = 5 + seed
-            f = build_filtration(sample_gaussian_symmetric(n, seed))
+            mat = sample_gaussian_symmetric(n, seed)
+            f = build_filtration(mat)
             total = f.total_pairs
             streamed = list(stream_prefixes(f, list(range(total + 1))))
             for m, g in enumerate(streamed):
-                direct = graph_at_density(f, m / total)
+                direct = graph_at_density(mat, m / total)
                 checked = graph_from_edges(n, order_of(f)[:m])
                 for other in (direct, checked):
                     assert other.edge_count == g.edge_count == m
