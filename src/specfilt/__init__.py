@@ -13,6 +13,14 @@ Everything is deterministic given a seed; see :mod:`specfilt.ensembles`
 for the exact randomness contract.  The ``specfilt`` command-line tool
 (:mod:`specfilt.cli`) writes CSV data files and self-contained SVG plots.
 
+Values from outside are checked once, where they enter: the matrix by
+its constructor, :func:`~specfilt.ensembles.distance_matrix` or
+:func:`~specfilt.output.read_matrix_csv`, the grid by
+:class:`~specfilt.curves.DensityGrid`, and each scalar or sequence
+argument by the public function that takes it.  The types the library
+builds from them (filtrations, snapshots, spectra, curves, histograms)
+check nothing.
+
 A name is public when its module lists it in ``__all__``; this package
 re-exports exactly those names, module by module.
 """

@@ -17,8 +17,9 @@ library's: :data:`specfilt.spectra.KINDS`,
 :data:`specfilt.spectra.DEFAULT_BINS` and
 :meth:`specfilt.curves.DensityGrid.uniform`.  A ``--grid file:PATH``
 holds one density per line; blank lines and lines starting with ``#``
-are skipped.  A leading UTF-8 byte-order mark is ignored there and in
-the ``--matrix`` file.
+are skipped, and a byte that is not UTF-8 is named by its line.  A
+leading UTF-8 byte-order mark is ignored there and in the ``--matrix``
+file.
 
 Exit status: 0 success, 1 usage error (including an n whose matrices do
 not fit in memory), 2 I/O failure, 3 numerical failure, 130 interrupted
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -206,19 +208,25 @@ def _grid(parser: _Parser, spec: str) -> DensityGrid:
     # a file's errors are the run's: one line, no usage block
     try:
         points = []
-        for line in Path(tail).read_text(encoding="utf-8-sig").split("\n"):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                if len(points) > MAX_GRID_STEPS:
-                    raise ValueError(f"more than {MAX_GRID_STEPS + 1} densities")
-                try:
-                    points.append(float(line))
-                except ValueError:
-                    raise ValueError(f"unparsable density {line!r}") from None
+        # line by line, so that the cap stops the read; surrogateescape
+        # decodes each byte that is not UTF-8 to one of U+DC80..U+DCFF
+        with Path(tail).open(encoding="utf-8-sig", errors="surrogateescape") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.isascii() and (byte := re.search("[\udc80-\udcff]", line)):
+                    raise ValueError(f"byte 0x{ord(byte[0]) - 0xdc00:02x} on line {number} "
+                                     "is not UTF-8")
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    if len(points) > MAX_GRID_STEPS:
+                        raise ValueError(f"more than {MAX_GRID_STEPS + 1} densities")
+                    try:
+                        points.append(float(line))
+                    except ValueError:
+                        raise ValueError(f"unparsable density {line!r}") from None
         return DensityGrid(points)
     except OSError as exc:
         parser.exit(EXIT_IO, f"{parser.prog}: i/o error: {exc}\n")
-    except ValueError as exc:  # a UnicodeDecodeError too
+    except ValueError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: --grid file: {exc}\n")
 
 

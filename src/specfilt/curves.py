@@ -125,25 +125,23 @@ class DensityGrid:
 
 @dataclass(frozen=True)
 class CurveSeries:
-    """A scalar spectral statistic sampled along a density grid."""
+    """A scalar spectral statistic sampled along a density grid.
+
+    Built by :func:`gap_curve`, :func:`std_curve` and :func:`sqrt_curve`
+    (and by the CLI, which averages their ``ys`` over draws): ``xs`` are
+    the ascending, distinct, in-range grid densities of distinct edge
+    counts, and ``ys`` one finite value per density, nonnegative for the
+    gap and the width.  The constructor takes ownership of both arrays,
+    makes them read-only and checks nothing.
+    """
 
     statistic: str
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
-        xs = np.array(self.xs, dtype=float)
-        ys = np.array(self.ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
-            raise ValueError("xs and ys must be equal-length nonempty vectors")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("xs must be strictly ascending")
-        if not np.isfinite(ys).all():
-            raise ValueError("ys must be finite")
-        xs.setflags(write=False)
-        ys.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        self.xs.setflags(write=False)
+        self.ys.setflags(write=False)
 
     def __len__(self) -> int:
         return self.xs.size
@@ -252,9 +250,8 @@ def std_curve(matrix: SymmetricMatrix, grid: DensityGrid,
 
 
 def sqrt_curve(series: CurveSeries) -> CurveSeries:
-    """Pointwise square root of a curve (all values must be nonnegative)."""
-    if (series.ys < 0).any():
-        raise ValueError("cannot take the square root of negative values")
+    """Pointwise square root of a curve; every gap and width is
+    nonnegative, the eigenvalues being clamped to at least 0."""
     return CurveSeries(f"sqrt-{series.statistic}", series.xs, np.sqrt(series.ys))
 
 

@@ -155,7 +155,7 @@ def build_filtration(matrix) -> EdgeFiltration:
     result equals a stable sort of the entries listed in (i, j) order.
     Each pair's position in that sort is written straight into the rank
     matrix, which is int32: C(n, 2) fits for n up to ``MAX_N``.  Raises
-    ``ValueError`` for a larger n, before allocating, or a NaN entry.
+    ``ValueError`` for a larger n, before allocating.
     """
     n = matrix.n
     if n > MAX_N:
@@ -163,7 +163,10 @@ def build_filtration(matrix) -> EdgeFiltration:
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     # the entries are read row by row, in (i, j) order, the order in
     # which boolean indexing by upper writes them back
-    by_position = _ranks(matrix.dense[upper])
+    values = matrix.dense[upper]
+    by_position = np.argsort(values)
+    _order_ties(values[by_position], by_position)
+    del values
     positions = np.empty(by_position.size, dtype=np.int32)
     positions[by_position] = np.arange(by_position.size, dtype=np.int32)
     rank = np.empty((n, n), dtype=np.int32)
@@ -171,15 +174,6 @@ def build_filtration(matrix) -> EdgeFiltration:
     rank.T[upper] = positions
     np.fill_diagonal(rank, by_position.size)
     return EdgeFiltration(rank)
-
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Indices that sort ``values`` ascending, equal values by index."""
-    if np.isnan(values).any():
-        raise ValueError("matrix contains NaN entries")
-    rank = np.argsort(values)
-    _order_ties(values[rank], rank)
-    return rank
 
 
 def _order_ties(sorted_values: np.ndarray, rank: np.ndarray) -> None:
@@ -222,14 +216,12 @@ def graph_at_density(matrix, density: float) -> Graph:
     t and the first ``m - #{entry < t}`` pairs whose entry equals t in
     (i, j) order, which are exactly the first m pairs of the (value, i, j)
     order: its adjacency equals ``build_filtration(matrix).rank < m``.
-    Raises ``ValueError`` for a density outside [0, 1] or a NaN entry.
+    Raises ``ValueError`` for a density outside [0, 1].
     """
     n = matrix.n
     m = edge_count_at_density(n, density)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     values = matrix.dense[upper]
-    if np.isnan(values).any():
-        raise ValueError("matrix contains NaN entries")
     if m == 0:
         return Graph(np.zeros((n, n), dtype=bool))
     values.partition(m - 1)

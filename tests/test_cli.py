@@ -315,14 +315,14 @@ class TestRun:
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("0\n0.5\n1\n")
         reads = []
-        read_text = Path.read_text
+        path_open = Path.open
 
         def counting(self, *args, **kwargs):
             if self == grid_path:
                 reads.append(self)
-            return read_text(self, *args, **kwargs)
+            return path_open(self, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", counting)
+        monkeypatch.setattr(Path, "open", counting)
         code = main(
             ["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
              "--kind", "both", "--grid", f"file:{grid_path}",
@@ -367,6 +367,19 @@ class TestRun:
         assert capsys.readouterr().err == "specfilt: error: --grid file: more than 4 densities\n"
         assert not (tmp_path / "five").exists()
 
+    def test_grid_file_read_stops_at_the_cap(self, tmp_path, monkeypatch, capsys):
+        # a file read whole is decoded whole: the byte past the comments
+        # would fail the read before the densities were counted
+        monkeypatch.setattr(cli, "MAX_GRID_STEPS", 3)
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_bytes(b"0\n0.25\n0.5\n0.75\n1\n" + (b"#" * 99 + b"\n") * 1000
+                              + b"\xff\n")
+        with pytest.raises(SystemExit) as info:
+            main(["gap-curve", "--ensemble", "gaussian", "--n", "10",
+                  "--grid", f"file:{grid_path}", "--output", str(tmp_path / "out")])
+        assert info.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == "specfilt: error: --grid file: more than 4 densities\n"
+
     def test_missing_grid_file_is_io_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
@@ -381,9 +394,8 @@ class TestRun:
         ("file:", None, EXIT_USAGE, "error: --grid file:PATH needs a path"),
         ("file:{path}", None, EXIT_IO,
          "i/o error: [Errno 2] No such file or directory: '{path}'"),
-        ("file:{path}", b"\xff0.5\n", EXIT_USAGE,
-         "error: --grid file: 'utf-8' codec can't decode byte 0xff in position 0: "
-         "invalid start byte"),
+        ("file:{path}", b"0\n\xff0.5\n", EXIT_USAGE,
+         "error: --grid file: byte 0xff on line 2 is not UTF-8"),
         ("file:{path}", b"0\nx\n", EXIT_USAGE, "error: --grid file: unparsable density 'x'"),
         ("file:{path}", b"# none\n\n", EXIT_USAGE,
          "error: --grid file: a density grid needs at least one point"),
@@ -979,6 +991,37 @@ class TestMatrixFile:
         assert capsys.readouterr().err == (
             "specfilt: error: --matrix: could not convert string 'abc' to float64 "
             "on line 4, column 3\n")
+
+    # the reader's finiteness check is the only one: the filtration and
+    # the snapshot take the matrix as it is
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_usage_error(self, tmp_path, capsys, cell):
+        text = f"0,1,2,3\n1,0,4,5\n2,4,0,{cell}\n3,5,{cell},0\n"
+        assert self.run_matrix(tmp_path, text) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "specfilt: error: --matrix: matrix entries must be finite\n")
+
+    @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="no worker without posix_spawn")
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_in_the_workers_part_is_usage_error(self, tmp_path, monkeypatch,
+                                                               capsys, cell):
+        monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 0)
+        monkeypatch.setattr(_twopart, "_cpu_count", lambda: 2)
+        read_in_two, parts = _twopart.read_in_two, []
+
+        def recorded(fh, split, path):
+            parts.append((split, read_in_two(fh, split, path)))
+            return parts[-1][1]
+
+        monkeypatch.setattr(_twopart, "read_in_two", recorded)
+        text = f"0,1,2,3\n1,0,4,5\n2,4,0,6\n3,5,{cell},0\n"
+        assert self.run_matrix(tmp_path, text) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "specfilt: error: --matrix: matrix entries must be finite\n")
+        # both parts were parsed, and the worker's held the cell
+        (split, dense), = parts
+        assert text.index(cell) >= split
+        assert not np.isfinite(dense[3, 2])
 
     def test_out_of_memory_names_the_file(self, tmp_path, monkeypatch, capsys):
         # the size is not known before the file is read

@@ -338,3 +338,35 @@ class TestGaussianIsTheRandomGraphProcess:
         distance = max(max(abs(u - law(x)), abs(b - law(x - 1)))
                        for x, b, u in zip(values.tolist(), below, upto))
         assert distance < 1.36 / math.sqrt(draws), distance
+
+
+class TestRankOneConnectsWhereVSays:
+    """A rank-one filtration's connectivity index is read from v alone.
+
+    With v > 0, each vertex's neighbourhood grows as a prefix of the
+    vertices by increasing v (a threshold graph), so the snapshot is
+    connected once the vertex of least v joins the vertex of greatest v.
+    A Wishart snapshot starts as a chain graph between the sign classes,
+    and is connected once, from each class, the vertex of least |v| joins
+    the other class's vertex of greatest |v|."""
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_positive(self, n):
+        for seed in range(1, 21):
+            mat = sample_positive_rank_one(n, seed)
+            filtration = build_filtration(mat)
+            pair = np.argmin(mat.v), np.argmax(mat.v)
+            assert filtration.connectivity_index == filtration.rank[pair] + 1, seed
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_wishart(self, n):
+        for seed in range(1, 21):
+            mat = sample_wishart_rank_one(n, seed)
+            size = np.abs(mat.v)
+            classes = [np.flatnonzero(mat.v > 0), np.flatnonzero(mat.v < 0)]
+            assert all(c.size for c in classes), seed
+            crossing = [(a[np.argmin(size[a])], b[np.argmax(size[b])])
+                        for a, b in (classes, classes[::-1])]
+            filtration = build_filtration(mat)
+            assert filtration.connectivity_index == 1 + max(
+                filtration.rank[pair] for pair in crossing), seed

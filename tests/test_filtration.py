@@ -74,13 +74,6 @@ class TestBuildFiltration:
             (i, j) for i in range(9) for j in range(i + 1, 9)
         ]
 
-    def test_rejects_nan(self):
-        dense = np.zeros((3, 3))
-        dense[0, 1] = dense[1, 0] = np.nan
-        stub = types.SimpleNamespace(n=3, dense=dense)
-        with pytest.raises(ValueError, match="matrix contains NaN entries"):
-            build_filtration(stub)
-
     def test_rejects_n_past_the_int32_ranks_before_allocating(self):
         # C(n, 2) is the diagonal's rank, past every pair's
         assert MAX_N * (MAX_N - 1) // 2 <= np.iinfo(np.int32).max
@@ -202,14 +195,6 @@ class TestGraphAtDensity:
         for p in (-0.1, 1.1, float("nan")):
             with pytest.raises(ValueError, match=r"density must lie in \[0, 1\]"):
                 graph_at_density(mat, p)
-
-    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    def test_rejects_nan(self, p):
-        dense = np.zeros((3, 3))
-        dense[0, 1] = dense[1, 0] = np.nan
-        stub = types.SimpleNamespace(n=3, dense=dense)
-        with pytest.raises(ValueError, match="matrix contains NaN entries"):
-            graph_at_density(stub, p)
 
     def test_snapshot_is_read_only_threshold_of_rank(self):
         mat = sample_gaussian_symmetric(10, 2)

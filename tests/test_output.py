@@ -86,10 +86,6 @@ class TestHistogramCsv:
         write_csv(hist, path)
         assert path.read_text() == "bin_lo,bin_hi,count\n0,0.5,2\n0.5,1,3\n"
 
-    def test_zero_bin_histogram_is_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram(bin_edges=np.array([0.0]), counts=np.array([], dtype=int))
-
 
 class TestSvg:
     def test_curve_has_exactly_one_polyline(self, tmp_path):

@@ -16,7 +16,6 @@ from specfilt.filtration import build_filtration, stream_prefixes
 from specfilt.spectra import (
     NORMALIZED,
     RAW,
-    Histogram,
     NumericalError,
     TwinQuotient,
     _twin_classes,
@@ -366,10 +365,6 @@ class TestSpectrumHistogram:
         spec = eigenvalues(laplacian(complete_graph(3), RAW))
         with pytest.raises(ValueError):
             spectrum_histogram(spec, bins=0)
-
-    def test_histogram_type_validation(self):
-        with pytest.raises(ValueError):
-            Histogram(bin_edges=np.array([0.0]), counts=np.array([], dtype=int))
 
 
 class TestSpectrumStd:
