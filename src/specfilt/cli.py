@@ -70,6 +70,9 @@ MAX_BINS = 10**6
 # a larger uniform:K, or a grid file of more than K + 1 densities, would
 # allocate every density before the sweep drops those of a repeated edge count
 MAX_GRID_STEPS = 10**6
+# a grid file's line is read at most this many characters at a time, its
+# newline included, so a file without newlines cannot be read whole
+MAX_GRID_LINE = 1 << 16
 # far more draws than an average needs: memory does not grow with the
 # draws, but at this limit the smallest run (n = 2, both kinds) already
 # takes about a minute
@@ -208,10 +211,14 @@ def _grid(parser: _Parser, spec: str) -> DensityGrid:
     # a file's errors are the run's: one line, no usage block
     try:
         points = []
-        # line by line, so that the cap stops the read; surrogateescape
-        # decodes each byte that is not UTF-8 to one of U+DC80..U+DCFF
+        # line by line, each line read to at most MAX_GRID_LINE + 1
+        # characters, so that the cap stops the read and an over-long line
+        # is refused unread; surrogateescape decodes each byte that is not
+        # UTF-8 to one of U+DC80..U+DCFF
         with Path(tail).open(encoding="utf-8-sig", errors="surrogateescape") as fh:
-            for number, line in enumerate(fh, 1):
+            for number, line in enumerate(iter(lambda: fh.readline(MAX_GRID_LINE + 1), ""), 1):
+                if len(line) > MAX_GRID_LINE:
+                    raise ValueError(f"line {number} is longer than {MAX_GRID_LINE} characters")
                 if not line.isascii() and (byte := re.search("[\udc80-\udcff]", line)):
                     raise ValueError(f"byte 0x{ord(byte[0]) - 0xdc00:02x} on line {number} "
                                      "is not UTF-8")

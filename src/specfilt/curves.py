@@ -281,9 +281,15 @@ def _concurrent_solves() -> bool:
     return False
 
 
-# a thread's start and join take about 71 us; with one BLAS thread,
-# eigvalsh takes about 89 us at q = 32 and 254 us at q = 64
-_MIN_CONCURRENT_Q = 64
+# the smallest quotient at which two solves at once beat one after the
+# other, measured on a 2-vCPU x86-64 host with OpenBLAS at one thread in
+# alternated pairs.  Both kinds of a twin-free Gaussian snapshot took
+# 28.2 ms at once against 47.4 ms one after the other at q = 525 (15
+# pairs of 16 won), and a uniform:50 Gaussian gap sweep at n = 525 took
+# 1.43 s against 2.48 s (10 of 10).  From q = 300 to 500 neither way won
+# in every run (5 of 10 to 11 of 16 pairs, medians within 8%); at
+# q = 150 two at once won 2 pairs of 12, and at q = 64 none
+_MIN_CONCURRENT_Q = 525
 
 
 def _solve(snapshot: list, kinds: tuple[str, ...], density: float) -> list:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .filtration import _upper_mask
+
 __all__ = [
     "SymmetricMatrix",
     "RankOneMatrix",
@@ -159,7 +161,7 @@ def _symmetric_from_upper(n, upper, ensemble) -> SymmetricMatrix:
     # same values keeps the two triangles bitwise identical, and
     # Box-Muller draws are always finite, so nothing is left to check.
     dense = np.zeros((n, n))
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask = _upper_mask(n)
     dense[mask] = upper
     dense.T[mask] = upper
     return SymmetricMatrix._trusted(dense, ensemble=ensemble)

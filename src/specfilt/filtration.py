@@ -127,22 +127,33 @@ class Graph:
     """Immutable snapshot of a filtration prefix: n vertices, m edges.
 
     Holds the read-only boolean adjacency matrix (symmetric, False on the
-    diagonal), its read-only degree vector and the edge count, half the
-    degree sum.  The constructor takes ownership of ``adjacency`` and
-    makes it read-only.
+    diagonal), its read-only int32 degree vector and the edge count, half
+    the degree sum.  The constructor takes ownership of ``adjacency`` and
+    makes it read-only.  ``derived`` is where :mod:`specfilt.spectra`
+    keeps what it computes from the snapshot (its raw certificate and its
+    twin classes), so that every kind asked of it shares one analysis.
     """
 
     def __init__(self, adjacency: np.ndarray):
-        degrees = np.count_nonzero(adjacency, axis=1)
+        # a 32-bit row sum takes about half the time of count_nonzero and
+        # holds any degree below 2**31
+        degrees = adjacency.sum(axis=1, dtype=np.int32)
         adjacency.setflags(write=False)
         degrees.setflags(write=False)
         self.n = adjacency.shape[0]
         self.adjacency = adjacency
         self.degrees = degrees
         self.edge_count = int(degrees.sum()) // 2
+        self.derived = {}
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
+
+
+def _upper_mask(n: int) -> np.ndarray:
+    """The n x n boolean mask of the pairs i < j, built in one pass."""
+    index = np.arange(n)
+    return np.less.outer(index, index)
 
 
 def build_filtration(matrix) -> EdgeFiltration:
@@ -160,7 +171,7 @@ def build_filtration(matrix) -> EdgeFiltration:
     n = matrix.n
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds {MAX_N}: the int32 ranks cannot hold C(n, 2)")
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    upper = _upper_mask(n)
     # the entries are read row by row, in (i, j) order, the order in
     # which boolean indexing by upper writes them back
     values = matrix.dense[upper]
@@ -220,7 +231,7 @@ def graph_at_density(matrix, density: float) -> Graph:
     """
     n = matrix.n
     m = edge_count_at_density(n, density)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    upper = _upper_mask(n)
     values = matrix.dense[upper]
     if m == 0:
         return Graph(np.zeros((n, n), dtype=bool))

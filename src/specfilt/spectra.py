@@ -29,9 +29,14 @@ is threshold, so one test certifies both: each component of the
 complement must pass it.  Either way all n eigenvalues are integers,
 computed exactly, and nothing is solved.
 
-Every other snapshot's spectrum is solved over its twin classes
+Every other spectrum is solved over the snapshot's twin classes
 (:func:`laplacian`): vertices with equal open neighbourhoods (false twins)
-or equal closed ones (true twins).  Each class of size s gives s - 1
+or equal closed ones (true twins).  A snapshot is analysed once, whatever
+kinds are asked of it: its certificate, computed only for a raw quotient,
+and its twin classes are kept on the :class:`~specfilt.filtration.Graph`.
+A certified snapshot's classes are read off its certificate (vertices of
+one complement component with one degree); any other's come from one
+comparison of packed adjacency rows.  Each class of size s gives s - 1
 eigenvalues exactly, and the rest come from a dense symmetric
 decomposition (``numpy.linalg.eigvalsh``, LAPACK's tridiagonalization
 plus implicitly shifted iteration) of the q x q quotient over the q
@@ -145,10 +150,10 @@ def _conjugate(degrees: np.ndarray) -> np.ndarray:
     return np.cumsum(tally[::-1])[::-1][1:]
 
 
-def _integral_raw_spectrum(graph: Graph) -> np.ndarray | None:
+def _integral_raw_spectrum(graph: Graph) -> tuple[np.ndarray, np.ndarray] | None:
     """The raw spectrum of a threshold graph, or of a graph whose complement
-    is a disjoint union of threshold graphs, as n integers in no order;
-    None for any other graph.
+    is a disjoint union of threshold graphs, as n integers in no order,
+    with the complement component of each vertex; None for any other graph.
 
     The complement of a threshold graph is threshold, so both cases are
     one: the complement's components are taken one at a time.  The
@@ -162,12 +167,15 @@ def _integral_raw_spectrum(graph: Graph) -> np.ndarray | None:
     and with L + L' = nI - J for a graph and its complement, the graph's
     is 0 together with n - mu, mu running over the components' conjugate
     sequences without one 0.  Each test is exact and integer, O(n^2) at
-    worst.
+    worst.  Components are numbered from 1 in the order they are found;
+    the vertices isolated in the complement, each a component alone,
+    share the number 0.
     """
     n, degrees = graph.n, graph.degrees
     co_degree = n - 1 - degrees
     remaining = co_degree > 0  # a vertex of complement degree 0 is a component alone
     parts = [np.zeros(n - np.count_nonzero(remaining), dtype=degrees.dtype)]
+    component = np.zeros(n, dtype=np.intp)
     while remaining.any():
         v = int(np.argmax(np.where(remaining, co_degree, -1)))
         members = remaining & ~graph.adjacency[v]
@@ -177,16 +185,67 @@ def _integral_raw_spectrum(graph: Graph) -> np.ndarray | None:
         f = np.count_nonzero(ordered > np.arange(ordered.size))  # d_(k) >= k
         if (conjugate[:f] != ordered[:f] + 1).any():
             return None  # not threshold
-        block = graph.adjacency.compress(members, 0).compress(members, 1)
-        joined = np.count_nonzero(block, axis=1)
-        if (inner.size - 1 - joined != inner).any():
+        # a member's complement degree is at least its count of members it
+        # is not joined to, so the sums are equal exactly when every
+        # member's complement-neighbours lie inside
+        joined = np.count_nonzero(graph.adjacency.compress(members, 0) & members)
+        if int(inner.sum()) != inner.size * (inner.size - 1) - joined:
             return None  # a member has a complement-neighbour outside
+        component[members] = len(parts)
         parts.append(conjugate)
         remaining &= ~members
     spectrum = n - np.concatenate(parts)
     # one mu = 0 is the complement's on the all-ones vector, where L has 0
     spectrum[np.argmax(spectrum)] = 0
-    return spectrum
+    return spectrum, component
+
+
+def _certified_classes(graph: Graph, component: np.ndarray):
+    """The twin classes of a certified snapshot, read off its certificate,
+    in the form and order of :func:`_twin_classes`.
+
+    In a threshold graph two vertices of equal degree are twins (Merris
+    1994), and twins in the complement are twins in the graph, so each
+    class is the vertices of one complement component with one degree;
+    the vertices isolated in the complement, joined to every other, form
+    one class of true twins.  Vertices of two components are never twins:
+    their complement neighbourhoods, within their own components, are not
+    empty.  A class's members are all joined or all apart, so a class of
+    two or more is a true-twin class exactly when its first two members
+    are joined.  Two sorts of n integers, and no row is compared.
+    """
+    n = graph.n
+    key = component * n + graph.degrees
+    _, key_first, key_class = np.unique(key, return_index=True, return_inverse=True)
+    # each vertex names its class by the class's first vertex
+    leader = key_first[key_class]
+    first, label, size = np.unique(leader, return_inverse=True, return_counts=True)
+    # every member past the first answers for its class alike; a class of
+    # one vertex counts as true twins, as in _twin_classes
+    others = np.flatnonzero(leader != np.arange(n))
+    true_twin = np.ones(first.size, dtype=bool)
+    true_twin[label[others]] = graph.adjacency[leader[others], others]
+    return label, first, size, true_twin
+
+
+def _certificate(graph: Graph):
+    """:func:`_integral_raw_spectrum` of the snapshot, computed once."""
+    derived = graph.derived
+    if "certificate" not in derived:
+        derived["certificate"] = _integral_raw_spectrum(graph)
+    return derived["certificate"]
+
+
+def _classes(graph: Graph):
+    """The snapshot's twin classes, computed once: from its certificate
+    when a raw quotient has certified it, by :func:`_twin_classes`
+    otherwise."""
+    derived = graph.derived
+    if "classes" not in derived:
+        certificate = derived.get("certificate")
+        derived["classes"] = (_twin_classes(graph) if certificate is None
+                              else _certified_classes(graph, certificate[1]))
+    return derived["classes"]
 
 
 @dataclass(frozen=True)
@@ -222,6 +281,10 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
     its complement is a disjoint union of threshold graphs, its whole
     spectrum is known exactly from degrees and complement components
     (:func:`_integral_raw_spectrum`) and the quotient is empty (q = 0).
+    The certificate and the twin classes are computed at most once per
+    graph and shared by its kinds; a graph certified by its raw quotient
+    takes its classes from the certificate (:func:`_certified_classes`),
+    any other from :func:`_twin_classes`.
 
     Otherwise, between two twin classes the edges are all present or all
     absent, and the degree d is constant on a class, so a class of size s
@@ -243,14 +306,14 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
     """
     _check_kind(kind)
     if kind == RAW:
-        certified = _integral_raw_spectrum(graph)
-        if certified is not None:
+        certificate = _certificate(graph)
+        if certificate is not None:
             mat = np.zeros((0, 0))
             mat.setflags(write=False)
-            exact = certified.astype(float)
+            exact = certificate[0].astype(float)
             exact.setflags(write=False)
             return TwinQuotient(kind, mat, exact)
-    _, first, size, true_twin = _twin_classes(graph)
+    _, first, size, true_twin = _classes(graph)
     degree = graph.degrees[first]
     joins = graph.adjacency.take(first, 0).take(first, 1)
     twin_value = (degree + true_twin).astype(float)
@@ -311,15 +374,20 @@ def eigenvalues(matrix: TwinQuotient) -> Spectrum:
     eigenvalue is not 0 within the same band, raise
     :class:`NumericalError`: the smallest eigenvalue of either kind is 0,
     on the constant vector (raw), on D^1/2 1 or on an isolated vertex's
-    zero row (normalized).
+    zero row (normalized).  A certified quotient (q = 0) calls no solver:
+    its exact eigenvalues are only sorted.
     """
     kind, n = matrix.kind, matrix.n
-    try:
-        values = np.linalg.eigvalsh(matrix.dense)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-    # with no twins exact is empty and the solver's ascending values sort to themselves
-    values = np.sort(np.concatenate([values, matrix.exact]))
+    if matrix.dense.size:
+        try:
+            values = np.linalg.eigvalsh(matrix.dense)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+        # with no twins exact is empty and the solver's ascending values sort
+        # to themselves
+        values = np.sort(np.concatenate([values, matrix.exact]))
+    else:  # a certified spectrum: nothing to solve
+        values = np.sort(matrix.exact)
     lo, hi = _kind_range(kind, n)
     band = CLAMP_TOL_FACTOR * n
     violation = max(lo - values[0], values[-1] - hi, 0.0)

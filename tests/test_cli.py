@@ -380,6 +380,28 @@ class TestRun:
         assert info.value.code == EXIT_USAGE
         assert capsys.readouterr().err == "specfilt: error: --grid file: more than 4 densities\n"
 
+    def test_grid_file_line_is_read_to_the_line_limit(self, tmp_path, monkeypatch, capsys):
+        # a line read whole is read to its newline, or to the end of a file
+        # without one; the over-long line here is a comment, which a whole
+        # read would hold and then skip
+        monkeypatch.setattr(cli, "MAX_GRID_LINE", 8)
+        grid_path = tmp_path / "grid.txt"
+        argv = ["gap-curve", "--ensemble", "gaussian", "--n", "10", "--grid", f"file:{grid_path}"]
+        grid_path.write_bytes(b"0\n#234567\n1")  # 8 characters with the newline
+        assert parse_args(argv).grid.points.tolist() == [0.0, 1.0]
+        grid_path.write_bytes(b"0\n#234567\n1\n" + b"#" * 2_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as info:
+                parse_args(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "specfilt: error: --grid file: line 4 is longer than 8 characters\n")
+        assert peak < 500_000
+
     def test_missing_grid_file_is_io_error(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["gap-curve", "--ensemble", "gaussian", "--n", "16", "--seed", "1",
@@ -661,12 +683,19 @@ class TestPooledRepeats:
 
 class TestSolvesAtOnce:
     """A run of both kinds solves the second kind of a snapshot on a worker
-    thread when two of its quotients have at least 64 classes and the
-    process may run on two CPUs with a one-thread BLAS; its bytes, messages
-    and exit codes are those of one solve after the other.  Each case runs
-    as ``density`` here and as ``gap-curve`` in the subclass below."""
+    thread when two of its quotients have at least ``_MIN_CONCURRENT_Q``
+    classes and the process may run on two CPUs with a one-thread BLAS; its
+    bytes, messages and exit codes are those of one solve after the other.
+    Each case runs as ``density`` here and as ``gap-curve`` in the subclass
+    below."""
 
     experiment = "density"
+
+    @pytest.fixture(autouse=True)
+    def floor_at_64_classes(self, monkeypatch):
+        # the floor lowered to 64 classes, so that snapshots of 80 vertices
+        # reach the worker thread
+        monkeypatch.setattr(curves, "_MIN_CONCURRENT_Q", 64)
 
     @staticmethod
     def at(tmp_path, p):
@@ -687,13 +716,13 @@ class TestSolvesAtOnce:
 
     @staticmethod
     def large_pairs(monkeypatch):
-        """Per call to _solve, whether two of its quotients have 64 or more
-        classes."""
+        """Per call to _solve, whether two of its quotients have
+        ``_MIN_CONCURRENT_Q`` or more classes."""
         large, solve = [], curves._solve
 
         def recording(snapshot, kinds, density):
             sizes = [laplacian(snapshot[0], kind).dense.shape[0] for kind in kinds]
-            large.append(sum(q >= 64 for q in sizes) >= 2)
+            large.append(sum(q >= curves._MIN_CONCURRENT_Q for q in sizes) >= 2)
             return solve(snapshot, kinds, density)
 
         monkeypatch.setattr(curves, "_solve", recording)
@@ -725,7 +754,7 @@ class TestSolvesAtOnce:
                     assert main([self.experiment, "--ensemble", ensemble, *size, "--seed", "5",
                                  *self.at(tmp_path, p), "--repeats", draws, "--kind", "both",
                                  "--output", str(out)]) == EXIT_OK
-                    # a thread exactly where two quotients reach 64 classes:
+                    # a thread exactly where two quotients reach the floor:
                     # never at p = 0 or 1, nor for the rank-one ensembles,
                     # whose raw quotients are certified (0 classes)
                     assert len(started) == at_once * sum(large)

@@ -400,6 +400,8 @@ def test_two_solves_at_once_from_64_classes(monkeypatch, sizes, threads):
 
     monkeypatch.setattr(threading.Thread, "start", counting)
     monkeypatch.setattr(curves_mod, "_concurrent_solves", lambda: True)
+    # the gate's rule, at a floor of 64 classes: the sizes are set around it
+    monkeypatch.setattr(curves_mod, "_MIN_CONCURRENT_Q", 64)
     monkeypatch.setattr(curves_mod, "eigenvalues", lambda quotient: quotient.dense.shape[0])
     # the kinds stand for quotients of the given sizes
     quotients = [TwinQuotient(RAW, np.zeros((q, q)), np.zeros(0)) for q in sizes]

@@ -1,8 +1,10 @@
 """The order is the contract: a filtration depends only on the order of
 the entries above the diagonal, ties in (i, j) order.
 
-Each test changes a matrix in a way that keeps that order, or builds one
-whose order is all ties, and compares the outputs exactly.  None of them
+Each test changes a matrix in a way whose effect on that order is known
+(a map that keeps it, a negation that reverses it, a relabelling of the
+vertices that permutes it), or builds one whose order is all ties, and
+compares the outputs exactly.  None of them
 shares the library's reading of the order with an oracle: a reading that
 is wrong the same way everywhere still fails here.
 """
@@ -100,3 +102,60 @@ def test_the_cli_reads_only_the_order(tmp_path, experiment, flags):
         written[path.stem] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert len(written["original"]) == 4
     assert written["kept"] == written["original"]
+
+
+def tie_free(matrix):
+    """The matrix, after checking that no two entries above its diagonal
+    are equal: ties go in (i, j) order, which negation reverses and a
+    relabelling permutes."""
+    upper = matrix.dense[np.triu_indices(matrix.n, k=1)]
+    assert np.unique(upper).size == upper.size
+    return matrix
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_negation_complements_the_snapshot(seed):
+    # -M orders the pairs backwards: its first m pairs are the ones M adds
+    # after its first C(n, 2) - m
+    matrix = tie_free(sample_gaussian_symmetric(60, seed))
+    negated = SymmetricMatrix(-matrix.dense)
+    total = 60 * 59 // 2
+    counts = [0, 1, 58, 59, 600, total // 2, total - 59, total - 1, total]
+    forward = stream_prefixes(build_filtration(matrix), [total - m for m in counts[::-1]])
+    backward = stream_prefixes(build_filtration(negated), counts)
+    for m, graph, flipped in zip(counts, list(forward)[::-1], backward, strict=True):
+        complement = ~graph.adjacency
+        np.fill_diagonal(complement, False)
+        assert np.array_equal(flipped.adjacency, complement), m
+        assert np.array_equal(graph_at_density(negated, m / total).adjacency, complement), m
+
+
+@pytest.mark.parametrize("ensemble", ["gaussian", "wishart-rank1", "circle", "torus"])
+def test_a_relabelling_keeps_the_index_and_the_raw_width(ensemble):
+    # the raw width is exact integer arithmetic on the degrees, which a
+    # relabelling only permutes
+    matrix = tie_free(SAMPLES[ensemble](80))
+    grid = DensityGrid.with_zero_refinement(80)
+    expected_index = build_filtration(matrix).connectivity_index
+    expected_width, = std_curve(matrix, grid, ("raw",))
+    for seed in range(3):
+        label = np.random.default_rng(seed).permutation(80)
+        relabelled = SymmetricMatrix(matrix.dense[np.ix_(label, label)])
+        assert build_filtration(relabelled).connectivity_index == expected_index
+        width, = std_curve(relabelled, grid, ("raw",))
+        assert as_bytes([width]) == as_bytes([expected_width])
+
+
+def test_the_cli_writes_the_same_raw_width_for_a_relabelled_matrix(tmp_path):
+    dense = tie_free(sample_gaussian_symmetric(40, 9)).dense
+    label = np.random.default_rng(9).permutation(40)
+    written = {}
+    for name, entries in (("original", dense), ("relabelled", dense[np.ix_(label, label)])):
+        path = tmp_path / f"{name}.csv"
+        write_matrix_file(path, entries)
+        out = tmp_path / name
+        assert main(["std-curve", "--ensemble", "matrix-file", "--matrix", str(path),
+                     "--kind", "raw", "--output", str(out)]) == EXIT_OK
+        written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(written["original"]) == 2
+    assert written["relabelled"] == written["original"]

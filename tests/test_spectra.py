@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import specfilt.spectra as spectra_mod
+from specfilt.curves import density_snapshot
 from specfilt.ensembles import (
     distance_matrix,
     sample_gaussian_symmetric,
@@ -12,12 +14,15 @@ from specfilt.ensembles import (
     sample_positive_rank_one,
     sample_wishart_rank_one,
 )
-from specfilt.filtration import build_filtration, stream_prefixes
+from specfilt.filtration import build_filtration, graph_at_density, stream_prefixes
 from specfilt.spectra import (
+    KINDS,
     NORMALIZED,
     RAW,
     NumericalError,
     TwinQuotient,
+    _certified_classes,
+    _integral_raw_spectrum,
     _twin_classes,
     eigenvalues,
     laplacian,
@@ -295,6 +300,70 @@ class TestTwinQuotient:
         assert np.count_nonzero(raw == n - k) == k - 1
         norm = eigenvalues(laplacian(g, NORMALIZED)).values
         assert np.count_nonzero(norm == 1.0) == n - 2
+
+
+class TestOneAnalysisPerSnapshot:
+    """A snapshot is analysed once for all its kinds, and a certified one
+    takes its twin classes from its certificate."""
+
+    @pytest.mark.parametrize("sample", [sample_wishart_rank_one, sample_positive_rank_one],
+                             ids=["wishart-rank1", "positive-rank1"])
+    def test_certificate_classes_equal_the_row_search(self, sample):
+        certified = 0
+        for seed in range(1, 21):
+            f = build_filtration(sample(6 + seed, seed))
+            for g in stream_prefixes(f, range(f.total_pairs + 1)):
+                certificate = _integral_raw_spectrum(g)
+                if certificate is None:
+                    continue
+                certified += 1
+                classes = _certified_classes(g, certificate[1])
+                for got, expected in zip(classes, _twin_classes(g), strict=True):
+                    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert certified > 1000, certified
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = dict.fromkeys(["_twin_classes", "_integral_raw_spectrum"], 0)
+        for name in calls:
+            def counting(graph, original=getattr(spectra_mod, name), name=name):
+                calls[name] += 1
+                return original(graph)
+
+            monkeypatch.setattr(spectra_mod, name, counting)
+        return calls
+
+    def test_a_certified_snapshot_runs_no_row_search(self, monkeypatch):
+        matrix = sample_wishart_rank_one(80, 1)
+        assert _integral_raw_spectrum(graph_at_density(matrix, 0.7)) is not None
+        calls = self.counted(monkeypatch)
+        raw, normalized = density_snapshot(matrix, 0.7, KINDS)
+        assert calls == {"_twin_classes": 0, "_integral_raw_spectrum": 1}
+        assert raw.total == normalized.total == 80
+
+    def test_an_uncertified_snapshot_runs_each_analysis_once(self, monkeypatch):
+        graph = graph_at_density(sample_gaussian_symmetric(40, 1), 0.5)
+        calls = self.counted(monkeypatch)
+        for kind in KINDS * 2:
+            laplacian(graph, kind)
+        assert calls == {"_twin_classes": 1, "_integral_raw_spectrum": 1}
+
+    def test_a_normalized_call_runs_no_certificate(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        density_snapshot(sample_wishart_rank_one(80, 1), 0.7, (NORMALIZED,))
+        assert calls == {"_twin_classes": 1, "_integral_raw_spectrum": 0}
+
+    def test_a_certified_quotient_calls_no_solver(self, monkeypatch):
+        quotient = laplacian(graph_at_density(sample_wishart_rank_one(80, 1), 0.7), RAW)
+        assert quotient.dense.shape == (0, 0)
+        solved = np.sort(np.concatenate([np.linalg.eigvalsh(quotient.dense), quotient.exact]))
+
+        def forbidden(matrix):
+            raise AssertionError("a certified spectrum needs no eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        values = eigenvalues(quotient).values
+        assert values.dtype == solved.dtype and np.array_equal(values, solved)
 
 
 class TestSpectralGap:
