@@ -305,7 +305,11 @@ def _solve(snapshot: list, kinds: tuple[str, ...], density: float) -> list:
     quotient but the first while this thread solves the first, with the
     same bytes as one after the other.  Either way the first failure in
     kind order is raised, a :class:`NumericalError` with ``density`` set,
-    and an interrupt here does not wait for the worker.
+    and an interrupt here does not wait for the worker.  Quotients are
+    assembled in kind order too, and the snapshot's kinds share its twin
+    classes; a certified snapshot reads them off its raw certificate only
+    when the raw kind comes first, as in ``KINDS`` and the CLI's
+    ``--kind both``.
     """
     graph = snapshot.pop()
     try:

@@ -143,7 +143,9 @@ class Graph:
         self.n = adjacency.shape[0]
         self.adjacency = adjacency
         self.degrees = degrees
-        self.edge_count = int(degrees.sum()) // 2
+        # summed in 64 bits: a platform int of 32 bits would overflow
+        # past a degree sum of 2**31, which MAX_N allows
+        self.edge_count = int(degrees.sum(dtype=np.int64)) // 2
         self.derived = {}
 
     def __repr__(self) -> str:

@@ -189,7 +189,7 @@ def _integral_raw_spectrum(graph: Graph) -> tuple[np.ndarray, np.ndarray] | None
         # is not joined to, so the sums are equal exactly when every
         # member's complement-neighbours lie inside
         joined = np.count_nonzero(graph.adjacency.compress(members, 0) & members)
-        if int(inner.sum()) != inner.size * (inner.size - 1) - joined:
+        if int(inner.sum(dtype=np.int64)) != inner.size * (inner.size - 1) - joined:
             return None  # a member has a complement-neighbour outside
         component[members] = len(parts)
         parts.append(conjugate)
@@ -239,7 +239,14 @@ def _certificate(graph: Graph):
 def _classes(graph: Graph):
     """The snapshot's twin classes, computed once: from its certificate
     when a raw quotient has certified it, by :func:`_twin_classes`
-    otherwise."""
+    otherwise.
+
+    The classes are fixed when the first quotient of the graph is
+    assembled, so the certificate gives them only where the raw quotient
+    is assembled first, as in the kind order ``KINDS``; asked in the
+    other order, a certified snapshot's classes come from the row search,
+    alike.
+    """
     derived = graph.derived
     if "classes" not in derived:
         certificate = derived.get("certificate")
@@ -282,9 +289,10 @@ def laplacian(graph: Graph, kind: str) -> TwinQuotient:
     spectrum is known exactly from degrees and complement components
     (:func:`_integral_raw_spectrum`) and the quotient is empty (q = 0).
     The certificate and the twin classes are computed at most once per
-    graph and shared by its kinds; a graph certified by its raw quotient
-    takes its classes from the certificate (:func:`_certified_classes`),
-    any other from :func:`_twin_classes`.
+    graph and shared by its kinds; a graph certified by a raw quotient
+    assembled before its first normalized one takes its classes from the
+    certificate (:func:`_certified_classes`), any other from
+    :func:`_twin_classes`.
 
     Otherwise, between two twin classes the edges are all present or all
     absent, and the degree d is constant on a class, so a class of size s
@@ -378,16 +386,12 @@ def eigenvalues(matrix: TwinQuotient) -> Spectrum:
     its exact eigenvalues are only sorted.
     """
     kind, n = matrix.kind, matrix.n
-    if matrix.dense.size:
-        try:
-            values = np.linalg.eigvalsh(matrix.dense)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver did not converge: {exc}") from exc
-        # with no twins exact is empty and the solver's ascending values sort
-        # to themselves
-        values = np.sort(np.concatenate([values, matrix.exact]))
-    else:  # a certified spectrum: nothing to solve
-        values = np.sort(matrix.exact)
+    try:
+        values = np.linalg.eigvalsh(matrix.dense) if matrix.dense.size else matrix.exact[:0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+    # with no twins exact is empty and the solver's ascending values sort to themselves
+    values = np.sort(np.concatenate([values, matrix.exact]))
     lo, hi = _kind_range(kind, n)
     band = CLAMP_TOL_FACTOR * n
     violation = max(lo - values[0], values[-1] - hi, 0.0)
