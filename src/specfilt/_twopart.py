@@ -2,27 +2,25 @@
 
 :func:`specfilt.output.read_matrix_csv` imports this module when it reads
 a matrix, so a run that reads none neither compiles nor holds it.  Each
-part goes through ``output._parse``.  The worker is the same interpreter
-running :func:`parse_tail`; it writes the shape of its rows (two int64)
-and their float64 values down a pipe, which this process reads straight
-into the matrix.  Any failure is raised; the caller then reads the file in
-one part, whose error is the one shown.  The worker does not outlive its
-reader: the reader kills it when the read fails or is interrupted, and on
-Linux the kernel kills it when the reader itself is killed.
+part goes through ``output._parse``.  The worker is this process forked
+(:func:`specfilt._worker.forked`) running :func:`parse_tail`; it writes
+the shape of its rows (two int64) and their float64 values down a pipe,
+which this process reads straight into the matrix.  Any failure is
+raised; the caller then reads the file in one part, whose error is the
+one shown.  The worker does not outlive its reader: the reader kills it
+when the read fails or is interrupted, and on Linux the kernel kills it
+when the reader itself is killed.
 """
 
 from __future__ import annotations
 
 import io
 import os
-import signal
 import stat
-import sys
-from pathlib import Path
 
 import numpy as np
 
-from .curves import _cpu_count
+from . import _worker
 from .output import _parse
 
 __all__: list[str] = []
@@ -31,17 +29,14 @@ __all__: list[str] = []
 # once.  With a worker that starts in t seconds and a parse rate of r, a
 # file of S bytes takes about t + S / 2r in two parts against S / r in
 # one, so two parts gain once S > 2 t r.  On a 2-CPU x86-64 host with
-# numpy 2.4, a posix_spawn of the interpreter plus
-# ``import specfilt._twopart`` took 0.12-0.19 s and a one-part read ran
-# at 65-80 MB/s, which puts the break-even at 16-30 MB; a 25.6 MB file
-# took 0.36 s in two parts against 0.40 s in one.
-SPLIT_MIN_BYTES = 20_000_000
-
-# the worker's command: it imports specfilt from where this process did,
-# ahead of the working directory, which -c puts first on the path
-_WORKER = ("import sys; sys.path.insert(0, sys.argv[1]); "
-           "from specfilt._twopart import parse_tail; "
-           "parse_tail(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))")
+# numpy 2.4 the forked worker starts parsing 2.2 ms after the fork call
+# (fork, exit and wait: 3.3 ms; the spawned interpreter it replaced took
+# 0.12-0.19 s), and a one-part read runs at 65-90 MB/s, but the two parts
+# also contend for the host.  In-process reads, alternated pairs: a 2.0 MB
+# file took 24.3 ms in two parts against 23.7 ms in one (5 of 10 won),
+# 3.0 MB won 6 and 9 of 10, 4.0 MB 9 and 10 of 10 (49.5 and 64.2 against
+# 39.6 and 47.0 ms), and 4.9 MB 10, 10 and 9 of 10
+SPLIT_MIN_BYTES = 4_000_000
 
 
 class _Head(io.RawIOBase):
@@ -62,10 +57,11 @@ class _Head(io.RawIOBase):
 
 def split_point(fh) -> int | None:
     """Where a large regular file is split: just past the first newline
-    past its middle.  None for a pipe, a small file or a single CPU."""
+    past its middle.  None for a pipe, a small file, a single CPU or where
+    no worker may be forked (:func:`specfilt._worker.available`)."""
     info = os.fstat(fh.fileno())
     if (not stat.S_ISREG(info.st_mode) or info.st_size < SPLIT_MIN_BYTES
-            or _cpu_count() < 2 or not hasattr(os, "posix_spawn")):
+            or _worker.cpu_count() < 2 or not _worker.available()):
         return None
     fh.seek(info.st_size // 2)
     while (piece := fh.readline(1 << 16)) and not piece.endswith(b"\n"):
@@ -78,30 +74,16 @@ def split_point(fh) -> int | None:
 def read_in_two(fh, split: int, path) -> np.ndarray:
     """Parse the rows before ``split`` here while a worker parses the rest.
 
-    Raises ValueError where either part fails or the two do not make an
-    n x n matrix, and OSError or ValueError where the worker cannot
-    start; the caller then reads the whole file in one part, which raises
-    the error the file holds.
+    Raises ValueError where either part fails, the two do not make an
+    n x n matrix or the worker cannot start; the caller then reads the
+    whole file in one part, which raises the error the file holds.
     """
-    read_end, write_end = os.pipe()
-    # buffered: each readinto below loops until its array is full or the
-    # pipe ends
-    with open(read_end, "rb") as stream:
-        try:
-            # posix_spawn, not the subprocess module: importing that would
-            # add 0.3 MB to every matrix-file run's peak
-            pid = os.posix_spawn(
-                sys.executable,
-                [sys.executable, "-c", _WORKER, str(Path(__file__).resolve().parents[1]),
-                 os.fspath(path), str(split), str(os.getpid())],
-                os.environ,
-                file_actions=[(os.POSIX_SPAWN_OPEN, 0, os.devnull, os.O_RDONLY, 0),
-                              (os.POSIX_SPAWN_DUP2, write_end, 1),
-                              (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
-        finally:
-            os.close(write_end)
-        status = None
-        try:
+    with _worker.forked(parse_tail, path, split) as pipe:
+        if pipe is None:
+            raise ValueError("no worker could be started")
+        # buffered: each readinto below loops until its array is full or
+        # the pipe ends
+        with open(pipe, "rb", closefd=False) as stream:
             n, head = _parse(io.BufferedReader(_Head(fh, split)))
             k = len(head)
             shape = np.empty(2, dtype=np.int64)
@@ -112,43 +94,16 @@ def read_in_two(fh, split: int, path) -> np.ndarray:
             del head
             if stream.readinto(dense[k:]) != dense[k:].nbytes:
                 raise ValueError("the worker's rows end early")
-            status = os.waitpid(pid, 0)[1]
-            if status != 0:
-                raise ValueError(f"the worker ended with status {status}")
             return dense
-        finally:
-            if status is None:  # not reaped yet, so pid is still the worker's
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
 
 
-def _end_with(parent: int) -> None:
-    """Have this process killed when ``parent`` ends, or end it now if
-    ``parent`` is already gone."""
-    if sys.platform.startswith("linux"):
-        import ctypes
-
-        prctl = ctypes.CDLL(None).prctl
-        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
-        prctl.restype = ctypes.c_int
-        # PR_SET_PDEATHSIG; should it fail, a worker whose parent is killed
-        # still ends at its first write to the closed pipe
-        prctl(1, signal.SIGKILL)
-    # a parent that died before the prctl call has left this process to
-    # another: that parent is not waiting for the rows
-    if os.getppid() != parent:
-        sys.exit(1)
-
-
-def parse_tail(path, offset: int, parent: int) -> None:
-    """Worker entry: parse a matrix file's rows from ``offset`` on, and write
-    their shape (two int64) and their float64 values to standard output.
-    The worker ends with ``parent``, the process that reads the rows."""
-    _end_with(parent)
+def parse_tail(path, offset: int, out: int) -> None:
+    """Worker entry: parse a matrix file's rows from ``offset`` on, and
+    write their shape (two int64) and their float64 values to ``out``.
+    The file is opened anew: an open file shares its position with the
+    process it was inherited from."""
     with open(path, "rb") as fh:
         fh.seek(offset)
         part = _parse(fh, "utf-8")[1]
-    out = sys.stdout.buffer
-    out.write(np.array(part.shape, dtype=np.int64).tobytes())
-    out.write(memoryview(part).cast("B"))
-    out.flush()
+    _worker.send(out, np.array(part.shape, dtype=np.int64))
+    _worker.send(out, part)

@@ -315,14 +315,19 @@ def run(config: argparse.Namespace) -> int:
     (:func:`gap_curve`, :func:`std_curve` or :func:`density_snapshot`),
     which lets go of it before the first quotient is assembled: a sweep
     once it has sorted the matrix into one filtration, a density run once
-    it has selected its one snapshot, with no sort.  A snapshot's two
-    kinds are solved at once where both quotients are large, on two or
-    more CPUs with a one-thread BLAS, and one after the other otherwise,
-    with one quotient held at a time.  Each
-    result is added to one running total per kind as soon as it is
-    computed (histogram counts are summed, curves are averaged), so memory
-    does not grow with ``--repeats``.  Files are written once every matrix
-    has been processed.
+    it has selected its one snapshot, with no sort.  On two or more CPUs
+    with a one-thread BLAS, a gap sweep of at least
+    ``specfilt.curves._MIN_SPLIT_N`` vertices hands every second connected
+    checkpoint to a forked worker process, and any other snapshot's two
+    kinds are solved at once where both quotients are large; otherwise the
+    kinds are solved one after the other, with one quotient held at a
+    time.  The bytes, messages and exit codes are the same either way, and
+    a worker that cannot be forked (``os.fork`` raising ``OSError``) leaves
+    the sweep to this process, not to the i/o exit.  Each result is added
+    to one running total per kind as soon as it is computed (histogram
+    counts are summed, curves are averaged), so memory does not grow with
+    ``--repeats``.  Files are written once every matrix has been
+    processed.
     """
     n, grid = None, config.grid
     try:

@@ -32,9 +32,15 @@ walks the filtration's pairs in order once, counting a running degree
 vector, and takes every kind's width from the Laplacian's traces
 (:func:`_width`).
 
-Every snapshot goes through :func:`_solve`, which assembles and solves
-one kind at a time, or, on two or more CPUs with a one-thread BLAS,
-solves two large quotients at once.
+On two or more CPUs with a one-thread BLAS, the work goes to both.  A
+gap sweep of at least ``_MIN_SPLIT_N`` vertices is split between this
+process and a forked worker (:mod:`specfilt._worker`), one taking the
+even-indexed connected checkpoints and the other the odd ones, each
+solving a snapshot's kinds one after the other.  Any other snapshot goes
+through :func:`_solve`, which assembles and solves one kind at a time, or
+solves two large quotients at once on two threads.  Either way the bytes
+are those of one process solving one quotient at a time: each solve is
+the same one-thread LAPACK call on the same quotient.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import SymmetricMatrix
+from . import _worker
+from .ensembles import RankOneMatrix, SymmetricMatrix
 from .filtration import (
     _edge_counts,
     build_filtration,
@@ -168,23 +175,108 @@ def gap_curve(matrix: SymmetricMatrix, grid: DensityGrid,
 
     The gap is exactly 0.0 at every checkpoint below the connectivity
     index (the disconnected ones), where no snapshot is built and nothing
-    is solved; each connected snapshot is built once, and :func:`_solve`
-    solves its quotients, one per kind, in kind order.  At p = 1 the
-    complete graph's gap is exactly n for the raw kind and n/(n - 1) for
-    the normalized kind.
+    is solved; each connected snapshot is built once, and its quotients,
+    one per kind, are solved in kind order.  At p = 1 the complete graph's
+    gap is exactly n for the raw kind and n/(n - 1) for the normalized
+    kind.
+
+    Where :func:`_split_sweep` allows, the connected checkpoints are
+    split between this process, which takes the even-indexed ones, and a
+    forked worker on the other CPUs, which takes the odd ones and sends
+    each one's gaps back down a pipe (:func:`_split_gaps`); each process
+    solves a snapshot's kinds one after the other.  Every checkpoint left
+    without gaps, all of them when the sweep is not split, is then
+    computed here in density order through :func:`_solve`, so the values,
+    and the first failure in density order with its type, message and
+    ``density``, are those of one process, whatever the worker does.
     """
     kinds = _check_kinds(kinds)
+    # a rank-one snapshot's raw spectrum is certified or its quotient small,
+    # so a raw sweep of one is too little work to split (see _MIN_SPLIT_N)
+    worth_splitting = not (isinstance(matrix, RankOneMatrix) and set(kinds) == {RAW})
     filtration = build_filtration(matrix)
     del matrix
     counts, densities = _checkpoints(grid, filtration.n)
     skip = int(np.searchsorted(counts, filtration.connectivity_index))
-    values = [[0.0] * skip for _ in kinds]
-    snapshots = stream_prefixes(filtration, counts[skip:])
-    for p, graph in zip(densities[skip:].tolist(), snapshots):
-        spectra = _solve([graph], kinds, p)
-        for spectrum, ys in zip(spectra, values):
-            ys.append(spectral_gap(spectrum))
-    return tuple(CurveSeries("gap", densities, np.array(ys)) for ys in values)
+    connected = counts[skip:]
+    gaps = [None] * connected.size
+    if worth_splitting and _split_sweep(filtration.n, connected.size):
+        _split_gaps(filtration, connected, kinds, gaps)
+    missing = [k for k, values in enumerate(gaps) if values is None]
+    snapshots = stream_prefixes(filtration, connected[missing])
+    for k, graph in zip(missing, snapshots):
+        spectra = _solve([graph], kinds, float(densities[skip + k]))
+        gaps[k] = [spectral_gap(spectrum) for spectrum in spectra]
+    values = np.zeros((len(kinds), counts.size))
+    values[:, skip:] = np.array(gaps).T
+    return tuple(CurveSeries("gap", densities, ys) for ys in values)
+
+
+# the smallest n at which a gap sweep is split between two processes,
+# measured on a 2-vCPU x86-64 host shared with other work, OpenBLAS at one
+# thread: in-process gap_curve, uniform:50, both kinds, alternated pairs of
+# a split and a one-process sweep, seeds 1-10 (or 1-20).  Gaussian, circle
+# and torus sweeps won 9 or 10 of 10 from n = 150 (Gaussian n = 400: 0.98
+# against 0.52 s).  Rank-one sweeps, whose raw spectra are certified, have
+# the least to split: Wishart won 3 to 6 of 10 at n = 150-250, and at
+# n = 300-350 anything from 0 of 10 to 20 of 20 as the host's load moved;
+# from n = 400 it won 55 of 60 pairs over six batches, one of them 6 of 10
+# (n = 400: 50 against 40 ms), and positive rank-one 39 of 40.  A raw sweep
+# of a rank-one matrix is not split at all: at n = 400 it took 17 against
+# 10 ms (0 of 10), and at n = 700 and 1000 won at most 2 of 6 pairs.  The
+# fork, the worker's exit and the wait cost about 2.3 ms, and each half
+# runs slower than alone, from copy-on-write faults and the shared host
+_MIN_SPLIT_N = 400
+
+
+def _split_sweep(n: int, checkpoints: int) -> bool:
+    """Whether a gap sweep of ``checkpoints`` connected checkpoints on n
+    vertices is split between this process and a forked worker: two solves
+    may run at once (:func:`_concurrent_solves`), a worker may be forked
+    (:func:`specfilt._worker.available`), there are two checkpoints or
+    more, and n is at least ``_MIN_SPLIT_N``."""
+    return (checkpoints >= 2 and n >= _MIN_SPLIT_N and _concurrent_solves()
+            and _worker.available())
+
+
+def _lane(filtration, counts: np.ndarray, kinds: tuple[str, ...]):
+    """Each checkpoint's gaps, one per kind, its kinds solved one after
+    the other: the other lane already fills the other CPU."""
+    for graph in stream_prefixes(filtration, counts):
+        yield [spectral_gap(eigenvalues(laplacian(graph, kind))) for kind in kinds]
+
+
+def _send_gaps(filtration, counts: np.ndarray, kinds: tuple[str, ...], out: int) -> None:
+    """The worker's lane: each checkpoint's gaps, as float64, down ``out``."""
+    for values in _lane(filtration, counts, kinds):
+        _worker.send(out, np.array(values))
+
+
+def _split_gaps(filtration, connected: np.ndarray, kinds: tuple[str, ...],
+                gaps: list) -> None:
+    """Fill ``gaps``, one slot per connected checkpoint, with this lane's
+    even-indexed checkpoints and the worker's odd-indexed ones, as far as
+    each got.  This lane stops at its first ``Exception``, and the worker
+    at its first error of any kind or when it is killed; the checkpoints
+    either leaves stay None, and so does every slot where no worker
+    could be forked.
+    """
+    received = bytearray()
+    with _worker.forked(_send_gaps, filtration, connected[1::2], kinds) as pipe:
+        if pipe is None:
+            return
+        try:
+            for k, values in zip(range(0, connected.size, 2),
+                                 _lane(filtration, connected[::2], kinds)):
+                gaps[k] = values
+                _worker.receive(pipe, received, wait=False)
+        except Exception:
+            pass  # computed again in density order, which raises it where it belongs
+        _worker.receive(pipe, received, wait=True)
+    rows = len(received) // (8 * len(kinds))
+    theirs = np.frombuffer(received, count=rows * len(kinds)).reshape(rows, len(kinds))
+    for k, values in zip(range(1, connected.size, 2), theirs.tolist()):
+        gaps[k] = values
 
 
 def _width(degrees: np.ndarray, kind: str, order: np.ndarray, m: int) -> float:
@@ -255,13 +347,6 @@ def sqrt_curve(series: CurveSeries) -> CurveSeries:
     return CurveSeries(f"sqrt-{series.statistic}", series.xs, np.sqrt(series.ys))
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # OpenBLAS takes its thread count from the first of these set to a
 # positive integer
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -277,7 +362,7 @@ def _concurrent_solves() -> bool:
         except ValueError:
             continue
         if threads > 0:
-            return threads == 1 and _cpu_count() >= 2
+            return threads == 1 and _worker.cpu_count() >= 2
     return False
 
 

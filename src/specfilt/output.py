@@ -178,11 +178,12 @@ def read_matrix_csv(path) -> SymmetricMatrix:
     symmetric.
 
     A regular file of at least ``specfilt._twopart.SPLIT_MIN_BYTES``, on
-    a POSIX machine with two or more CPUs, is split just past the first
-    newline past its middle, and a worker process parses the second part
-    while this one parses the first, both with the one-part parser.  A
-    pipe or a small file is read in one part, and so is the whole file
-    again when either part fails in any way or the worker cannot start:
+    two or more CPUs where a worker may be forked (Linux, no other thread
+    alive), is split just past the first newline past its middle, and a
+    forked worker process parses the second part while this one parses
+    the first, both with the one-part parser.  A pipe or a small file is
+    read in one part, and so is the whole file again when either part
+    fails in any way or the worker cannot start:
     every error is raised here, with the message the one-part read gives.
     The worker is always waited for, and killed when this process raises
     or is interrupted.

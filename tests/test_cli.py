@@ -1,10 +1,14 @@
 """Command-line contract: parsing, run outputs, exit codes, determinism."""
 
+import errno
 import hashlib
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -14,6 +18,7 @@ import numpy as np
 import pytest
 
 import specfilt._twopart as _twopart
+import specfilt._worker as _worker
 import specfilt.cli as cli
 import specfilt.curves as curves
 import specfilt.output as output
@@ -855,7 +860,7 @@ class TestSolvesAtOnce:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        monkeypatch.setattr(curves, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_worker, "cpu_count", lambda: cpus)
         assert curves._concurrent_solves() is at_once
         started = self.threads_started(monkeypatch)
         assert self.run(tmp_path) == EXIT_OK
@@ -941,6 +946,209 @@ class TestGapCurveSolvesAtOnce(TestSolvesAtOnce):
         assert started == []
 
 
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"),
+                    reason="a sweep is split only where a worker can be forked and moved")
+class TestSweepInTwoProcesses:
+    """A gap sweep of at least ``curves._MIN_SPLIT_N`` vertices, on two or
+    more CPUs with a one-thread BLAS, hands its odd-indexed connected
+    checkpoints to a forked worker; its files, stdout, messages and exit
+    codes are those of one process, whatever the worker does."""
+
+    FLOOR = str(curves._MIN_SPLIT_N)
+
+    @pytest.fixture(autouse=True)
+    def two_cpus_one_blas_thread(self, monkeypatch):
+        # the gate as on a 2-CPU host with OPENBLAS_NUM_THREADS=1, whatever
+        # this host and environment are; the loaded BLAS is not affected
+        for var in curves._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(_worker, "cpu_count", lambda: 2)
+
+    @staticmethod
+    def run(tmp_path, capsys, argv, split=True):
+        """The exit status, written files and captured output of one run,
+        in two processes where the gate allows, or in one with split off."""
+        out = tmp_path / ("split" if split else "serial")
+        with pytest.MonkeyPatch.context() as patch:
+            if not split:
+                patch.setattr(curves, "_split_sweep", lambda n, checkpoints: False)
+            code = main([*argv, "--output", str(out)])
+        written = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+        shutil.rmtree(out, ignore_errors=True)
+        return code, written, capsys.readouterr()
+
+    @pytest.mark.parametrize("n", [FLOOR, "500"])
+    @pytest.mark.parametrize("ensemble", ["gaussian", "positive-rank1", "wishart-rank1",
+                                          "circle", "torus"])
+    def test_same_bytes_as_one_process(self, tmp_path, capsys, forks, ensemble, n):
+        runs = [("gap-curve", kind, "1") for kind in ("both", "raw", "normalized")]
+        runs += [("gap-curve", "both", "3"), ("sqrt-gap", "both", "1")]
+        for experiment, kind, repeats in runs:
+            argv = [experiment, "--ensemble", ensemble, "--n", n, "--seed", "3",
+                    "--kind", kind, "--repeats", repeats, "--grid", "uniform:3"]
+            forks.clear()
+            split = self.run(tmp_path, capsys, argv)
+            # a worker per draw, but for a raw sweep of a rank-one matrix
+            raw_rank_one = kind == "raw" and ensemble.endswith("rank1")
+            assert len(forks) == (0 if raw_rank_one else int(repeats)), argv
+            serial = self.run(tmp_path, capsys, argv, split=False)
+            assert len(forks) == (0 if raw_rank_one else int(repeats))
+            assert split[0] == EXIT_OK and len(split[1]) == (4 if kind == "both" else 2)
+            assert split == serial, argv
+
+    @staticmethod
+    def failing_at(monkeypatch, densities):
+        """Raise a NumericalError in every assembly of a snapshot at one of
+        ``densities`` (n = 400, so C(n, 2) = 79800 pairs)."""
+        assemble = curves.laplacian
+        counts = {round(p * 79800) for p in densities}
+
+        def failing(graph, kind):
+            if graph.edge_count in counts:
+                raise NumericalError(f"synthetic failure at m={graph.edge_count}")
+            return assemble(graph, kind)
+
+        monkeypatch.setattr(curves, "laplacian", failing)
+
+    # uniform:4 at n = 400: the connected checkpoints are p = 0.25 and 0.75
+    # here, 0.5 and 1 in the worker
+    @pytest.mark.parametrize("densities", [(0.5, 0.75), (0.25, 1.0), (0.75,), (1.0,)],
+                             ids=["worker-first", "here-first", "here-only", "worker-only"])
+    def test_first_failure_in_density_order_is_the_serial_line(self, tmp_path, monkeypatch,
+                                                              capsys, forks, densities):
+        self.failing_at(monkeypatch, densities)
+        argv = ["gap-curve", "--ensemble", "gaussian", "--n", "400", "--seed", "2",
+                "--kind", "both", "--grid", "uniform:4"]
+        split = self.run(tmp_path, capsys, argv)
+        assert len(forks) == 1
+        assert split == self.run(tmp_path, capsys, argv, split=False)
+        assert split[:2] == (EXIT_NUMERICAL, {})
+        assert split[2].err == (f"specfilt: numerical failure at p={densities[0]:g}: "
+                                f"synthetic failure at m={round(densities[0] * 79800)}\n")
+
+    @pytest.mark.parametrize("fault", ["fails", "exits", "killed", "fork-refused"])
+    def test_a_worker_that_fails_changes_nothing(self, tmp_path, monkeypatch, capsys, forks,
+                                                fault):
+        # the worker fails at its first checkpoint, ends after sending one
+        # checkpoint's gaps, or is killed then; or it cannot be forked at all
+        # (os.fork raising EAGAIN must not make the run an i/o error)
+        here, assemble, send, sent = os.getpid(), curves.laplacian, _worker.send, []
+
+        def failing(graph, kind):
+            if os.getpid() != here:
+                raise NumericalError("synthetic failure in the worker")
+            return assemble(graph, kind)
+
+        def faulty(out, data):
+            if len(sent) == 1:
+                if fault == "exits":
+                    os._exit(0)
+                os.kill(os.getpid(), signal.SIGKILL)
+            sent.append(send(out, data))
+
+        def refused():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        if fault == "fails":
+            monkeypatch.setattr(curves, "laplacian", failing)
+        elif fault == "fork-refused":
+            monkeypatch.setattr(os, "fork", refused)
+        else:
+            monkeypatch.setattr(_worker, "send", faulty)
+        argv = ["gap-curve", "--ensemble", "wishart-rank1", "--n", "400", "--seed", "4",
+                "--kind", "both", "--grid", "uniform:8"]
+        cpus = os.sched_getaffinity(0)
+        split = self.run(tmp_path, capsys, argv)
+        assert len(forks) == (fault != "fork-refused")
+        assert os.sched_getaffinity(0) == cpus
+        assert sent == []  # only the worker sent anything
+        assert split[0] == EXIT_OK and len(split[1]) == 4
+        assert split == self.run(tmp_path, capsys, argv, split=False)
+
+    @pytest.mark.parametrize("case", ["at-the-floor", "below-the-floor", "one-cpu",
+                                      "two-blas-threads", "blas-unset", "raw-rank-one"])
+    def test_fork_only_where_the_gate_allows(self, tmp_path, monkeypatch, capsys, forks,
+                                             case):
+        n = int(self.FLOOR) - (case == "below-the-floor")
+        if case == "one-cpu":
+            monkeypatch.setattr(_worker, "cpu_count", lambda: 1)
+        elif case == "two-blas-threads":
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        elif case == "blas-unset":
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        kind = "raw" if case == "raw-rank-one" else "both"
+        argv = ["gap-curve", "--ensemble", "wishart-rank1", "--n", str(n), "--kind", kind,
+                "--grid", "uniform:4"]
+        assert self.run(tmp_path, capsys, argv)[0] == EXIT_OK
+        assert len(forks) == (case == "at-the-floor")
+
+    def test_no_fork_beside_another_thread(self, tmp_path, capsys, forks, second_thread):
+        argv = ["gap-curve", "--ensemble", "gaussian", "--n", self.FLOOR, "--kind", "both",
+                "--grid", "uniform:2"]
+        assert self.run(tmp_path, capsys, argv)[0] == EXIT_OK
+        assert forks == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the parent-death signal is Linux's")
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGINT], ids=["kill", "interrupt"])
+    def test_no_worker_outlives_a_killed_run(self, tmp_path, running, sig):
+        # the worker, once started, writes its pid to a file and takes a
+        # minute; the run is then killed outright (no cleanup: the kernel
+        # ends the worker) or interrupted (its finally kills the worker)
+        started = tmp_path / "worker.pid"
+        env = {k: v for k, v in os.environ.items() if k not in curves._BLAS_THREAD_VARS}
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        run = subprocess.Popen([sys.executable, "-c", _SLOW_SWEEP, str(SRC), str(started),
+                                str(tmp_path / "out")], env=env, stdout=subprocess.DEVNULL,
+                               stderr=subprocess.PIPE, text=True)
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while not started.exists():
+                assert run.poll() is None and time.monotonic() < deadline, run.stderr.read()
+                time.sleep(0.01)
+            worker = int(started.read_text())
+            run.send_signal(sig)
+            code = run.wait(timeout=60)
+            deadline = time.monotonic() + 1
+            while running(worker) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert not running(worker)
+            if sig == signal.SIGINT:
+                assert (code, run.stderr.read()) == (EXIT_INTERRUPTED, "specfilt: interrupted\n")
+            else:
+                assert code == -signal.SIGKILL
+        finally:
+            run.kill()
+            run.wait()
+            run.stderr.close()
+            if worker is not None and running(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+# a split gap sweep whose worker, once started, writes its pid to argv[2]
+# and sleeps a minute before its part of the sweep
+_SLOW_SWEEP = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+from specfilt import _worker, cli, curves
+_worker.cpu_count = lambda: 2
+send_gaps = curves._send_gaps
+def slow(*args):
+    with open(sys.argv[2] + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(sys.argv[2] + ".tmp", sys.argv[2])
+    time.sleep(60)
+    send_gaps(*args)
+curves._send_gaps = slow
+sys.exit(cli.main(["gap-curve", "--ensemble", "wishart-rank1", "--n", "400",
+                   "--grid", "uniform:4", "--output", sys.argv[3]]))
+"""
+
+
 class TestMatrixFile:
     @staticmethod
     def run_matrix(tmp_path, text):
@@ -999,24 +1207,17 @@ class TestMatrixFile:
             "specfilt: error: --matrix: could not convert string 'abc' to float64 "
             f"on line {line}, column {column}\n")
 
-    @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="no worker without posix_spawn")
+    @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"),
+                        reason="no worker without os.fork and os.sched_setaffinity")
     def test_bad_cell_in_the_workers_part_is_one_usage_line(self, tmp_path, monkeypatch,
-                                                          capsys):
+                                                          capsys, forks):
         # the file is split just past the newline past its middle, so the
         # worker parses the last row
         monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 0)
-        monkeypatch.setattr(_twopart, "_cpu_count", lambda: 2)
-        spawned = []
-        spawn = os.posix_spawn
-
-        def counted(*args, **kwargs):
-            spawned.append(spawn(*args, **kwargs))
-            return spawned[-1]
-
-        monkeypatch.setattr(os, "posix_spawn", counted)
+        monkeypatch.setattr(_worker, "cpu_count", lambda: 2)
         text = "0,1,2,3\n1,0,4,5\n2,4,0,6\n3,5,abc,0\n"
         assert self.run_matrix(tmp_path, text) == EXIT_USAGE
-        assert len(spawned) == 1
+        assert len(forks) == 1
         assert capsys.readouterr().err == (
             "specfilt: error: --matrix: could not convert string 'abc' to float64 "
             "on line 4, column 3\n")
@@ -1030,12 +1231,13 @@ class TestMatrixFile:
         assert capsys.readouterr().err == (
             "specfilt: error: --matrix: matrix entries must be finite\n")
 
-    @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="no worker without posix_spawn")
+    @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"),
+                        reason="no worker without os.fork and os.sched_setaffinity")
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_in_the_workers_part_is_usage_error(self, tmp_path, monkeypatch,
                                                                capsys, cell):
         monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 0)
-        monkeypatch.setattr(_twopart, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_worker, "cpu_count", lambda: 2)
         read_in_two, parts = _twopart.read_in_two, []
 
         def recorded(fh, split, path):

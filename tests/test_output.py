@@ -1,5 +1,7 @@
 """CSV and SVG serialization: exact formats, round trips, determinism."""
 
+import errno
+import io
 import os
 import signal
 import subprocess
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specfilt import _twopart, output, svg
+from specfilt import _twopart, _worker, output, svg
 from specfilt.curves import CurveSeries, DensityGrid, gap_curve
 from specfilt.ensembles import sample_gaussian_symmetric, sample_noisy_circle, distance_matrix
 from specfilt.filtration import MAX_N
@@ -294,25 +296,18 @@ class TestMatrixCsv:
         assert peak <= 2.5 * dense.nbytes, (peak, dense.nbytes)
 
 
-@pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="the worker is started by posix_spawn")
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"),
+                    reason="the worker is forked, and moved to another CPU")
 class TestMatrixCsvInTwoParts:
     """A large regular file is parsed in two parts at once, the second by a worker."""
 
     @pytest.fixture
-    def workers(self, monkeypatch):
+    def workers(self, monkeypatch, forks):
         # every regular file is split, whatever its size and the host's
         # CPUs; the list collects the pid of every worker started
         monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 0)
-        monkeypatch.setattr(_twopart, "_cpu_count", lambda: 2)
-        started = []
-        spawn = os.posix_spawn
-
-        def counted(*args, **kwargs):
-            started.append(spawn(*args, **kwargs))
-            return started[-1]
-
-        monkeypatch.setattr(os, "posix_spawn", counted)
-        return started
+        monkeypatch.setattr(_worker, "cpu_count", lambda: 2)
+        return forks
 
     @pytest.fixture
     def in_two(self, monkeypatch):
@@ -370,7 +365,8 @@ class TestMatrixCsvInTwoParts:
 
     def test_worker_imports_this_specfilt_before_the_working_directory(
             self, tmp_path, workers, in_two, monkeypatch):
-        # python -c puts the working directory first on the worker's path
+        # the worker is this process forked and imports nothing, so a
+        # specfilt in the working directory cannot stand in for this one
         decoy = tmp_path / "cwd" / "specfilt"
         decoy.mkdir(parents=True)
         (decoy / "__init__.py").write_text('raise ImportError("a decoy specfilt")\n')
@@ -385,11 +381,20 @@ class TestMatrixCsvInTwoParts:
     def test_rows_that_arrive_in_pieces_are_read_whole(self, tmp_path, workers, in_two,
                                                        monkeypatch):
         # each readinto of the pipe must wait for the whole array, however
-        # the worker's writes are cut and spaced
+        # the worker's writes are cut and spaced: here in pieces of 4097
+        # bytes, 1 ms apart
         dense = distance_matrix(sample_noisy_circle(200, seed=6)).dense
         path = tmp_path / "matrix.csv"
         self.write(path, matrix_csv_rows(dense))
-        monkeypatch.setattr(_twopart, "_WORKER", _TRICKLING_WORKER)
+        send = _worker.send
+
+        def trickling(out, data):
+            data = memoryview(data).cast("B")
+            for start in range(0, len(data), 4097):
+                send(out, data[start:start + 4097])
+                time.sleep(0.001)
+
+        monkeypatch.setattr(_worker, "send", trickling)
         assert np.array_equal(read_matrix_csv(path).dense, dense)
         assert len(workers) == 1
         assert len(in_two) == 1 and isinstance(in_two[0], np.ndarray)
@@ -453,7 +458,15 @@ class TestMatrixCsvInTwoParts:
         dense = distance_matrix(sample_noisy_circle(40, seed=8)).dense
         path = tmp_path / "matrix.csv"
         self.write(path, matrix_csv_rows(dense))
-        monkeypatch.setattr(_twopart, "_WORKER", worker)
+
+        def failing(path, offset, out):
+            # the worker runs this code in place of its parse, with the
+            # pipe as its standard output
+            sys.stdout = io.TextIOWrapper(open(out, "wb", closefd=False))
+            exec(worker)
+            sys.stdout.flush()
+
+        monkeypatch.setattr(_twopart, "parse_tail", failing)
         assert np.array_equal(read_matrix_csv(path).dense, dense)
         assert len(workers) == 1
 
@@ -463,23 +476,13 @@ class TestMatrixCsvInTwoParts:
         path = tmp_path / "matrix.csv"
         self.write(path, matrix_csv_rows(dense))
 
-        def refused(*args, **kwargs):
-            raise OSError("no process")
+        def refused():
+            raise OSError(errno.EAGAIN, "no process")
 
-        monkeypatch.setattr(os, "posix_spawn", refused)
+        monkeypatch.setattr(os, "fork", refused)
+        cpus = os.sched_getaffinity(0)
         assert np.array_equal(read_matrix_csv(path).dense, dense)
-
-    def test_an_empty_interpreter_path_leaves_the_file_to_one_part(self, tmp_path, workers,
-                                                                  monkeypatch):
-        # posix_spawn refuses an empty program path with ValueError
-        dense = distance_matrix(sample_noisy_circle(40, seed=8)).dense
-        path = tmp_path / "matrix.csv"
-        self.write(path, matrix_csv_rows(dense))
-        monkeypatch.setattr(sys, "executable", "")
-        assert np.array_equal(read_matrix_csv(path).dense, dense)
-        assert workers == []
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert os.sched_getaffinity(0) == cpus  # narrowed for the fork, then restored
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_a_pipe_is_read_in_one_part(self, workers):
@@ -496,13 +499,22 @@ class TestMatrixCsvInTwoParts:
     def test_small_file_or_one_cpu_is_one_part(self, tmp_path, monkeypatch):
         path = tmp_path / "matrix.csv"
         path.write_text("0,1\n1,0\n \n")
-        monkeypatch.setattr(_twopart, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(_worker, "cpu_count", lambda: 2)
         with open(path, "rb") as fh:
             assert _twopart.split_point(fh) is None  # below SPLIT_MIN_BYTES
             monkeypatch.setattr(_twopart, "SPLIT_MIN_BYTES", 0)
             assert _twopart.split_point(fh) == 8  # past the newline past byte 5
-            monkeypatch.setattr(_twopart, "_cpu_count", lambda: 1)
+            monkeypatch.setattr(_worker, "cpu_count", lambda: 1)
             assert _twopart.split_point(fh) is None
+
+    def test_no_worker_beside_another_thread(self, tmp_path, workers, second_thread):
+        # a thread holding a lock at the fork would leave it held in the worker
+        path = tmp_path / "matrix.csv"
+        write_matrix_file(path, np.eye(40))
+        with open(path, "rb") as fh:
+            assert _twopart.split_point(fh) is None
+        assert np.array_equal(read_matrix_csv(path).dense, np.eye(40))
+        assert workers == []
 
     @pytest.mark.parametrize("bad_row", [None, 3, 35])
     def test_no_worker_outlives_the_call(self, tmp_path, workers, bad_row):
@@ -520,22 +532,23 @@ class TestMatrixCsvInTwoParts:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_the_worker_parses_only_for_its_parent(self, tmp_path):
-        # the worker's command run from here: this process is its parent
+    def test_the_worker_parses_only_for_its_parent(self, tmp_path, monkeypatch):
+        # a worker whose parent has gone, so that another process adopted
+        # it (here getppid says so), sends nothing
         path = tmp_path / "matrix.csv"
         write_matrix_file(path, np.eye(4))
-        for parent, rows in ((os.getpid(), np.eye(4)), (os.getppid(), None)):
-            proc = subprocess.run([sys.executable, "-c", _twopart._WORKER, str(SRC), str(path),
-                                   "0", str(parent)], capture_output=True, timeout=60)
-            if rows is None:  # another parent: it has gone, nothing is parsed
-                assert (proc.returncode, proc.stdout) == (1, b"")
-            else:
-                assert proc.returncode == 0, proc.stderr
-                assert proc.stdout == np.array(rows.shape).tobytes() + rows.tobytes()
+        for adopted, sent in ((False, np.array([4, 4]).tobytes() + np.eye(4).tobytes()),
+                              (True, b"")):
+            if adopted:
+                monkeypatch.setattr(os, "getppid", lambda: 1)
+            received = bytearray()
+            with _worker.forked(_twopart.parse_tail, path, 0) as pipe:
+                _worker.receive(pipe, received, wait=True)
+            assert bytes(received) == sent
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the parent-death signal is Linux's")
-    def test_the_worker_ends_with_a_killed_reader(self, tmp_path):
+    def test_the_worker_ends_with_a_killed_reader(self, tmp_path, running):
         # a reader killed outright runs no cleanup: the kernel must end its
         # worker, here one that takes 5 s over its part
         path = tmp_path / "matrix.csv"
@@ -553,65 +566,36 @@ class TestMatrixCsvInTwoParts:
             reader.kill()
             reader.wait()
             deadline = time.monotonic() + 0.1
-            while _running(worker) and time.monotonic() < deadline:
+            while running(worker) and time.monotonic() < deadline:
                 time.sleep(0.005)
-            assert not _running(worker)
+            assert not running(worker)
         finally:
             reader.kill()
             reader.wait()
-            if worker is not None and _running(worker):
+            if worker is not None and running(worker):
                 os.kill(worker, signal.SIGKILL)
 
 
 SRC = Path(_twopart.__file__).resolve().parents[1]
 
-# the worker's output, written in pieces of 4097 bytes 1 ms apart
-_TRICKLING_WORKER = """
-import io, sys, time
-sys.path.insert(0, sys.argv[1])
-from specfilt import _twopart
-pipe, sys.stdout = sys.stdout.buffer, io.TextIOWrapper(io.BytesIO())
-_twopart.parse_tail(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
-data = sys.stdout.buffer.getvalue()
-for start in range(0, len(data), 4097):
-    pipe.write(data[start:start + 4097])
-    pipe.flush()
-    time.sleep(0.001)
-"""
-
 # reads every file in two parts; its worker, once its parse has begun
 # (past the parent-death setup), writes its pid to argv[3] and sleeps 5 s
-_SLOW_READER = '''
-import sys
-sys.path.insert(0, sys.argv[1])
-from specfilt import _twopart, output
-_twopart.SPLIT_MIN_BYTES = 0
-_twopart._cpu_count = lambda: 2
-_twopart._WORKER = """
+_SLOW_READER = """
 import os, sys, time
 sys.path.insert(0, sys.argv[1])
-from specfilt import _twopart
-parse = _twopart._parse
-def slow(raw, encoding):
-    with open(STARTED + ".tmp", "w") as fh:
+from specfilt import _twopart, _worker, output
+_twopart.SPLIT_MIN_BYTES = 0
+_worker.cpu_count = lambda: 2
+parse_tail = _twopart.parse_tail
+def slow(path, offset, out):
+    with open(sys.argv[3] + ".tmp", "w") as fh:
         fh.write(str(os.getpid()))
-    os.replace(STARTED + ".tmp", STARTED)
+    os.replace(sys.argv[3] + ".tmp", sys.argv[3])
     time.sleep(5)
-    return parse(raw, encoding)
-_twopart._parse = slow
-_twopart.parse_tail(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))
-""".replace("STARTED", repr(sys.argv[3]))
+    parse_tail(path, offset, out)
+_twopart.parse_tail = slow
 output.read_matrix_csv(sys.argv[2])
-'''
-
-
-def _running(pid) -> bool:
-    """Whether a process exists and has not ended (a zombie has ended)."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat[stat.rindex(")") + 2] != "Z"
+"""
 
 
 @pytest.mark.parametrize("writer", ["csv", "svg"])
